@@ -4,26 +4,35 @@ Values for every atom set of size <= m start at infinity (0 for subsets of
 the initial state) and only decrease until no relaxation step applies.
 Oversized regressed sets are evaluated as the max over their size <= m
 subsets.  The result is written into the shared heuristic table.
+
+The fixpoint runs on integers: every cost, duration and time offset is
+converted once, when the edges are built, to a whole number of 1/scale,
+where scale is the least common multiple of the problem's cost and duration
+denominators.  Only the final values become Fractions again, as they enter
+the table.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain, combinations
+from math import lcm
 
-from .htable import HeuristicTable
-from .model import INF, ZERO, AtomSet, Cost, Mode, Problem
-from .sequential import applicable_seq, regress_seq
+from .htable import HeuristicTable, dense_max
+from .model import INF, AtomSet, Mode, Problem
+from .sequential import successors_seq
 from .temporal import TempState, relax_state, successors_temporal
 
 log = logging.getLogger(__name__)
 
 # An edge is (delta, components); its value under current labels is
-# delta + max over components (offset + subset-eval of the atom set).
-Component = tuple[AtomSet, Cost]
-Edge = tuple[Cost, tuple[Component, ...]]
+# delta + max over components (offset + subset-eval of the atom set).  Deltas
+# and offsets are whole numbers of 1/scale; labels are those or INF.
+Component = tuple[AtomSet, int]
+Edge = tuple[int, tuple[Component, ...]]
 
 
 @dataclass
@@ -41,51 +50,58 @@ class GbfStats:
 
 
 def _all_sets(n_atoms: int, m: int) -> list[AtomSet]:
-    out = []
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(n_atoms), size):
-            out.append(frozenset(combo))
-    return out
+    return list(_subsets_upto(range(n_atoms), m))
 
 
-def _subsets_upto(atoms: AtomSet, m: int) -> list[AtomSet]:
+def _subsets_upto(atoms, m: int):
+    """The nonempty subsets of size <= m, smallest first, lexical within."""
     ids = sorted(atoms)
-    out = []
-    for size in range(1, min(m, len(ids)) + 1):
-        for combo in itertools.combinations(ids, size):
-            out.append(frozenset(combo))
-    return out
+    sizes = range(1, min(m, len(ids)) + 1)
+    return map(frozenset, chain.from_iterable(combinations(ids, k) for k in sizes))
 
 
-def _seq_edges(problem: Problem, s: AtomSet) -> list[Edge]:
-    out = []
-    for a in problem.actions:
-        if applicable_seq(a, s):
-            out.append((a.cost, ((regress_seq(s, a), ZERO),)))
-    return out
+def cost_scale(problem: Problem) -> int:
+    """The least common multiple of the cost and duration denominators."""
+    return lcm(*(x.denominator for a in problem.actions for x in (a.cost, a.dur)))
 
 
-def _temporal_edges(problem: Problem, s: AtomSet) -> list[Edge]:
+def _units(x: Fraction, scale: int) -> int:
+    q, r = divmod(scale, x.denominator)
+    assert r == 0, f"{x} is no whole number of 1/{scale}"
+    return x.numerator * q
+
+
+def _edges(problem: Problem, s: AtomSet, temporal: bool, scale: int) -> list[Edge]:
+    if not temporal:
+        return [(_units(e.delta, scale), ((e.state, 0),))
+                for e in successors_seq(problem, s)]
     edges, _ = successors_temporal(problem, TempState(s))
-    return [(e.delta, tuple(relax_state(e.state))) for e in edges]
+    return [(_units(e.delta, scale),
+             tuple((atoms, _units(offset, scale)) for atoms, offset in relax_state(e.state)))
+            for e in edges]
 
 
 class _Gbf:
     def __init__(self, problem: Problem, m: int, temporal: bool):
         self.problem = problem
         self.m = m
+        self.scale = cost_scale(problem)
         self.sets = _all_sets(len(problem.atoms), m)
-        self.value: dict[AtomSet, Cost] = {
-            s: (ZERO if s <= problem.init else INF) for s in self.sets
-        }
-        edge_fn = _temporal_edges if temporal else _seq_edges
+        self.value: dict[AtomSet, int | float] = {}
+        # For m <= 2, the labels are also held densely by atom id, as in the
+        # heuristic table, to evaluate oversized sets without their subsets.
+        n = len(problem.atoms)
+        self._single = [INF] * n
+        self._pairs = [[INF] * n for _ in range(n)] if m == 2 else [None] * n
+        for s in self.sets:
+            self._set(s, 0 if s <= problem.init else INF)
         self.edges: dict[AtomSet, list[Edge]] = {}
         self.parents: dict[AtomSet, set[AtomSet]] = {s: set() for s in self.sets}
         for s in self.sets:
             if s <= problem.init:
                 self.edges[s] = []
                 continue
-            es = edge_fn(problem, s)
+            es = _edges(problem, s, temporal, self.scale)
             self.edges[s] = es
             for _, comps in es:
                 for atoms, _ in comps:
@@ -93,31 +109,32 @@ class _Gbf:
                         self.parents[d].add(s)
         self.rounds = 0
 
-    def _subset_eval(self, atoms: AtomSet) -> Cost:
+    def _set(self, s: AtomSet, v: int | float) -> None:
+        self.value[s] = v
+        if len(s) == 1:
+            self._single[min(s)] = v
+        elif len(s) == 2 and self.m == 2:
+            a, b = sorted(s)
+            self._pairs[a][b] = v
+
+    def _subset_eval(self, atoms: AtomSet) -> int | float:
         if not atoms:
-            return ZERO
+            return 0
         if len(atoms) <= self.m:
             return self.value[atoms]
-        best: Cost = ZERO
-        for d in _subsets_upto(atoms, self.m):
-            v = self.value[d]
-            if v > best:
-                best = v
-                if best == INF:
-                    break
-        return best
+        if self.m <= 2:
+            return dense_max(self._single, self._pairs, sorted(atoms))
+        return max(map(self.value.__getitem__, _subsets_upto(atoms, self.m)))
 
-    def _relax(self, s: AtomSet) -> Cost:
-        best: Cost = INF
+    def _relax(self, s: AtomSet) -> int | float:
+        best = INF
         for delta, comps in self.edges[s]:
-            worst: Cost = ZERO
+            worst = 0
             for atoms, offset in comps:
                 v = offset + self._subset_eval(atoms)
                 if v > worst:
                     worst = v
-                    if worst == INF:
-                        break
-            if worst != INF and delta + worst < best:
+            if delta + worst < best:
                 best = delta + worst
         return best
 
@@ -130,7 +147,7 @@ class _Gbf:
             self.rounds += 1
             new = self._relax(s)
             if new < self.value[s]:
-                self.value[s] = new
+                self._set(s, new)
                 for p in self.parents[s]:
                     if p not in queued and not p <= self.problem.init:
                         queue.append(p)
@@ -147,7 +164,7 @@ class _Gbf:
                     continue
                 new = self._relax(s)
                 if new < self.value[s]:
-                    self.value[s] = new
+                    self._set(s, new)
                     changed = True
 
     def stats(self) -> GbfStats:
@@ -167,8 +184,9 @@ def _compute(problem: Problem, table: HeuristicTable, m: int, temporal: bool,
         gbf.run_sweep()
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    for s in sorted(gbf.sets, key=lambda x: (len(x), sorted(x))):
-        table.store(s, gbf.value[s])
+    for s in gbf.sets:  # by size, lexical within: each prefix comes first
+        v = gbf.value[s]
+        table.store(s, v if v == INF else Fraction(v, gbf.scale))
     stats = gbf.stats()
     log.info(stats.line())
     return stats

@@ -124,9 +124,6 @@ class IdaoSearch:
             plan = build_plan(self.space, list(reversed(self._chain)))
         return PassResult(cost, solved, self.stats, plan)
 
-    def idao_star(self, state, bound: Cost) -> tuple[Cost, bool]:
-        return self._idao_star(state, bound, top=False)
-
     def _idao_star(self, state, bound: Cost, top: bool) -> tuple[Cost, bool]:
         self._solved_flag = False
         current = self.space.evaluate(self.table, state)

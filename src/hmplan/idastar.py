@@ -102,7 +102,8 @@ class IdaStar:
             if space.is_final(root):
                 plan = build_plan(self.space, [])
                 return SearchResult("solved", ZERO, plan, stats=self.stats)
-            bound = space.evaluate(self.table, root)
+            root_h = space.evaluate(self.table, root)
+            bound = root_h
             if self.tt is not None:
                 cached = self.tt.get(space.key(root))
                 if cached is not None and cached > bound:
@@ -118,7 +119,7 @@ class IdaStar:
                     self.recorder.begin_iteration()
                     self.recorder.bound(self.phase, bound)
                 self._solution = []
-                result = self._dfs(root, ZERO, bound, (), None)
+                result = self._dfs(root, root_h, ZERO, bound, (), None)
                 if result is _SOLVED:
                     edges = list(reversed(self._solution))
                     plan = build_plan(self.space, edges)
@@ -131,8 +132,12 @@ class IdaStar:
         finally:
             self.stats.elapsed_s = time.monotonic() - start
 
-    def _dfs(self, state, g: Cost, bound: Cost, path: tuple, pred):
+    def _dfs(self, state, h: Cost, g: Cost, bound: Cost, path: tuple, pred):
         """Returns _SOLVED or (value, clean).
+
+        h is the state's heuristic value, computed by the caller when it
+        scored the state for ordering; the table is never written during
+        the search, so evaluating it again would give the same value.
 
         The value is the least pruned f below this node, with branches that
         closed a cycle on the current path left out: every remaining
@@ -146,7 +151,6 @@ class IdaStar:
             if g > bound:
                 return g, True
             return _SOLVED
-        h = space.evaluate(self.table, state)
         key = space.key(state)
         if self.tt is not None:
             cached = self.tt.get(key)
@@ -172,7 +176,8 @@ class IdaStar:
             if self.cycle_check and any(edge.state == anc for anc in next_path):
                 clean = False
                 continue
-            r = self._dfs(edge.state, g + edge.delta, bound, next_path, state)
+            r = self._dfs(edge.state, est - edge.delta, g + edge.delta, bound,
+                          next_path, state)
             if r is _SOLVED:
                 self._solution.append(edge)
                 return _SOLVED

@@ -3,6 +3,9 @@
 Costs and durations are exact rationals (fractions.Fraction); the single
 permitted non-rational value is INF, which absorbs under addition and is
 maximal under comparison.  Finite values must never be floats.
+
+Fraction is also the type the heuristic layers (`hm`, `htable`) take and
+return; inside, they count in integer units of a common denominator.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .temporal import TemporalSpace
 class PlannerConfig:
     pipeline: str = "tp4"  # tp4 | hspa
     base_m: int = 2
-    stop: str = "no-and"  # no-and | converged | fixed:<M>
+    stop: str = "fixed:3"  # fixed:<M> | no-and | converged
     right_shift: bool = True  # temporal and parallel modes only
     use_tt: bool = True
     tt_size: int = 1 << 16

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .htable import HeuristicTable
 from .model import AtomSet, Cost, GroundAction, Problem
@@ -22,6 +23,9 @@ def final_seq(s: AtomSet, init: AtomSet) -> bool:
     return s <= init
 
 
+_index = attrgetter("index")
+
+
 @dataclass(frozen=True)
 class SeqEdge:
     state: AtomSet
@@ -31,11 +35,12 @@ class SeqEdge:
 
 def successors_seq(problem: Problem, s: AtomSet) -> list[SeqEdge]:
     """One edge per applicable action, in action index order."""
-    out = []
-    for a in problem.actions:
-        if applicable_seq(a, s):
-            out.append(SeqEdge(regress_seq(s, a), a.cost, (a,)))
-    return out
+    # Only actions adding an atom of s can regress it; the filter and the
+    # regressed set below are applicable_seq and regress_seq, inlined.
+    adders = problem.adders
+    candidates = sorted({a for p in s for a in adders[p]}, key=_index)
+    return [SeqEdge((s - a.add) | a.pre, a.cost, (a,))
+            for a in candidates if not a.delete & s]
 
 
 class SequentialSpace:

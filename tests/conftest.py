@@ -134,7 +134,10 @@ def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:
 
 
 def random_problem(rng: random.Random, max_atoms: int = 10,
-                   max_actions: int = 15, mode: Mode = Mode.SEQUENTIAL) -> Problem:
+                   max_actions: int = 15, mode: Mode = Mode.SEQUENTIAL,
+                   costs: tuple[Fraction, ...] | None = None) -> Problem:
+    """A random problem; sequential action costs are drawn from `costs`
+    when it is given."""
     n = rng.randint(4, max_atoms)
     atoms = [Atom(i, f"x{i}") for i in range(n)]
     ids = list(range(n))
@@ -144,7 +147,10 @@ def random_problem(rng: random.Random, max_atoms: int = 10,
         rest = [i for i in ids if i not in add]
         delete = frozenset(rng.sample(rest, min(len(rest), rng.randint(0, 2))))
         pre = frozenset(rng.sample(ids, rng.randint(0, min(3, n))))
-        if mode is Mode.SEQUENTIAL:
+        if mode is Mode.SEQUENTIAL and costs is not None:
+            cost = rng.choice(costs)
+            dur = Fraction(1)
+        elif mode is Mode.SEQUENTIAL:
             cost = Fraction(rng.choice([1, 1, 1, 2, 3]), rng.choice([1, 1, 2]))
             dur = Fraction(1)
         else:
@@ -155,6 +161,10 @@ def random_problem(rng: random.Random, max_atoms: int = 10,
     init = frozenset(rng.sample(ids, rng.randint(1, n)))
     goal = frozenset(rng.sample(ids, rng.randint(1, min(3, n))))
     return Problem(atoms, actions, init, goal, mode, f"random-{mode.value}")
+
+
+# Action costs whose common scale (6) is the LCM of unlike denominators.
+MIXED_COSTS = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(1))
 
 
 @pytest.fixture

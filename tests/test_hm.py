@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import achieve_cost, forward_dijkstra, random_problem, regression_states
+from conftest import MIXED_COSTS
 from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic, compute_hm_seq, compute_hm_temporal
+from hmplan.hm import cost_scale
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
+from hmplan.model import Atom, GroundAction, Problem
 
 
 def table_for(problem, m, strategy="worklist", temporal=False):
@@ -137,3 +141,33 @@ class TestAdmissibility:
         assert stats.sets == n + n * (n - 1) // 2
         assert stats.mutex_pairs >= 10  # the pointing mutexes at least
         assert "gbf:" in stats.line()
+
+
+class TestMixedDenominators:
+    """Costs from {1/2, 1/3, 5/6, 1}: the fixpoint runs in sixths."""
+
+    def test_scale_is_lcm_of_unlike_denominators(self):
+        atoms = [Atom(0, "p"), Atom(1, "q")]
+        acts = [
+            GroundAction(0, "a", frozenset(), frozenset({0}), frozenset(), Fraction(1, 2)),
+            GroundAction(1, "b", frozenset({0}), frozenset({1}), frozenset(), Fraction(1, 3)),
+        ]
+        p = Problem(atoms, acts, frozenset(), frozenset({1}))
+        assert cost_scale(p) == 6
+        t = table_for(p, 2)
+        # [DERIVED: a then b, 1/2 + 1/3]
+        assert t.eval(p.goal) == Fraction(5, 6)
+        assert t.eval(p.atom_set("p")) == Fraction(1, 2)
+
+    def test_h1_h2_admissible_random(self):
+        rng = random.Random(17)
+        scales = set()
+        for _ in range(12):
+            p = random_problem(rng, max_atoms=7, max_actions=10, costs=MIXED_COSTS)
+            scales.add(cost_scale(p))
+            dist = forward_dijkstra(p)
+            for m in (1, 2):
+                t = table_for(p, m)
+                for s in regression_states(p, cap=20_000):
+                    assert t.eval(s) <= achieve_cost(dist, s)
+        assert scales == {6}

@@ -147,3 +147,36 @@ class TestBuildPlan:
         assert plan.metric == 5
         starts = {s.action.name: s.start for s in plan.steps}
         assert starts == {"a": 0, "b": 2}
+
+
+class TestEvaluationCount:
+    def test_one_evaluation_per_child(self):
+        # The root is evaluated once per run and every child once, when it is
+        # scored for ordering; entering it reuses that score.
+        p = fixtures.satellite()
+        ida = searcher(p, m=1)
+        calls = {"evaluate": 0, "edges": 0}
+        evaluate, successors = ida.space.evaluate, ida.space.successors
+
+        def counted_evaluate(table, s):
+            calls["evaluate"] += 1
+            return evaluate(table, s)
+
+        def counted_successors(*args):
+            edges, cuts = successors(*args)
+            calls["edges"] += len(edges)
+            return edges, cuts
+
+        ida.space.evaluate = counted_evaluate
+        ida.space.successors = counted_successors
+        res = ida.run()
+        assert res.cost == 7 and res.stats.iterations > 1
+        assert calls["evaluate"] == 1 + calls["edges"]
+
+    def test_expansions_unchanged_by_reuse(self):
+        # [DERIVED: counts of the search that evaluated every child twice]
+        p = fixtures.satellite()
+        assert searcher(p, m=1).run().stats.expansions == 1288
+        assert searcher(p, m=2).run().stats.expansions == 7
+        mix = searcher(fixtures.temporal_mix(), m=1, right_shift=True).run()
+        assert mix.stats.expansions == 3

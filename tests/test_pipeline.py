@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import parallel_makespan, random_problem, seq_optimal
+from conftest import MIXED_COSTS
 from hmplan import fixtures
+from hmplan.cli import _build_parser
 from hmplan.model import INF, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.validate import validate_plan
@@ -133,3 +135,27 @@ class TestEdges:
             res = plan(p, pipeline=pipeline)
             assert res.cost == Fraction(5, 2)
             assert validate_plan(p, res.plan).ok
+
+
+class TestMixedDenominators:
+    def test_costs_match_oracle(self):
+        rng = random.Random(47)
+        solved = 0
+        for _ in range(15):
+            p = random_problem(rng, max_atoms=6, max_actions=9, costs=MIXED_COSTS)
+            opt = seq_optimal(p)
+            for pipeline in ("tp4", "hspa"):
+                res = plan(p, pipeline=pipeline)
+                if opt == INF:
+                    assert res.outcome == "unsolvable"
+                else:
+                    assert res.outcome == "solved" and res.cost == opt
+                    assert validate_plan(p, res.plan).ok
+            solved += opt != INF
+        assert solved >= 5
+
+
+class TestDefaults:
+    def test_stop_default_matches_cli(self):
+        args = _build_parser().parse_args(["plan", "d.pddl", "p.pddl"])
+        assert PlannerConfig().stop == args.stop
