@@ -1,7 +1,7 @@
 """Optimal planning by regression search with complete and partial critical-
 path heuristics, in sequential, parallel and temporal modes."""
 
-from .hm import compute_base_heuristic, compute_hm_seq, compute_hm_temporal
+from .hm import compute_base_heuristic
 from .htable import HeuristicTable
 from .idao import IdaoSearch
 from .idastar import IdaStar, TranspositionTable
@@ -18,7 +18,7 @@ from .model import (
     round_durations_up,
 )
 from .pddl import PddlError, ground, load, parse
-from .pipeline import PlannerConfig, PlanResult, run_hspa, run_pipeline, run_tp4
+from .pipeline import PlannerConfig, PlanResult, run_pipeline
 from .sequential import SequentialSpace
 from .temporal import TemporalSpace, TempState
 from .validate import ValidationResult, validate_plan
@@ -47,15 +47,11 @@ __all__ = [
     "ValidationResult",
     "collect_metrics",
     "compute_base_heuristic",
-    "compute_hm_seq",
-    "compute_hm_temporal",
     "ground",
     "load",
     "parse",
     "round_durations_up",
-    "run_hspa",
     "run_pipeline",
-    "run_tp4",
     "validate_plan",
 ]
 

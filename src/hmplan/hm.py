@@ -1,9 +1,13 @@
 """Complete h^m computation by a generalized Bellman-Ford fixpoint.
 
-Values for every atom set of size <= m start at infinity (0 for subsets of
-the initial state) and only decrease until no relaxation step applies.
-Oversized regressed sets are evaluated as the max over their size <= m
-subsets.  The result is written into the shared heuristic table.
+`compute_base_heuristic` is the one entry point.  It takes the recursion
+from the problem's mode: sequential regression for sequential problems, the
+relaxed view of temporal regression (right-shift cuts never applied) for
+parallel and temporal ones.  Values for every atom set of size <= m start at
+infinity (0 for subsets of the initial state) and only decrease, set by set
+from a FIFO worklist, until no relaxation step applies.  Oversized regressed
+sets are evaluated as the max over their size <= m subsets.  The result is
+written into the shared heuristic table.
 
 The fixpoint runs on integers: every cost, duration and time offset is
 converted once, when the edges are built, to a whole number of 1/scale,
@@ -71,8 +75,8 @@ def _units(x: Fraction, scale: int) -> int:
     return x.numerator * q
 
 
-def _edges(problem: Problem, s: AtomSet, temporal: bool, scale: int) -> list[Edge]:
-    if not temporal:
+def _edges(problem: Problem, s: AtomSet, scale: int) -> list[Edge]:
+    if problem.mode is Mode.SEQUENTIAL:
         return [(_units(e.delta, scale), ((e.state, 0),))
                 for e in successors_seq(problem, s)]
     edges, _ = successors_temporal(problem, TempState(s))
@@ -82,7 +86,7 @@ def _edges(problem: Problem, s: AtomSet, temporal: bool, scale: int) -> list[Edg
 
 
 class _Gbf:
-    def __init__(self, problem: Problem, m: int, temporal: bool):
+    def __init__(self, problem: Problem, m: int):
         self.problem = problem
         self.m = m
         self.scale = cost_scale(problem)
@@ -101,7 +105,7 @@ class _Gbf:
             if s <= problem.init:
                 self.edges[s] = []
                 continue
-            es = _edges(problem, s, temporal, self.scale)
+            es = _edges(problem, s, self.scale)
             self.edges[s] = es
             for _, comps in es:
                 for atoms, _ in comps:
@@ -138,7 +142,7 @@ class _Gbf:
                 best = delta + worst
         return best
 
-    def run_worklist(self) -> None:
+    def run(self) -> None:
         queue = deque(s for s in self.sets if not s <= self.problem.init)
         queued = set(queue)
         while queue:
@@ -153,63 +157,21 @@ class _Gbf:
                         queue.append(p)
                         queued.add(p)
 
-    def run_sweep(self) -> None:
-        order = sorted(self.sets, key=lambda s: (len(s), sorted(s)))
-        changed = True
-        while changed:
-            changed = False
-            self.rounds += 1
-            for s in order:
-                if s <= self.problem.init:
-                    continue
-                new = self._relax(s)
-                if new < self.value[s]:
-                    self._set(s, new)
-                    changed = True
-
     def stats(self) -> GbfStats:
         mutex = sum(1 for s, v in self.value.items() if len(s) == 2 and v == INF)
         unreachable = sum(1 for v in self.value.values() if v == INF)
         return GbfStats(len(self.sets), self.rounds, mutex, unreachable)
 
 
-def _compute(problem: Problem, table: HeuristicTable, m: int, temporal: bool,
-             strategy: str) -> GbfStats:
+def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> GbfStats:
+    """Least fixpoint of the mode's h^m equation for all sets of size <= m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    gbf = _Gbf(problem, m, temporal)
-    if strategy == "worklist":
-        gbf.run_worklist()
-    elif strategy == "sweep":
-        gbf.run_sweep()
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    gbf = _Gbf(problem, m)
+    gbf.run()
     for s in gbf.sets:  # by size, lexical within: each prefix comes first
         v = gbf.value[s]
         table.store(s, v if v == INF else Fraction(v, gbf.scale))
     stats = gbf.stats()
     log.info(stats.line())
     return stats
-
-
-def compute_hm_seq(problem: Problem, table: HeuristicTable, m: int,
-                   strategy: str = "worklist") -> GbfStats:
-    """Least fixpoint of the sequential h^m equation for all sets of size <= m."""
-    return _compute(problem, table, m, temporal=False, strategy=strategy)
-
-
-def compute_hm_temporal(problem: Problem, table: HeuristicTable, m: int,
-                        strategy: str = "worklist") -> GbfStats:
-    """Temporal/parallel h^m over pure-goal states (E, {}), using the relaxed
-    view of each successor; right-shift cuts are never applied here."""
-    if problem.mode is Mode.SEQUENTIAL:
-        raise ValueError("temporal h^m needs a temporal or parallel problem")
-    return _compute(problem, table, m, temporal=True, strategy=strategy)
-
-
-def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int,
-                           strategy: str = "worklist") -> GbfStats:
-    """Mode-appropriate complete h^m (sequential or temporal recursion)."""
-    if problem.mode is Mode.SEQUENTIAL:
-        return compute_hm_seq(problem, table, m, strategy)
-    return compute_hm_temporal(problem, table, m, strategy)

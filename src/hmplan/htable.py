@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
-from .model import INF, ZERO, AtomSet, Cost, Problem, fmt_cost
+from .model import INF, ZERO, AtomSet, Cost
 
 # Marks a set never stored; below every stored value, which is at least 0.
 _ABSENT = -1
@@ -218,14 +218,3 @@ class HeuristicTable:
         found.sort(key=lambda item: item[0])
         for key, v in found:
             yield key, self._cost(v)
-
-    def dump(self, problem: Problem) -> str:
-        """One line per stored set: `{atom names} value`, lexical order."""
-        lines = []
-        for ids, value in self.items():
-            names = " ".join(problem.atom_name(i) for i in ids)
-            lines.append(f"{{{names}}} {fmt_cost(value)}")
-        return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.items())

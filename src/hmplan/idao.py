@@ -88,14 +88,12 @@ class IdaoSearch:
         table: HeuristicTable,
         m: int,
         solved_capacity: int = 1 << 16,
-        subset_order: str = "lexical",  # or "eval-desc"
         recorder: Recorder | None = None,
     ) -> None:
         self.space = space
         self.table = table
         self.m = m
         self.solved = SolvedTable(solved_capacity)
-        self.subset_order = subset_order
         self.recorder = recorder
         self.stats = PassStats(m)
         self._solved_flag = False
@@ -179,8 +177,6 @@ class IdaoSearch:
         subsets = enumerate_and_successors(atoms, self.m)
         if self.recorder:
             self.recorder.expansion(AND, len(atoms), tuple(len(s) for s in subsets))
-        if self.subset_order == "eval-desc":
-            subsets.sort(key=lambda sub: self.table.eval(sub), reverse=True)
         worst: Cost = ZERO
         all_solved = True
         for sub in subsets:

@@ -6,7 +6,6 @@ one, never a fixed increment.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,7 +56,6 @@ class TranspositionTable:
 class SearchStats:
     expansions: int = 0
     iterations: int = 0
-    elapsed_s: float = 0.0
     bounds: list[Cost] = field(default_factory=list)
 
 
@@ -78,59 +76,51 @@ class IdaStar:
         use_tt: bool = True,
         tt_capacity: int = 1 << 16,
         right_shift: bool = False,
-        cycle_check: bool = True,
         recorder: Recorder | None = None,
-        phase: str = "ida",
     ) -> None:
         self.space = space
         self.table = table
         self.tt = TranspositionTable(tt_capacity) if use_tt else None
         self.right_shift = right_shift
-        self.cycle_check = cycle_check
         self.recorder = recorder
-        self.phase = phase
         self.stats = SearchStats()
         self._solution: list = []
 
     def run(self, upper_limit: Cost = INF) -> SearchResult:
         space = self.space
         root = space.root()
-        start = time.monotonic()
         if self.recorder:
             self.recorder.reset_iterations()
-        try:
-            if space.is_final(root):
-                plan = build_plan(self.space, [])
-                return SearchResult("solved", ZERO, plan, stats=self.stats)
-            root_h = space.evaluate(self.table, root)
-            bound = root_h
-            if self.tt is not None:
-                cached = self.tt.get(space.key(root))
-                if cached is not None and cached > bound:
-                    bound = cached
-            while True:
-                if bound == INF:
-                    return SearchResult("unsolvable", stats=self.stats)
-                if bound > upper_limit:
-                    return SearchResult("limit", next_bound=bound, stats=self.stats)
-                self.stats.iterations += 1
-                self.stats.bounds.append(bound)
+        if space.is_final(root):
+            plan = build_plan(self.space, [])
+            return SearchResult("solved", ZERO, plan, stats=self.stats)
+        root_h = space.evaluate(self.table, root)
+        bound = root_h
+        if self.tt is not None:
+            cached = self.tt.get(space.key(root))
+            if cached is not None and cached > bound:
+                bound = cached
+        while True:
+            if bound == INF:
+                return SearchResult("unsolvable", stats=self.stats)
+            if bound > upper_limit:
+                return SearchResult("limit", next_bound=bound, stats=self.stats)
+            self.stats.iterations += 1
+            self.stats.bounds.append(bound)
+            if self.recorder:
+                self.recorder.begin_iteration()
+                self.recorder.bound("ida", bound)
+            self._solution = []
+            result = self._dfs(root, root_h, ZERO, bound, (), None)
+            if result is _SOLVED:
+                edges = list(reversed(self._solution))
+                plan = build_plan(self.space, edges)
                 if self.recorder:
-                    self.recorder.begin_iteration()
-                    self.recorder.bound(self.phase, bound)
-                self._solution = []
-                result = self._dfs(root, root_h, ZERO, bound, (), None)
-                if result is _SOLVED:
-                    edges = list(reversed(self._solution))
-                    plan = build_plan(self.space, edges)
-                    if self.recorder:
-                        self.recorder.bound(self.phase, plan.metric)
-                    return SearchResult("solved", plan.metric, plan, stats=self.stats)
-                value, _clean = result
-                assert value > bound
-                bound = value
-        finally:
-            self.stats.elapsed_s = time.monotonic() - start
+                    self.recorder.bound("ida", plan.metric)
+                return SearchResult("solved", plan.metric, plan, stats=self.stats)
+            value, _clean = result
+            assert value > bound
+            bound = value
 
     def _dfs(self, state, h: Cost, g: Cost, bound: Cost, path: tuple, pred):
         """Returns _SOLVED or (value, clean).
@@ -173,7 +163,7 @@ class IdaStar:
         clean = True
         next_path = path + (state,)
         for est, edge in scored:
-            if self.cycle_check and any(edge.state == anc for anc in next_path):
+            if any(edge.state == anc for anc in next_path):
                 clean = False
                 continue
             r = self._dfs(edge.state, est - edge.delta, g + edge.delta, bound,

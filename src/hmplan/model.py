@@ -27,13 +27,6 @@ AtomSet = frozenset[int]
 EMPTY: AtomSet = frozenset()
 
 
-def rat(value, denominator: int | None = None) -> Fraction:
-    """Build an exact rational from an int, string ("3/2", "1.204") or pair."""
-    if denominator is not None:
-        return Fraction(value, denominator)
-    return Fraction(value)
-
-
 def ceil_cost(x: Cost) -> Cost:
     if x == INF:
         return INF

@@ -116,9 +116,6 @@ class Literal:
     pred: str
     args: tuple[str, ...]
 
-    def format(self) -> str:
-        return "(" + " ".join((self.pred,) + self.args) + ")"
-
 
 @dataclass(frozen=True)
 class ActionSchema:
@@ -210,6 +207,14 @@ def _literal(node, filename: str) -> Literal:
     return Literal(head.text, args)
 
 
+def _term_pair(node: SList, filename: str) -> tuple[str, str]:
+    """The two terms of `(= a b)`."""
+    if len(node) != 3:
+        raise PddlError("expected (= <term> <term>)", filename, *_pos(node))
+    a, b = (_expect_token(x, "a term", filename).text for x in node[1:])
+    return a, b
+
+
 def _condition(node, filename: str):
     """Positive conjunctive condition plus equality/inequality constraints."""
     lits: list[Literal] = []
@@ -226,16 +231,14 @@ def _condition(node, filename: str):
         elif head.text == "not":
             if len(n) == 2 and isinstance(n[1], SList) and n[1] and \
                     isinstance(n[1][0], Token) and n[1][0].text == "=":
-                a, b = (_expect_token(x, "a term", filename).text for x in n[1][1:])
-                neq.append((a, b))
+                neq.append(_term_pair(n[1], filename))
             else:
                 raise PddlError(
                     "unsupported feature: negative condition (only (not (= ..)) allowed)",
                     filename, head.line, head.col,
                 )
         elif head.text == "=":
-            a, b = (_expect_token(x, "a term", filename).text for x in n[1:])
-            eq.append((a, b))
+            eq.append(_term_pair(n, filename))
         else:
             lits.append(_literal(n, filename))
 
@@ -255,6 +258,8 @@ def _effects(node, filename: str) -> tuple[tuple[Literal, ...], tuple[Literal, .
             for sub in n[1:]:
                 walk(sub)
         elif head.text == "not":
+            if len(n) != 2:
+                raise PddlError("expected (not <atom>)", filename, *_pos(n))
             delete.append(_literal(n[1], filename))
         else:
             add.append(_literal(n, filename))
@@ -337,6 +342,8 @@ def _parse_action(node: SList, durative: bool, filename: str) -> ActionSchema:
     name = _expect_token(node[1], "an action name", filename).text
     sec = _sections(list(node[2:]), filename)
     params_node = sec.get(":parameters")
+    if isinstance(params_node, Token):
+        raise PddlError("expected a parameter list", filename, *_pos(params_node))
     params = _typed_list(list(params_node), filename) if params_node else ()
     if durative:
         dur = _duration(sec[":duration"], filename) if ":duration" in sec else Fraction(1)
@@ -367,7 +374,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
     if not (isinstance(form, SList) and form and isinstance(form[0], Token)
             and form[0].text == "define"):
         raise PddlError("expected (define (domain ..))", filename, *_pos(form))
-    head = form[1]
+    head = form[1] if len(form) > 1 else form
     if not (isinstance(head, SList) and len(head) == 2
             and isinstance(head[0], Token) and head[0].text == "domain"):
         raise PddlError("expected (domain <name>)", filename, *_pos(head))
@@ -431,6 +438,8 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
         if not (isinstance(node, SList) and node and isinstance(node[0], Token)):
             raise PddlError("expected a problem section", filename, *_pos(node))
         kind = node[0].text
+        if kind in (":domain", ":goal") and len(node) != 2:
+            raise PddlError(f"expected ({kind} <one argument>)", filename, *_pos(node))
         if kind == ":domain":
             domain = _expect_token(node[1], "a domain name", filename).text
         elif kind == ":objects":
@@ -459,58 +468,6 @@ def parse(domain_text: str, problem_text: str,
           domain_file: str = "<domain>", problem_file: str = "<problem>"
           ) -> tuple[DomainAst, ProblemAst]:
     return parse_domain(domain_text, domain_file), parse_problem(problem_text, problem_file)
-
-
-# ---------------------------------------------------------------------------
-# printing (inverse of parsing, up to layout)
-
-def print_domain(d: DomainAst) -> str:
-    lines = [f"(define (domain {d.name})"]
-    if d.requirements:
-        lines.append("  (:requirements " + " ".join(d.requirements) + ")")
-    if d.types:
-        lines.append("  (:types " + " ".join(f"{t} - {s}" for t, s in d.types) + ")")
-    if d.constants:
-        lines.append("  (:constants " + " ".join(f"{o} - {t}" for o, t in d.constants) + ")")
-    if d.predicates:
-        preds = " ".join(
-            "(" + " ".join((p,) + tuple(
-                f"?x{i} - {t}" for i, t in enumerate(ts))) + ")"
-            for p, ts in d.predicates
-        )
-        lines.append("  (:predicates " + preds + ")")
-    for a in d.actions:
-        params = " ".join(f"{v} - {t}" for v, t in a.params)
-        cons = [lit.format() for lit in a.pre]
-        cons += [f"(= {x} {y})" for x, y in a.eq]
-        cons += [f"(not (= {x} {y}))" for x, y in a.neq]
-        effs = [lit.format() for lit in a.add]
-        effs += [f"(not {lit.format()})" for lit in a.delete]
-        if a.durative:
-            lines.append(f"  (:durative-action {a.name}")
-            lines.append(f"    :parameters ({params})")
-            lines.append(f"    :duration (= ?duration {a.dur})")
-            cond = " ".join(f"(at start {c})" for c in cons)
-            eff = " ".join(f"(at end {e})" for e in effs)
-            lines.append(f"    :condition (and {cond})")
-            lines.append(f"    :effect (and {eff}))")
-        else:
-            lines.append(f"  (:action {a.name}")
-            lines.append(f"    :parameters ({params})")
-            lines.append(f"    :precondition (and {' '.join(cons)})")
-            lines.append(f"    :effect (and {' '.join(effs)}))")
-    lines.append(")")
-    return "\n".join(lines)
-
-
-def print_problem(p: ProblemAst) -> str:
-    lines = [f"(define (problem {p.name})", f"  (:domain {p.domain})"]
-    if p.objects:
-        lines.append("  (:objects " + " ".join(f"{o} - {t}" for o, t in p.objects) + ")")
-    lines.append("  (:init " + " ".join(lit.format() for lit in p.init) + ")")
-    lines.append("  (:goal (and " + " ".join(lit.format() for lit in p.goal) + "))")
-    lines.append(")")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Planner pipelines.
+"""The planner pipeline.
 
-Both pipelines start from a complete h^m heuristic computed by the
-generalized Bellman-Ford fixpoint.  The plain pipeline ("tp4") runs IDA*
-directly on that heuristic.  The boosted pipeline ("hspa") first runs
-relaxed m-regression passes with increasing m, each of which improves the
-shared heuristic table, until a stopping rule fires, then runs IDA*.  If any
-relaxed pass proves the relaxed problem unsolvable, the original problem is
-unsolvable too.
+`run_pipeline` is the one entry point.  Every run starts from a complete h^m
+heuristic computed by the generalized Bellman-Ford fixpoint and ends with
+IDA* on the shared heuristic table.  The boosted pipeline ("hspa") runs
+relaxed m-regression passes with increasing m in between, each of which
+improves the table, until a stopping rule fires; the plain pipeline ("tp4")
+is the same run with no passes.  If any relaxed pass proves the relaxed
+problem unsolvable, the original problem is unsolvable too.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class PlannerConfig:
     use_tt: bool = True
     tt_size: int = 1 << 16
     solved_size: int = 1 << 16
-    gbf_strategy: str = "worklist"
     upper_limit: Cost = INF
 
 
@@ -54,19 +53,37 @@ def _make_space(problem: Problem):
     return TemporalSpace(problem)
 
 
-def _base_table(problem: Problem, config: PlannerConfig,
-                recorder: Recorder | None):
+def _parse_stop(stop: str) -> tuple[str, int | None]:
+    if stop in ("no-and", "converged"):
+        return stop, None
+    if stop.startswith("fixed:") and stop[6:].isdecimal():
+        m = int(stop[6:])
+        if m < 2:
+            raise ValueError("fixed stopping level must be at least 2")
+        return "fixed", m
+    raise ValueError(f"unknown stopping rule {stop!r}")
+
+
+def run_pipeline(problem: Problem, config: PlannerConfig,
+                 recorder: Recorder | None = None) -> PlanResult:
+    """Solve the problem optimally, or prove it unsolvable, or report the
+    next bound above `config.upper_limit`; raises ValueError on a bad
+    pipeline name or stopping rule before any work is done."""
+    if config.pipeline not in ("tp4", "hspa"):
+        raise ValueError(f"unknown pipeline {config.pipeline!r}")
+    stop = _parse_stop(config.stop)
     table = HeuristicTable()
-    stats = compute_base_heuristic(problem, table, config.base_m, config.gbf_strategy)
+    gbf_stats = compute_base_heuristic(problem, table, config.base_m)
     space = _make_space(problem)
     if recorder:
         recorder.bound("gbf", space.evaluate(table, space.root()))
-    return table, stats, space
+    result = PlanResult("unsolvable", table=table, gbf_stats=gbf_stats)
+    if space.evaluate(table, space.root()) == INF:
+        return result
+    if config.pipeline == "hspa" and _boost(problem, space, table, config, stop,
+                                            recorder, result):
+        return result
 
-
-def _final_search(problem: Problem, space, table: HeuristicTable,
-                  config: PlannerConfig, recorder: Recorder | None,
-                  result: PlanResult) -> PlanResult:
     right_shift = config.right_shift and problem.mode is not Mode.SEQUENTIAL
     search = IdaStar(
         space,
@@ -85,34 +102,13 @@ def _final_search(problem: Problem, space, table: HeuristicTable,
     return result
 
 
-def run_tp4(problem: Problem, config: PlannerConfig,
-            recorder: Recorder | None = None) -> PlanResult:
-    table, gbf_stats, space = _base_table(problem, config, recorder)
-    result = PlanResult("unsolvable", table=table, gbf_stats=gbf_stats)
-    if space.evaluate(table, space.root()) == INF:
-        return result
-    return _final_search(problem, space, table, config, recorder, result)
-
-
-def _parse_stop(stop: str) -> tuple[str, int | None]:
-    if stop in ("no-and", "converged"):
-        return stop, None
-    if stop.startswith("fixed:"):
-        m = int(stop.split(":", 1)[1])
-        if m < 2:
-            raise ValueError("fixed stopping level must be at least 2")
-        return "fixed", m
-    raise ValueError(f"unknown stopping rule {stop!r}")
-
-
-def run_hspa(problem: Problem, config: PlannerConfig,
-             recorder: Recorder | None = None) -> PlanResult:
-    stop_kind, stop_m = _parse_stop(config.stop)
-    table, gbf_stats, space = _base_table(problem, config, recorder)
-    result = PlanResult("unsolvable", table=table, gbf_stats=gbf_stats)
-    if space.evaluate(table, space.root()) == INF:
-        return result
-
+def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig,
+           stop: tuple[str, int | None], recorder: Recorder | None,
+           result: PlanResult) -> bool:
+    """Run relaxed passes for m = base_m + 1, ... until the stopping rule
+    fires.  Returns True when a pass settled the run: it proved the problem
+    unsolvable, or it was a complete search whose plan is `result`'s."""
+    stop_kind, stop_m = stop
     prev_cost: Cost | None = None
     m = config.base_m + 1
     n_atoms = len(problem.atoms)
@@ -128,7 +124,7 @@ def run_hspa(problem: Problem, config: PlannerConfig,
         result.pass_stats.append(out.stats)
         if not out.solved:
             # The m-relaxation admits no solution, so neither does the problem.
-            return result
+            return True
         if out.stats.and_expansions == 0:
             # The pass never crossed the size boundary: it was a complete
             # regression search, and its cost and plan are exact.  Larger m
@@ -137,27 +133,17 @@ def run_hspa(problem: Problem, config: PlannerConfig,
                 if out.cost > config.upper_limit:
                     result.outcome = "limit"
                     result.next_bound = out.cost
-                    return result
+                    return True
                 result.outcome = "solved"
                 result.cost = out.cost
                 result.plan = out.plan
-                return result
-            break
+                return True
+            return False
         if stop_kind == "fixed" and m >= stop_m:
-            break
+            return False
         if stop_kind == "converged" and out.cost == prev_cost:
-            break
+            return False
         prev_cost = out.cost
         m += 1
         if m > n_atoms:
-            break
-    return _final_search(problem, space, table, config, recorder, result)
-
-
-def run_pipeline(problem: Problem, config: PlannerConfig,
-                 recorder: Recorder | None = None) -> PlanResult:
-    if config.pipeline == "tp4":
-        return run_tp4(problem, config, recorder)
-    if config.pipeline == "hspa":
-        return run_hspa(problem, config, recorder)
-    raise ValueError(f"unknown pipeline {config.pipeline!r}")
+            return False

@@ -49,13 +49,6 @@ def final_temporal(s: TempState, init: AtomSet) -> bool:
     return not s.in_progress and s.goals <= init
 
 
-def temp_size(s: TempState) -> int:
-    atoms = s.goals
-    for a, _ in s.in_progress:
-        atoms = atoms | a.pre
-    return len(atoms)
-
-
 def relaxed_atoms(s: TempState) -> AtomSet:
     """E joined with the preconditions of every in-progress action."""
     atoms = s.goals
@@ -246,7 +239,7 @@ class TemporalSpace:
         return best
 
     def size(self, s: TempState) -> int:
-        return temp_size(s)
+        return len(relaxed_atoms(s))
 
     def key(self, s: TempState) -> TempState:
         return s

@@ -133,6 +133,29 @@ def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:
     return seen
 
 
+def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, Fraction | float]:
+    """Reference schedule for the GBF h^m fixpoint: relax every set of size
+    <= m round-robin (by size, lexical within) until a whole sweep changes
+    nothing.  It drives `hm._Gbf`'s own edges and relaxation step, so it
+    checks the worklist schedule of `compute_base_heuristic`, and returns
+    every set's value."""
+    from hmplan.hm import _Gbf
+
+    gbf = _Gbf(problem, m)
+    order = sorted(gbf.sets, key=lambda s: (len(s), sorted(s)))
+    changed = True
+    while changed:
+        changed = False
+        for s in order:
+            if s <= problem.init:
+                continue
+            new = gbf._relax(s)
+            if new < gbf.value[s]:
+                gbf._set(s, new)
+                changed = True
+    return {s: v if v == INF else Fraction(v, gbf.scale) for s, v in gbf.value.items()}
+
+
 def random_problem(rng: random.Random, max_atoms: int = 10,
                    max_actions: int = 15, mode: Mode = Mode.SEQUENTIAL,
                    costs: tuple[Fraction, ...] | None = None) -> Problem:

@@ -17,7 +17,7 @@ from conftest import (
     temporal_makespan,
 )
 from hmplan import fixtures
-from hmplan.hm import compute_base_heuristic, compute_hm_seq
+from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.idao import IdaoSearch, SolvedTable
 from hmplan.idastar import IdaStar
@@ -84,7 +84,7 @@ class TestCriteria:
         assert seq_optimal(p) == 7  # oracle precondition
 
         table = SpyTable()
-        compute_hm_seq(p, table, 1)
+        compute_base_heuristic(p, table, 1)
         space = SequentialSpace(p)
         table.log.clear()
 
@@ -120,12 +120,12 @@ class TestCriteria:
             space = SequentialSpace(p)
             for m in (1, 2, 3):
                 complete = HeuristicTable()
-                compute_hm_seq(p, complete, m)
+                compute_base_heuristic(p, complete, m)
                 want = complete.eval(p.goal)
 
                 seed = HeuristicTable()
                 if m > 1:
-                    compute_hm_seq(p, seed, m - 1)
+                    compute_base_heuristic(p, seed, m - 1)
                 out = IdaoSearch(space, seed, m).run()
                 got = out.cost if (out.solved or out.cost == INF) else None
                 ok = ok and got == want
@@ -150,13 +150,13 @@ class TestCriteria:
                         violations += 1
 
             t = HeuristicTable()
-            compute_hm_seq(p, t, 1)
+            compute_base_heuristic(p, t, 1)
             phase_ok(t)
             t2 = HeuristicTable()
-            compute_hm_seq(p, t2, 2)
+            compute_base_heuristic(p, t2, 2)
             phase_ok(t2)
             boosted = HeuristicTable()
-            compute_hm_seq(p, boosted, 1)
+            compute_base_heuristic(p, boosted, 1)
             for m in (2, 3):
                 IdaoSearch(space, boosted, m).run()
                 phase_ok(boosted)
@@ -235,7 +235,7 @@ class TestCriteria:
         p = fixtures.satellite(goal_images=("d1", "d2", "d3", "d4", "d5"))
         assert seq_optimal(p) == 12  # oracle precondition
         h2 = HeuristicTable()
-        compute_hm_seq(p, h2, 2)
+        compute_base_heuristic(p, h2, 2)
         assert h2.eval(p.goal) == 7  # strictly below the optimum
 
         rec_plain = Recorder()
@@ -307,7 +307,7 @@ class TestCriteria:
         for _ in range(8):
             p = random_problem(rng, max_atoms=7, max_actions=10)
             t = HeuristicTable()
-            compute_hm_seq(p, t, 2)
+            compute_base_heuristic(p, t, 2)
             for s in regression_states(p, cap=50_000):
                 for edge in successors_seq(p, s):
                     pairs += 1

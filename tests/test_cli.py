@@ -100,6 +100,18 @@ class TestNonZeroExits:
                            "--stop", "fixed:0")
         assert code == 2
 
+    def test_bad_stop_rule_under_tp4(self, capsys):
+        code, out, err = run(capsys, *OBS, "--stop", "bogus")
+        assert code == 2 and "bogus" in err and out == ""
+
+    def test_malformed_pddl(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pddl"
+        bad.write_text("(define (domain x) (:predicates (p))\n"
+                       " (:action a :parameters () :effect (not)))")
+        code, _, err = run(capsys, str(bad), OBS[1])
+        assert code == 2
+        assert "bad.pddl:2:" in err and "Traceback" not in err
+
 
 class TestArtifacts:
     def test_trace_csv(self, tmp_path, capsys):

@@ -3,23 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import achieve_cost, forward_dijkstra, random_problem, regression_states
-from conftest import MIXED_COSTS
+from conftest import achieve_cost, forward_dijkstra, gbf_sweep, random_problem
+from conftest import MIXED_COSTS, regression_states
 from hmplan import fixtures
-from hmplan.hm import compute_base_heuristic, compute_hm_seq, compute_hm_temporal
-from hmplan.hm import cost_scale
+from hmplan.hm import compute_base_heuristic, cost_scale
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
 
 
-def table_for(problem, m, strategy="worklist", temporal=False):
+def table_for(problem, m):
     t = HeuristicTable()
-    if temporal:
-        compute_hm_temporal(problem, t, m, strategy)
-    else:
-        compute_hm_seq(problem, t, m, strategy)
+    compute_base_heuristic(problem, t, m)
     return t
+
+
+def stored_sets(table):
+    """The table's nonempty stored sets and their values."""
+    return {frozenset(ids): v for ids, v in table.items() if ids}
 
 
 @pytest.fixture(scope="module")
@@ -62,30 +63,26 @@ class TestSequentialValues:
 
     def test_hm_rejects_nonpositive_m(self, sat1):
         with pytest.raises(ValueError):
-            compute_hm_seq(sat1, HeuristicTable(), 0)
+            compute_base_heuristic(sat1, HeuristicTable(), 0)
 
 
 class TestTemporalValues:
     def test_parallel_cal_needs_two_layers(self):
         # [DERIVED: power-on or turn first, calibrate second]
         p = fixtures.satellite(mode=Mode.PARALLEL)
-        t = table_for(p, 1, temporal=True)
+        t = table_for(p, 1)
         assert t.eval(p.atom_set("cal")) == 2
 
     def test_parallel_goal_h2(self):
         p = fixtures.satellite(mode=Mode.PARALLEL)
-        t = table_for(p, 2, temporal=True)
+        t = table_for(p, 2)
         assert t.eval(p.goal) == 6
 
     def test_temporal_chain_sums_durations(self):
         # [DERIVED: forced chain of durations 2 and 3]
         p = fixtures.chain(2, Mode.TEMPORAL, durs=[2, 3])
-        t = table_for(p, 1, temporal=True)
+        t = table_for(p, 1)
         assert t.eval(p.atom_set("p2")) == 5
-
-    def test_sequential_mode_rejected(self, sat1):
-        with pytest.raises(ValueError):
-            compute_hm_temporal(sat1, HeuristicTable(), 1)
 
     def test_dispatch_by_mode(self):
         p = fixtures.satellite(mode=Mode.PARALLEL)
@@ -95,24 +92,30 @@ class TestTemporalValues:
 
 
 class TestStrategiesAgree:
+    """The worklist fixpoint equals the round-robin sweep in conftest."""
+
     def test_worklist_matches_sweep_on_fixtures(self, sat1):
         for m in (1, 2):
-            a = table_for(sat1, m, "worklist")
-            b = table_for(sat1, m, "sweep")
-            assert list(a.items()) == list(b.items())
+            assert stored_sets(table_for(sat1, m)) == gbf_sweep(sat1, m)
 
     def test_worklist_matches_sweep_random(self):
         rng = random.Random(7)
         for _ in range(15):
             p = random_problem(rng, max_atoms=7, max_actions=10)
             for m in (1, 2):
-                a = table_for(p, m, "worklist")
-                b = table_for(p, m, "sweep")
-                assert list(a.items()) == list(b.items())
+                assert stored_sets(table_for(p, m)) == gbf_sweep(p, m)
 
-    def test_unknown_strategy_rejected(self, sat1):
-        with pytest.raises(ValueError):
-            compute_hm_seq(sat1, HeuristicTable(), 1, strategy="magic")
+    @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
+    def test_worklist_matches_sweep_random_concurrent(self, mode):
+        rng = random.Random(19)
+        finite = 0
+        for _ in range(20):
+            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode)
+            for m in (1, 2):
+                values = gbf_sweep(p, m)
+                assert stored_sets(table_for(p, m)) == values
+                finite += sum(0 < v < INF for v in values.values())
+        assert finite > 0
 
 
 class TestAdmissibility:
@@ -136,7 +139,7 @@ class TestAdmissibility:
 
     def test_stats_reported(self, sat1):
         t = HeuristicTable()
-        stats = compute_hm_seq(sat1, t, 2)
+        stats = compute_base_heuristic(sat1, t, 2)
         n = len(sat1.atoms)
         assert stats.sets == n + n * (n - 1) // 2
         assert stats.mutex_pairs >= 10  # the pointing mutexes at least

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from hmplan.htable import HeuristicTable
-from hmplan.model import INF, ZERO, Atom, Problem
+from hmplan.model import INF, ZERO
 
 sets = st.frozensets(st.integers(0, 7), max_size=5)
 values = st.one_of(st.fractions(min_value=0, max_value=50), st.just(INF))
@@ -100,17 +100,6 @@ class TestEnumeration:
         keys = [k for k, _ in t.items()]
         assert keys == sorted(keys)
 
-    def test_dump_names(self):
-        p = Problem([Atom(0, "p"), Atom(1, "q")], [], frozenset(), frozenset())
-        t = HeuristicTable()
-        t.store(frozenset({0, 1}), INF)
-        assert "{p q} inf" in t.dump(p)
-
-    def test_len_counts_stored_nodes(self):
-        t = HeuristicTable()
-        t.store(frozenset({1, 2}), Fraction(1))
-        # {}, {1} prefixes plus {1,2}
-        assert len(t) == 3
 
 
 def is_cost(x) -> bool:

@@ -134,12 +134,6 @@ class TestTableSideEffects:
             for s in regression_states(p, cap=20_000):
                 assert t.eval(s) <= achieve_cost(dist, s)
 
-    def test_subset_order_does_not_change_cost(self):
-        p = fixtures.satellite()
-        a = search(p, 3, base_m=2).run()
-        b = search(p, 3, base_m=2, subset_order="eval-desc").run()
-        assert a.cost == b.cost == 7
-
     def test_solved_table_reused_within_pass(self):
         p = fixtures.satellite()
         s = search(p, 2)

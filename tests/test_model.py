@@ -14,7 +14,6 @@ from hmplan.model import (
     Problem,
     ceil_cost,
     fmt_cost,
-    rat,
     round_durations_up,
 )
 
@@ -25,13 +24,6 @@ def act(index=0, name="a", pre=(), add=(0,), delete=(), cost=1, dur=1):
 
 
 class TestCostArithmetic:
-    def test_rat_forms(self):
-        # [TRIVIAL]
-        assert rat(3) == Fraction(3)
-        assert rat("3/2") == Fraction(3, 2)
-        assert rat("1.204") == Fraction(301, 250)
-        assert rat(3, 2) == Fraction(3, 2)
-
     def test_ceil(self):
         # [DERIVED: by hand]
         assert ceil_cost(Fraction(301, 250)) == 2

@@ -12,8 +12,6 @@ from hmplan.pddl import (
     parse_domain,
     parse_problem,
     parse_sexprs,
-    print_domain,
-    print_problem,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -134,17 +132,25 @@ class TestRejections:
         assert "p.pddl:" in str(ei.value)
 
 
-class TestRoundTrip:
-    def test_observation_ast_stable(self, observation):
-        d, p = observation
-        d2 = parse_domain(print_domain(d))
-        p2 = parse_problem(print_problem(p))
-        assert d2 == d and p2 == p
+_ACTION = ("(define (domain x) (:predicates (p ?a) (q ?a))\n"
+           " (:action a :parameters (?a ?b) {}))")
 
-    def test_workshop_ast_stable(self, workshop):
-        d, p = workshop
-        assert parse_domain(print_domain(d)) == d
-        assert parse_problem(print_problem(p)) == p
+
+@pytest.mark.parametrize("parse, text, where", [
+    (parse_domain, _ACTION.format(":effect (not)"), "f.pddl:2:"),
+    (parse_domain, _ACTION.format(":precondition (= ?a) :effect (p ?a)"), "f.pddl:2:"),
+    (parse_domain, _ACTION.format(":precondition (not (= ?a)) :effect (p ?a)"),
+     "f.pddl:2:"),
+    (parse_domain, _ACTION.format(":parameters ?a :effect (p ?a)"), "f.pddl:2:"),
+    (parse_domain, "(define)", "f.pddl:1:1:"),
+    (parse_problem, "(define (problem y) (:domain))", "f.pddl:1:21:"),
+    (parse_problem, "(define (problem y) (:domain x) (:goal))", "f.pddl:1:33:"),
+], ids=["not-effect", "eq-arity", "neq-arity", "params-token", "define",
+        "domain-section", "goal-section"])
+def test_malformed_forms_rejected_with_position(parse, text, where):
+    with pytest.raises(PddlError) as ei:
+        parse(text, "f.pddl")
+    assert str(ei.value).startswith(where)
 
 
 class TestGrounding:

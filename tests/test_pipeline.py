@@ -95,6 +95,12 @@ class TestHspaStopping:
         with pytest.raises(ValueError):
             plan(p, pipeline="hspa", stop="sometimes")
 
+    def test_bad_stop_rules_rejected_under_tp4(self):
+        p = fixtures.chain(2)
+        for stop in ("fixed:1", "fixed:x", "sometimes"):
+            with pytest.raises(ValueError):
+                plan(p, pipeline="tp4", stop=stop)
+
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ValueError):
             plan(fixtures.chain(2), pipeline="tp5")

@@ -15,7 +15,6 @@ from hmplan.temporal import (
     right_shift_forbids,
     storage_value,
     successors_temporal,
-    temp_size,
 )
 
 
@@ -94,7 +93,8 @@ class TestRelaxation:
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["q", "r"], ["v"])
         s = TempState(frozenset({0}), ((a1, Fraction(1)), (a2, Fraction(2))))
-        assert temp_size(s) == 3
+        space = TemporalSpace(problem(_NAMES, [a1, a2], [], ["p"]))
+        assert space.size(s) == 3
         assert relaxed_atoms(s) == frozenset({0}) | a1.pre | a2.pre
 
     def test_storage_subtracts_max_offset(self):
