@@ -5,7 +5,7 @@ from .hm import compute_base_heuristic
 from .htable import HeuristicTable
 from .idao import IdaoSearch
 from .idastar import IdaStar, TranspositionTable
-from .metrics import MetricsReport, Recorder, collect_metrics
+from .metrics import Recorder, collect_metrics
 from .model import (
     INF,
     Atom,
@@ -31,7 +31,6 @@ __all__ = [
     "HeuristicTable",
     "IdaStar",
     "IdaoSearch",
-    "MetricsReport",
     "Mode",
     "PddlError",
     "Plan",

@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .metrics import Recorder, write_metrics_csv, write_trace_csv
+from .metrics import Recorder, collect_metrics, write_metrics_csv, write_trace_csv
 from .model import INF, Mode, fmt_cost, round_durations_up
 from .pddl import PddlError, load
 from .pipeline import PlannerConfig, run_pipeline
@@ -77,7 +77,10 @@ def _plan(args: argparse.Namespace) -> int:
         solved_size=args.solved_size,
         upper_limit=upper,
     )
-    recorder = Recorder(first_iteration_only=args.first_iteration_only)
+    # Only the artifacts read the recorder; without them the run counts nothing.
+    recorder = None
+    if args.trace or args.metrics:
+        recorder = Recorder(first_iteration_only=args.first_iteration_only)
     try:
         result = run_pipeline(problem, config, recorder)
     except ValueError as exc:
@@ -90,7 +93,7 @@ def _plan(args: argparse.Namespace) -> int:
     if args.trace:
         write_trace_csv(args.trace, recorder.trace)
     if args.metrics:
-        write_metrics_csv(args.metrics, recorder.report().per_space)
+        write_metrics_csv(args.metrics, collect_metrics(recorder.events))
 
     if result.outcome == "unsolvable":
         print("hmplan: problem proven unsolvable", file=sys.stderr)

@@ -18,7 +18,6 @@ the table.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +29,6 @@ from .model import INF, AtomSet, Mode, Problem
 from .sequential import successors_seq
 from .temporal import TempState, relax_state, successors_temporal
 
-log = logging.getLogger(__name__)
-
 # An edge is (delta, components); its value under current labels is
 # delta + max over components (offset + subset-eval of the atom set).  Deltas
 # and offsets are whole numbers of 1/scale; labels are those or INF.
@@ -41,16 +38,8 @@ Edge = tuple[int, tuple[Component, ...]]
 
 @dataclass
 class GbfStats:
-    sets: int
-    rounds: int
-    mutex_pairs: int
-    unreachable: int
-
-    def line(self) -> str:
-        return (
-            f"gbf: {self.sets} sets, {self.rounds} relaxation rounds, "
-            f"{self.mutex_pairs} mutex pairs, {self.unreachable} unreachable sets"
-        )
+    sets: int  # atom sets of size <= m
+    rounds: int  # relaxation steps taken from the worklist
 
 
 def _all_sets(n_atoms: int, m: int) -> list[AtomSet]:
@@ -157,11 +146,6 @@ class _Gbf:
                         queue.append(p)
                         queued.add(p)
 
-    def stats(self) -> GbfStats:
-        mutex = sum(1 for s, v in self.value.items() if len(s) == 2 and v == INF)
-        unreachable = sum(1 for v in self.value.values() if v == INF)
-        return GbfStats(len(self.sets), self.rounds, mutex, unreachable)
-
 
 def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> GbfStats:
     """Least fixpoint of the mode's h^m equation for all sets of size <= m."""
@@ -172,6 +156,4 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
     for s in gbf.sets:  # by size, lexical within: each prefix comes first
         v = gbf.value[s]
         table.store(s, v if v == INF else Fraction(v, gbf.scale))
-    stats = gbf.stats()
-    log.info(stats.line())
-    return stats
+    return GbfStats(len(gbf.sets), gbf.rounds)

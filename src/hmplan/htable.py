@@ -56,13 +56,7 @@ class HeuristicTable:
         # Trie of the sets of size >= 3: atom -> [value, children].  Entries
         # at depth 1 and 2 only route to larger sets and keep _ABSENT.
         self._big: dict[int, list] = {}
-        self._stores = 0
         self._reset_costs()
-
-    @property
-    def store_count(self) -> int:
-        """Number of store() calls that created or raised an entry."""
-        return self._stores
 
     def _reset_costs(self) -> None:
         # Integer value -> the Fraction handed out for it, shared by calls.
@@ -141,7 +135,6 @@ class HeuristicTable:
             box, key = entry, 0
         if v > box[key]:
             box[key] = v
-            self._stores += 1
 
     def lookup_exact(self, s: AtomSet) -> Cost | None:
         ids = sorted(s)

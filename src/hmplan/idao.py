@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .htable import HeuristicTable
 from .idastar import build_plan
@@ -50,32 +50,13 @@ def enumerate_and_successors(atoms: AtomSet, m: int) -> list[AtomSet]:
 
 
 @dataclass
-class PassStats:
-    m: int
-    solved: bool = False
-    root_cost: Cost | None = None
-    or_expansions: int = 0
-    and_expansions: int = 0
-    table_stores: int = 0
-    solved_hits: int = 0
-    solved_misses: int = 0
-
-    def line(self) -> str:
-        cost = "-" if self.root_cost is None else str(self.root_cost)
-        return (
-            f"idao m={self.m}: solved={self.solved} root={cost} "
-            f"or={self.or_expansions} and={self.and_expansions} "
-            f"stores={self.table_stores} "
-            f"solved-table {self.solved_hits}/{self.solved_hits + self.solved_misses}"
-        )
-
-
-@dataclass
 class PassResult:
     cost: Cost
     solved: bool
-    stats: PassStats
-    plan: Plan | None = None  # complete only when no AND-node interfered
+    # No AND node was expanded: the pass was a complete regression search,
+    # so its cost is exact and, when solved, it carries the plan.
+    complete: bool
+    plan: Plan | None = None
 
 
 class IdaoSearch:
@@ -95,7 +76,7 @@ class IdaoSearch:
         self.m = m
         self.solved = SolvedTable(solved_capacity)
         self.recorder = recorder
-        self.stats = PassStats(m)
+        self.complete = True
         self._solved_flag = False
         self._chain: list | None = None
         # Any solvable node has a witness chain visiting each size-<=m set at
@@ -110,17 +91,11 @@ class IdaoSearch:
     def run(self, bound: Cost = INF) -> PassResult:
         """Search the problem goals to the given cost limit."""
         root = self.space.root()
-        stores_before = self.table.store_count
-        if self.recorder:
-            self.recorder.reset_iterations()
         cost, solved = self._idao_star(root, bound, top=True)
-        self.stats.solved = solved
-        self.stats.root_cost = cost
-        self.stats.table_stores = self.table.store_count - stores_before
         plan = None
         if solved and self._chain is not None:
             plan = build_plan(self.space, list(reversed(self._chain)))
-        return PassResult(cost, solved, self.stats, plan)
+        return PassResult(cost, solved, self.complete, plan)
 
     def _idao_star(self, state, bound: Cost, top: bool) -> tuple[Cost, bool]:
         self._solved_flag = False
@@ -135,7 +110,6 @@ class IdaoSearch:
                 current = INF
                 break
             if top and self.recorder:
-                self.recorder.begin_iteration()
                 self.recorder.bound(f"idao:{self.m}", current)
             new = self._dfs(state, current, ())
             assert self._solved_flag or new > current
@@ -144,14 +118,8 @@ class IdaoSearch:
 
     def _lookup_solved(self, key) -> Cost | None:
         hit = self.solved.get(key)
-        if hit is not None:
-            self.stats.solved_hits += 1
-            if self.recorder:
-                self.recorder.solved_table(True)
-        else:
-            self.stats.solved_misses += 1
-            if self.recorder:
-                self.recorder.solved_table(False)
+        if self.recorder:
+            self.recorder.solved_table(hit is not None)
         return hit
 
     def _dfs(self, state, bound: Cost, path: tuple) -> Cost:
@@ -173,7 +141,7 @@ class IdaoSearch:
             self._solved_flag = True
             self._chain = None
             return hit
-        self.stats.and_expansions += 1
+        self.complete = False
         subsets = enumerate_and_successors(atoms, self.m)
         if self.recorder:
             self.recorder.expansion(AND, len(atoms), tuple(len(s) for s in subsets))
@@ -204,7 +172,6 @@ class IdaoSearch:
             self._solved_flag = True
             self._chain = None
             return hit
-        self.stats.or_expansions += 1
         edges, _ = space.successors(state)
         if self.recorder:
             self.recorder.expansion(

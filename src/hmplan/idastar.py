@@ -26,8 +26,6 @@ class TranspositionTable:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._slots: list[tuple[object, Cost, int] | None] = [None] * capacity
-        self.stores = 0
-        self.hits = 0
 
     def _index(self, key) -> int:
         return hash(key) % self.capacity
@@ -35,7 +33,6 @@ class TranspositionTable:
     def get(self, key) -> Cost | None:
         slot = self._slots[self._index(key)]
         if slot is not None and slot[0] == key:
-            self.hits += 1
             return slot[1]
         return None
 
@@ -44,19 +41,17 @@ class TranspositionTable:
         slot = self._slots[i]
         if slot is None:
             self._slots[i] = (key, value, depth)
-            self.stores += 1
         elif slot[0] == key:
             self._slots[i] = (key, max(slot[1], value), min(slot[2], depth))
         elif depth < slot[2]:
             self._slots[i] = (key, value, depth)
-            self.stores += 1
 
 
 @dataclass
 class SearchStats:
-    expansions: int = 0
+    # Expansions and bounds are counted by the Recorder; the benchmark's
+    # tracer (bench/tracing.py) reads the iteration count from here.
     iterations: int = 0
-    bounds: list[Cost] = field(default_factory=list)
 
 
 @dataclass
@@ -89,8 +84,6 @@ class IdaStar:
     def run(self, upper_limit: Cost = INF) -> SearchResult:
         space = self.space
         root = space.root()
-        if self.recorder:
-            self.recorder.reset_iterations()
         if space.is_final(root):
             plan = build_plan(self.space, [])
             return SearchResult("solved", ZERO, plan, stats=self.stats)
@@ -106,17 +99,13 @@ class IdaStar:
             if bound > upper_limit:
                 return SearchResult("limit", next_bound=bound, stats=self.stats)
             self.stats.iterations += 1
-            self.stats.bounds.append(bound)
             if self.recorder:
-                self.recorder.begin_iteration()
                 self.recorder.bound("ida", bound)
             self._solution = []
             result = self._dfs(root, root_h, ZERO, bound, (), None)
             if result is _SOLVED:
                 edges = list(reversed(self._solution))
                 plan = build_plan(self.space, edges)
-                if self.recorder:
-                    self.recorder.bound("ida", plan.metric)
                 return SearchResult("solved", plan.metric, plan, stats=self.stats)
             value, _clean = result
             assert value > bound
@@ -150,7 +139,6 @@ class IdaStar:
         if f > bound:
             return f, True
         edges, cut_count = space.successors(state, pred, self.right_shift)
-        self.stats.expansions += 1
         if self.recorder:
             self.recorder.expansion(
                 NORMAL, space.size(state), tuple(space.size(e.state) for e in edges)

@@ -1,10 +1,21 @@
-"""Search-space instrumentation: expansion events, bound traces, aggregates."""
+"""The one place a run's work is counted.
+
+A `Recorder` passed to `run_pipeline`, `IdaStar` or `IdaoSearch` receives
+every expansion (as an `ExpansionEvent` and in its `expansions` count), every
+solved-table probe of the IDAO* passes, and one bound record per
+cost-bounded iteration of each phase: "gbf" for the complete h^m root value,
+"idao:<m>" for the relaxed passes and "ida" for the final search.  Results
+carry outcomes, plus only the GBF's set and round counts and IDA*'s
+iteration count; a run without a recorder counts nothing else.
+`collect_metrics` turns the events into per-space averages, and the CSV
+writers below are what the CLI's `--trace` and `--metrics` write.
+"""
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Cost, fmt_cost
 
@@ -36,24 +47,13 @@ class SpaceMetrics:
     avg_branching_factor: float
 
 
-@dataclass
-class MetricsReport:
-    per_space: dict[str, SpaceMetrics]
-    bound_series: list[TraceRecord]
-    solved_hits: int = 0
-    solved_misses: int = 0
-
-    @property
-    def solved_hit_rate(self) -> float:
-        total = self.solved_hits + self.solved_misses
-        return self.solved_hits / total if total else 0.0
-
-
 class Recorder:
     """Collects expansion events and bound-evolution records during a run.
 
-    With first_iteration_only set, expansion events are kept only while the
-    first cost-bounded iteration of each search is running.
+    Each search records the bound of every cost-bounded iteration as it
+    starts it, so a run of bound records with the same phase is one search's
+    iterations.  With first_iteration_only set, expansion events are kept
+    only while the first iteration of each search is running.
     """
 
     def __init__(self, first_iteration_only: bool = False) -> None:
@@ -66,12 +66,6 @@ class Recorder:
         self._start = time.monotonic()
         self._iteration = 0
 
-    def begin_iteration(self) -> None:
-        self._iteration += 1
-
-    def reset_iterations(self) -> None:
-        self._iteration = 0
-
     def expansion(self, space: str, parent_size: int, succ_sizes: tuple[int, ...]) -> None:
         self.expansions += 1
         if self.first_iteration_only and self._iteration > 1:
@@ -80,6 +74,8 @@ class Recorder:
 
     def bound(self, phase: str, bound: Cost) -> None:
         elapsed = (time.monotonic() - self._start) * 1000.0
+        same = self.trace and self.trace[-1].phase == phase
+        self._iteration = self._iteration + 1 if same else 1
         self.trace.append(TraceRecord(elapsed, phase, bound, self.expansions))
 
     def solved_table(self, hit: bool) -> None:
@@ -87,14 +83,6 @@ class Recorder:
             self.solved_hits += 1
         else:
             self.solved_misses += 1
-
-    def report(self) -> MetricsReport:
-        return MetricsReport(
-            per_space=collect_metrics(self.events),
-            bound_series=list(self.trace),
-            solved_hits=self.solved_hits,
-            solved_misses=self.solved_misses,
-        )
 
 
 def collect_metrics(events: list[ExpansionEvent]) -> dict[str, SpaceMetrics]:

@@ -26,7 +26,8 @@ class PddlError(Exception):
 
     def __init__(self, message: str, filename: str = "<input>",
                  line: int = 0, col: int = 0) -> None:
-        super().__init__(f"{filename}:{line}:{col}: {message}")
+        where = f"{filename}:{line}:{col}" if line else filename
+        super().__init__(f"{where}: {message}")
         self.filename = filename
         self.line = line
         self.col = col
@@ -115,6 +116,9 @@ def parse_sexprs(text: str, filename: str) -> list:
 class Literal:
     pred: str
     args: tuple[str, ...]
+    # Where the literal was read (0 for none); not part of its identity.
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,8 @@ class ActionSchema:
     neq: tuple[tuple[str, str], ...] = ()
     dur: Fraction = Fraction(1)
     durative: bool = False
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,7 @@ class DomainAst:
     predicates: tuple[tuple[str, tuple[str, ...]], ...]  # (name, arg types)
     constants: tuple[tuple[str, str], ...]  # (object, type)
     actions: tuple[ActionSchema, ...]
+    filename: str = "<domain>"
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,7 @@ class ProblemAst:
     objects: tuple[tuple[str, str], ...]
     init: tuple[Literal, ...]
     goal: tuple[Literal, ...]
+    filename: str = "<problem>"
 
 
 _UNSUPPORTED_SECTIONS = {
@@ -204,7 +212,7 @@ def _literal(node, filename: str) -> Literal:
             filename, head.line, head.col,
         )
     args = tuple(_expect_token(a, "an argument", filename).text for a in node[1:])
-    return Literal(head.text, args)
+    return Literal(head.text, args, node.line, node.col)
 
 
 def _term_pair(node: SList, filename: str) -> tuple[str, str]:
@@ -363,7 +371,8 @@ def _parse_action(node: SList, durative: bool, filename: str) -> ActionSchema:
         add, delete = ((), ())
         if ":effect" in sec:
             add, delete = _effects(sec[":effect"], filename)
-    return ActionSchema(name, params, pre, add, delete, eq, neq, dur, durative)
+    return ActionSchema(name, params, pre, add, delete, eq, neq, dur, durative,
+                        *_pos(node))
 
 
 def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
@@ -416,7 +425,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
             raise PddlError(f"unsupported feature: unknown section {kind}",
                             filename, node[0].line, node[0].col)
     return DomainAst(name, requirements, types, tuple(predicates), constants,
-                     tuple(actions))
+                     tuple(actions), filename)
 
 
 def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
@@ -461,7 +470,7 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
         else:
             raise PddlError(f"unsupported feature: unknown section {kind}",
                             filename, node[0].line, node[0].col)
-    return ProblemAst(name, domain, objects, tuple(init), goal)
+    return ProblemAst(name, domain, objects, tuple(init), goal, filename)
 
 
 def parse(domain_text: str, problem_text: str,
@@ -473,7 +482,7 @@ def parse(domain_text: str, problem_text: str,
 # ---------------------------------------------------------------------------
 # grounding
 
-def _subtypes(types: tuple[tuple[str, str], ...]) -> dict[str, set[str]]:
+def _subtypes(types: tuple[tuple[str, str], ...], filename: str) -> dict[str, set[str]]:
     """type -> set of types assignable to it (itself and all descendants)."""
     parent = dict(types)
     known = {"object"} | set(parent) | set(parent.values())
@@ -484,7 +493,7 @@ def _subtypes(types: tuple[tuple[str, str], ...]) -> dict[str, set[str]]:
         while walk in parent:
             walk = parent[walk]
             if walk in seen:
-                raise PddlError(f"type cycle through {walk!r}")
+                raise PddlError(f"type cycle through {walk!r}", filename)
             seen.add(walk)
             out.setdefault(walk, {walk}).add(t)
     return out
@@ -499,16 +508,18 @@ def ground(domain: DomainAst, problem: ProblemAst,
     add and delete sets collide, are dropped.  Actions needing an atom that
     nothing adds and the initial state lacks are pruned to a fixpoint.
     """
-    assignable = _subtypes(domain.types)
+    assignable = _subtypes(domain.types, domain.filename)
     objects: dict[str, str] = {}
-    for o, t in domain.constants + problem.objects:
+    declared = [(o, t, domain.filename) for o, t in domain.constants]
+    declared += [(o, t, problem.filename) for o, t in problem.objects]
+    for o, t, filename in declared:
         if o in objects:
-            raise PddlError(f"object {o!r} declared twice")
+            raise PddlError(f"object {o!r} declared twice", filename)
+        if t not in assignable:
+            raise PddlError(f"object {o!r} has undeclared type {t!r}", filename)
         objects[o] = t
     by_type: dict[str, list[str]] = {}
     for o, t in objects.items():
-        if t not in assignable:
-            raise PddlError(f"object {o!r} has undeclared type {t!r}")
         for sup, subs in assignable.items():
             if t in subs:
                 by_type.setdefault(sup, []).append(o)
@@ -516,63 +527,68 @@ def ground(domain: DomainAst, problem: ProblemAst,
     arities = dict(domain.predicates)
     affected = {lit.pred for a in domain.actions for lit in a.add + a.delete}
 
-    def check_lit(lit: Literal, ctx: str) -> None:
+    def check_lit(lit: Literal, ctx: str, filename: str, variables=()) -> None:
+        """Raise at the literal's position unless its predicate is declared
+        with its arity, its variables are bound and its objects declared."""
+        def fail(message: str) -> None:
+            raise PddlError(f"{message} in {ctx}", filename, lit.line, lit.col)
+
         if lit.pred not in arities:
-            raise PddlError(f"undeclared predicate {lit.pred!r} in {ctx}")
+            fail(f"undeclared predicate {lit.pred!r}")
         if len(lit.args) != len(arities[lit.pred]):
-            raise PddlError(f"wrong arity for {lit.pred!r} in {ctx}")
+            fail(f"wrong arity for {lit.pred!r}")
+        for arg in lit.args:
+            if arg.startswith("?"):
+                if arg not in variables:
+                    fail(f"unbound variable {arg}")
+            elif arg not in objects:
+                fail(f"undeclared object {arg!r}")
 
     for lit in problem.init + problem.goal:
-        check_lit(lit, "problem")
-        for arg in lit.args:
-            if arg not in objects:
-                raise PddlError(f"undeclared object {arg!r} in problem")
+        check_lit(lit, "problem", problem.filename)
 
-    static_init = {lit for lit in problem.init if lit.pred not in affected}
+    # A ground atom is (predicate, objects), without a source position.
+    static_init = {(lit.pred, lit.args) for lit in problem.init
+                   if lit.pred not in affected}
 
     # Deterministic atom ids: first occurrence order.
-    atom_ids: dict[Literal, int] = {}
+    atom_ids: dict[tuple[str, tuple[str, ...]], int] = {}
 
-    def atom_of(lit: Literal) -> int:
-        if lit not in atom_ids:
-            atom_ids[lit] = len(atom_ids)
-        return atom_ids[lit]
+    def atom_of(atom: tuple[str, tuple[str, ...]]) -> int:
+        return atom_ids.setdefault(atom, len(atom_ids))
 
     raw: list[tuple[str, frozenset, frozenset, frozenset, Fraction]] = []
     for schema in domain.actions:
-        for lit in schema.pre + schema.add + schema.delete:
-            check_lit(lit, f"action {schema.name}")
+        ctx = f"action {schema.name}"
         var_names = [v for v, _ in schema.params]
+        for lit in schema.pre + schema.add + schema.delete:
+            check_lit(lit, ctx, domain.filename, var_names)
+        for x in itertools.chain.from_iterable(schema.eq + schema.neq):
+            if x.startswith("?") and x not in var_names:
+                raise PddlError(f"unbound variable {x} in {ctx}", domain.filename,
+                                schema.line, schema.col)
         pools = []
         for v, t in schema.params:
             if t not in by_type and t not in assignable:
-                raise PddlError(f"action {schema.name}: undeclared type {t!r}")
+                raise PddlError(f"undeclared type {t!r} in {ctx}", domain.filename,
+                                schema.line, schema.col)
             pools.append(by_type.get(t, []))
         for binding in itertools.product(*pools):
             env = dict(zip(var_names, binding))
-
-            def term(x: str) -> str:
-                if x.startswith("?"):
-                    if x not in env:
-                        raise PddlError(
-                            f"action {schema.name}: unbound variable {x}"
-                        )
-                    return env[x]
-                return x
-
+            term = lambda x: env.get(x, x)  # every variable is bound (checked)
             if any(term(x) != term(y) for x, y in schema.eq):
                 continue
             if any(term(x) == term(y) for x, y in schema.neq):
                 continue
-            sub = lambda lit: Literal(lit.pred, tuple(term(a) for a in lit.args))
+            sub = lambda lit: (lit.pred, tuple(term(a) for a in lit.args))
             pre_lits = [sub(l) for l in schema.pre]
             add_lits = [sub(l) for l in schema.add]
             del_lits = [sub(l) for l in schema.delete]
-            if any(l.pred not in affected and l not in static_init for l in pre_lits):
+            if any(l[0] not in affected and l not in static_init for l in pre_lits):
                 continue  # a static precondition is false
-            pre_lits = [l for l in pre_lits if l.pred in affected]
-            add_lits = [l for l in add_lits if l.pred in affected]
-            del_lits = [l for l in del_lits if l.pred in affected]
+            pre_lits = [l for l in pre_lits if l[0] in affected]
+            add_lits = [l for l in add_lits if l[0] in affected]
+            del_lits = [l for l in del_lits if l[0] in affected]
             if set(add_lits) & set(del_lits):
                 continue  # contradictory instance
             if not add_lits:
@@ -583,13 +599,15 @@ def ground(domain: DomainAst, problem: ProblemAst,
             del_set = frozenset(atom_of(l) for l in del_lits)
             raw.append((name, pre_set, add_set, del_set, schema.dur))
 
-    init_atoms = frozenset(atom_of(l) for l in problem.init if l.pred in affected)
-    goal_atoms = frozenset(atom_of(l) for l in problem.goal if l.pred in affected)
+    init_atoms = frozenset(atom_of((l.pred, l.args)) for l in problem.init
+                           if l.pred in affected)
+    goal_atoms = frozenset(atom_of((l.pred, l.args)) for l in problem.goal
+                           if l.pred in affected)
     for lit in problem.goal:
-        if lit.pred not in affected and lit not in static_init:
+        if lit.pred not in affected and (lit.pred, lit.args) not in static_init:
             # A static goal no action can achieve: keep it as an atom with no
             # adder so the planner reports unsolvable rather than erroring.
-            goal_atoms = goal_atoms | {atom_of(lit)}
+            goal_atoms = goal_atoms | {atom_of((lit.pred, lit.args))}
 
     # Prune actions whose preconditions can never all become true.
     keep = list(range(len(raw)))
@@ -602,11 +620,8 @@ def ground(domain: DomainAst, problem: ProblemAst,
             break
         keep = new_keep
 
-    names_by_id = {i: lit for lit, i in atom_ids.items()}
-    atoms = [
-        Atom(i, " ".join((names_by_id[i].pred,) + names_by_id[i].args))
-        for i in range(len(atom_ids))
-    ]
+    atoms = [Atom(i, " ".join((pred,) + args))
+             for i, (pred, args) in enumerate(atom_ids)]
     actions = []
     for idx, i in enumerate(keep):
         name, pre, add, delete, dur = raw[i]

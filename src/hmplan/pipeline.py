@@ -11,12 +11,12 @@ problem unsolvable, the original problem is unsolvable too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .hm import GbfStats, compute_base_heuristic
+from .hm import compute_base_heuristic
 from .htable import HeuristicTable
-from .idao import IdaoSearch, PassStats
-from .idastar import IdaStar, SearchStats
+from .idao import IdaoSearch
+from .idastar import IdaStar
 from .metrics import Recorder
 from .model import INF, Cost, Mode, Plan, Problem
 from .sequential import SequentialSpace
@@ -42,9 +42,6 @@ class PlanResult:
     plan: Plan | None = None
     next_bound: Cost | None = None
     table: HeuristicTable | None = None
-    gbf_stats: GbfStats | None = None
-    pass_stats: list[PassStats] = field(default_factory=list)
-    search_stats: SearchStats | None = None
 
 
 def _make_space(problem: Problem):
@@ -73,11 +70,11 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
     stop = _parse_stop(config.stop)
     table = HeuristicTable()
-    gbf_stats = compute_base_heuristic(problem, table, config.base_m)
+    compute_base_heuristic(problem, table, config.base_m)
     space = _make_space(problem)
     if recorder:
         recorder.bound("gbf", space.evaluate(table, space.root()))
-    result = PlanResult("unsolvable", table=table, gbf_stats=gbf_stats)
+    result = PlanResult("unsolvable", table=table)
     if space.evaluate(table, space.root()) == INF:
         return result
     if config.pipeline == "hspa" and _boost(problem, space, table, config, stop,
@@ -98,7 +95,6 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
     result.cost = out.cost
     result.plan = out.plan
     result.next_bound = out.next_bound
-    result.search_stats = out.stats
     return result
 
 
@@ -121,11 +117,10 @@ def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig
             recorder=recorder,
         )
         out = idao.run()
-        result.pass_stats.append(out.stats)
         if not out.solved:
             # The m-relaxation admits no solution, so neither does the problem.
             return True
-        if out.stats.and_expansions == 0:
+        if out.complete:
             # The pass never crossed the size boundary: it was a complete
             # regression search, and its cost and plan are exact.  Larger m
             # would repeat the identical search.

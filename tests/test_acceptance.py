@@ -60,17 +60,16 @@ class SpySolved(SolvedTable):
 
 
 class SpyRecorder(Recorder):
+    """Advances the spy table's iteration as the pass records the bound of
+    each of its top-level iterations."""
+
     def __init__(self, table: SpyTable):
         super().__init__()
         self.table = table
 
-    def begin_iteration(self):
-        super().begin_iteration()
+    def bound(self, phase, bound):
+        super().bound(phase, bound)
         self.table.iteration += 1
-
-    def reset_iterations(self):
-        super().reset_iterations()
-        self.table.iteration = 0
 
 
 def stored_value(log, key, up_to_iteration):
@@ -216,16 +215,18 @@ class TestCriteria:
                 # rule's effect with extra re-expansions
                 t = HeuristicTable()
                 compute_base_heuristic(p, t, 2)
-                return IdaStar(TemporalSpace(p), t, right_shift=rs,
-                               use_tt=False).run()
+                rec = Recorder()
+                res = IdaStar(TemporalSpace(p), t, right_shift=rs,
+                              use_tt=False, recorder=rec).run()
+                return res, rec.expansions
 
-            on, off = run(True), run(False)
+            (on, on_exp), (off, off_exp) = run(True), run(False)
             if want == INF:
                 ok = ok and on.outcome == off.outcome == "unsolvable"
                 continue
             ok = ok and on.cost == off.cost == want
-            ok = ok and on.stats.expansions <= off.stats.expansions
-            if on.stats.expansions < off.stats.expansions:
+            ok = ok and on_exp <= off_exp
+            if on_exp < off_exp:
                 reductions += 1
         verdict(5, ok, f"{len(probs)} problems, {reductions} strict reductions")
 
@@ -245,11 +246,10 @@ class TestCriteria:
                              rec_boost)
         ok = plain.cost == boost.cost == 12
 
-        plain_exp = plain.search_stats.expansions
-        boost_exp = sum(s.or_expansions + s.and_expansions
-                        for s in boost.pass_stats)
-        if boost.search_stats is not None:
-            boost_exp += boost.search_stats.expansions
+        # every expansion of every phase: OR and AND nodes of the passes and
+        # the final search's nodes
+        plain_exp = rec_plain.expansions
+        boost_exp = rec_boost.expansions
         ok = ok and boost_exp <= plain_exp
 
         for rec in (rec_plain, rec_boost):
@@ -286,7 +286,7 @@ class TestCriteria:
             ht = HeuristicTable()
             compute_base_heuristic(problem, ht, m_seed)
             IdaStar(SequentialSpace(problem), ht, recorder=r).run()
-            return r.report().per_space[NORMAL].avg_successor_ratio
+            return collect_metrics(r.events)[NORMAL].avg_successor_ratio
 
         growing = ratio_of(fixtures.growing(depth=1, width=3))
         chain = ratio_of(fixtures.chain(6))

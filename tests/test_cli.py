@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from hmplan import cli
 from hmplan.cli import main
+from hmplan.metrics import Recorder
+from hmplan.pipeline import run_pipeline
 
 DATA = Path(__file__).parent / "data"
 OBS = [str(DATA / "observation-domain.pddl"), str(DATA / "observation-1.pddl")]
@@ -113,6 +116,16 @@ class TestNonZeroExits:
         assert "bad.pddl:2:" in err and "Traceback" not in err
 
 
+    def test_grounding_error_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad-problem.pddl"
+        bad.write_text("(define (problem b) (:domain observation)\n"
+                       "  (:objects d1 - direction)\n"
+                       "  (:init (pointing d1) (zz)) (:goal (pointing d1)))")
+        code, out, err = run(capsys, OBS[0], str(bad))
+        assert code == 2 and out == ""
+        assert "bad-problem.pddl:3:24: undeclared predicate 'zz'" in err
+
+
 class TestArtifacts:
     def test_trace_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "trace.csv"
@@ -139,6 +152,22 @@ class TestArtifacts:
                          "--first-iteration-only")
         assert code == 0
         assert out_csv.exists()
+
+    def test_recorder_only_for_artifacts(self, tmp_path, capsys, monkeypatch):
+        # Without --trace or --metrics nothing reads the counts, so the run
+        # gets no Recorder and keeps no expansion events.
+        seen = []
+
+        def spy(problem, config, recorder=None):
+            seen.append(recorder)
+            return run_pipeline(problem, config, recorder)
+
+        monkeypatch.setattr(cli, "run_pipeline", spy)
+        assert run(capsys, *OBS)[0] == 0
+        assert run(capsys, *OBS, "--trace", str(tmp_path / "t.csv"))[0] == 0
+        assert run(capsys, *OBS, "--metrics", str(tmp_path / "m.csv"))[0] == 0
+        assert seen[0] is None
+        assert isinstance(seen[1], Recorder) and isinstance(seen[2], Recorder)
 
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):

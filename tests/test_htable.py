@@ -58,13 +58,6 @@ class TestStoreEval:
         # {4} alone is not a prefix of the id string (1, 4, 6)
         assert t.lookup_exact(frozenset({4})) is None
 
-    def test_store_count_counts_raises_only(self):
-        t = HeuristicTable()
-        t.store(frozenset({1}), Fraction(2))
-        t.store(frozenset({1}), Fraction(1))
-        t.store(frozenset({1}), Fraction(4))
-        assert t.store_count == 2
-
 
 class TestAgainstDictOracle:
     @given(st.lists(st.tuples(sets, values), max_size=25), sets)

@@ -8,6 +8,7 @@ from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.idao import IdaoSearch, SolvedTable, enumerate_and_successors
+from hmplan.metrics import Recorder
 from hmplan.model import INF, Mode
 from hmplan.sequential import SequentialSpace
 from hmplan.temporal import TemporalSpace
@@ -68,7 +69,7 @@ class TestExactness:
         out = search(p, 2).run()
         assert out.solved and out.cost == 7
         # size-4 regressed states split into pairs
-        assert out.stats.and_expansions > 0
+        assert not out.complete
         assert out.plan is None
 
     def test_satellite_m4_is_and_free(self):
@@ -76,8 +77,17 @@ class TestExactness:
         p = fixtures.satellite()
         out = search(p, 4, base_m=2).run()
         assert out.solved and out.cost == 7
-        assert out.stats.and_expansions == 0
+        assert out.complete
         assert out.plan is not None and out.plan.metric == 7
+
+    def test_complete_flags_and_free_passes_only(self):
+        # [DERIVED: with h^3 below, the m=4 pass meets no state above 4 atoms;
+        # the m=3 pass splits one size-4 state]
+        p = fixtures.satellite()
+        free = search(p, 4, base_m=3).run()
+        assert free.solved and free.complete and free.plan is not None
+        split = search(p, 3, base_m=2).run()
+        assert split.solved and not split.complete
 
     def test_random_or_only_matches_oracle(self):
         # m at least the largest reachable state removes all AND nodes
@@ -136,7 +146,7 @@ class TestTableSideEffects:
 
     def test_solved_table_reused_within_pass(self):
         p = fixtures.satellite()
-        s = search(p, 2)
-        s.run()
-        assert s.stats.solved_hits > 0
-        assert s.stats.line().startswith("idao m=2: solved=True root=7")
+        rec = Recorder()
+        out = search(p, 2, recorder=rec).run()
+        assert out.solved and out.cost == 7
+        assert rec.solved_hits > 0

@@ -7,6 +7,7 @@ from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.idastar import IdaStar, TranspositionTable, build_plan
+from hmplan.metrics import Recorder
 from hmplan.model import INF, Atom, GroundAction, Mode, Problem
 from hmplan.sequential import SequentialSpace
 from hmplan.temporal import TemporalSpace
@@ -22,6 +23,12 @@ def searcher(problem, m=2, **kw):
         else TemporalSpace(problem)
     )
     return IdaStar(space, t, **kw)
+
+
+def recorded(problem, m=2, **kw):
+    """The search's result and the Recorder that counted its work."""
+    rec = Recorder()
+    return searcher(problem, m, recorder=rec, **kw).run(), rec
 
 
 class TestTranspositionTable:
@@ -69,8 +76,9 @@ class TestSequentialSearch:
 
     def test_bounds_strictly_increase(self):
         p = fixtures.satellite()
-        res = searcher(p, m=1).run()
-        b = res.stats.bounds
+        res, rec = recorded(p, m=1)
+        b = [r.bound for r in rec.trace if r.phase == "ida"]
+        assert len(b) == res.stats.iterations
         assert all(x < y for x, y in zip(b, b[1:]))
 
     def test_empty_goal_solved_immediately(self):
@@ -93,10 +101,10 @@ class TestSequentialSearch:
 
     def test_tt_does_not_change_cost(self):
         p = fixtures.growing(depth=2, width=2)
-        with_tt = searcher(p, m=1, use_tt=True).run()
-        without = searcher(p, m=1, use_tt=False).run()
+        with_tt, rec_with = recorded(p, m=1, use_tt=True)
+        without, rec_without = recorded(p, m=1, use_tt=False)
         assert with_tt.cost == without.cost
-        assert with_tt.stats.expansions <= without.stats.expansions
+        assert rec_with.expansions <= rec_without.expansions
 
     def test_chain_plan_in_execution_order(self):
         p = fixtures.chain(4)
@@ -176,7 +184,7 @@ class TestEvaluationCount:
     def test_expansions_unchanged_by_reuse(self):
         # [DERIVED: counts of the search that evaluated every child twice]
         p = fixtures.satellite()
-        assert searcher(p, m=1).run().stats.expansions == 1288
-        assert searcher(p, m=2).run().stats.expansions == 7
-        mix = searcher(fixtures.temporal_mix(), m=1, right_shift=True).run()
-        assert mix.stats.expansions == 3
+        assert recorded(p, m=1)[1].expansions == 1288
+        assert recorded(p, m=2)[1].expansions == 7
+        _, mix = recorded(fixtures.temporal_mix(), m=1, right_shift=True)
+        assert mix.expansions == 3

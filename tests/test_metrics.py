@@ -79,14 +79,14 @@ class TestRecorder:
 
     def test_chain_ratio_stays_one(self):
         rec = run_instrumented(fixtures.chain(5))
-        m = rec.report().per_space[NORMAL]
+        m = collect_metrics(rec.events)[NORMAL]
         assert m.avg_successor_ratio == 1.0
         assert m.avg_state_size == 1.0
 
     def test_growing_ratio_exceeds_two(self):
         # each regression step swaps one atom for its three prerequisites
         rec = run_instrumented(fixtures.growing(depth=1, width=3), m=1)
-        m = rec.report().per_space[NORMAL]
+        m = collect_metrics(rec.events)[NORMAL]
         assert m.avg_successor_ratio > 2.0
 
     def test_first_iteration_only_truncates_events(self):
@@ -103,13 +103,13 @@ class TestRecorder:
         bounds = [r.bound for r in rec.trace]
         assert bounds == sorted(bounds)
 
-    def test_solved_hit_rate(self):
+    def test_solved_table_counts(self):
         rec = Recorder()
         rec.solved_table(True)
         rec.solved_table(False)
         rec.solved_table(False)
-        assert isclose(rec.report().solved_hit_rate, 1 / 3)
-        assert Recorder().report().solved_hit_rate == 0.0
+        assert (rec.solved_hits, rec.solved_misses) == (1, 2)
+        assert (Recorder().solved_hits, Recorder().solved_misses) == (0, 0)
 
 
 class TestCsv:
@@ -124,7 +124,7 @@ class TestCsv:
     def test_metrics_csv(self, tmp_path):
         rec = run_instrumented(fixtures.satellite())
         out = tmp_path / "metrics.csv"
-        write_metrics_csv(str(out), rec.report().per_space)
+        write_metrics_csv(str(out), collect_metrics(rec.events))
         rows = list(csv.reader(out.open()))
         assert rows[0] == ["space", "avg_size", "avg_ratio", "avg_branching", "expansions"]
         assert rows[1][0] == "normal"

@@ -153,6 +153,65 @@ def test_malformed_forms_rejected_with_position(parse, text, where):
     assert str(ei.value).startswith(where)
 
 
+# A bad literal goes on a line of its own: line 3 of the domain (in the
+# action's precondition), line 2 of the problem (:init) or line 4 (:goal).
+_GROUND_DOMAIN = ("(define (domain x) (:predicates (p ?a) (q))\n"
+                  " (:action a :parameters (?x) :precondition (and\n"
+                  "{}\n"
+                  " ) :effect (p ?x)))")
+_GROUND_PROBLEM = ("(define (problem y) (:domain x) (:objects o) (:init\n"
+                   "{}\n"
+                   " ) (:goal (and (q)\n"
+                   "{}\n"
+                   " )))")
+_PLACES = {"init": (1, "p.pddl:2:1:", "in problem"),
+           "goal": (2, "p.pddl:4:1:", "in problem"),
+           "action": (0, "d.pddl:3:1:", "in action a")}
+
+
+@pytest.mark.parametrize("place", list(_PLACES))
+@pytest.mark.parametrize("literal, message", [
+    ("(r)", "undeclared predicate 'r'"),
+    ("(p)", "wrong arity for 'p'"),
+    ("(p z)", "undeclared object 'z'"),
+    ("(p ?y)", "unbound variable ?y"),
+], ids=["predicate", "arity", "object", "variable"])
+def test_ground_errors_name_file_and_position(place, literal, message):
+    slot, where, ctx = _PLACES[place]
+    texts = ["", "", ""]
+    texts[slot] = literal
+    domain = parse_domain(_GROUND_DOMAIN.format(texts[0]), "d.pddl")
+    problem = parse_problem(_GROUND_PROBLEM.format(*texts[1:]), "p.pddl")
+    with pytest.raises(PddlError) as ei:
+        ground(domain, problem)
+    assert str(ei.value) == f"{where} {message} {ctx}"
+
+
+@pytest.mark.parametrize("domain, problem, message", [
+    ("(:types a - b b - a)", "", "d.pddl: type cycle through"),
+    ("(:constants o)", "(:objects o)", "p.pddl: object 'o' declared twice"),
+    ("", "(:objects o - t)", "p.pddl: object 'o' has undeclared type 't'"),
+], ids=["type-cycle", "declared-twice", "object-type"])
+def test_ground_errors_name_file(domain, problem, message):
+    d = parse_domain(f"(define (domain x) {domain} (:predicates (q)))", "d.pddl")
+    p = parse_problem(f"(define (problem y) (:domain x) {problem} (:init) "
+                      "(:goal (q)))", "p.pddl")
+    with pytest.raises(PddlError) as ei:
+        ground(d, p)
+    assert str(ei.value).startswith(message)
+
+
+def test_unbound_constraint_variable_reported_at_action():
+    d = parse_domain("(define (domain x) (:predicates (q))\n"
+                     " (:action a :parameters (?x)\n"
+                     "  :precondition (not (= ?x ?y)) :effect (q)))", "d.pddl")
+    p = parse_problem("(define (problem y) (:domain x) (:init) (:goal (q)))",
+                      "p.pddl")
+    with pytest.raises(PddlError) as ei:
+        ground(d, p)
+    assert str(ei.value) == "d.pddl:2:2: unbound variable ?y in action a"
+
+
 class TestGrounding:
     def test_observation_counts(self, observation):
         # [DERIVED: 5*4 turn + 1 switch-on + 1 calibrate + 5 take-image]

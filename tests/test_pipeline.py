@@ -7,6 +7,7 @@ from conftest import parallel_makespan, random_problem, seq_optimal
 from conftest import MIXED_COSTS
 from hmplan import fixtures
 from hmplan.cli import _build_parser
+from hmplan.metrics import AND, NORMAL, OR, Recorder
 from hmplan.model import INF, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.validate import validate_plan
@@ -14,6 +15,21 @@ from hmplan.validate import validate_plan
 
 def plan(problem, **kw):
     return run_pipeline(problem, PlannerConfig(**kw))
+
+
+def recorded(problem, **kw):
+    """The run's result and the Recorder that counted its work."""
+    rec = Recorder()
+    return run_pipeline(problem, PlannerConfig(**kw), rec), rec
+
+
+def phases(rec):
+    """The phases of the bound trace in the order they ran."""
+    return list(dict.fromkeys(r.phase for r in rec.trace))
+
+
+def expansions(rec, space):
+    return sum(e.space == space for e in rec.events)
 
 
 class TestAgreement:
@@ -60,33 +76,31 @@ class TestHspaStopping:
     def test_no_and_returns_plan_directly(self):
         # base_m=3 makes m=4 the first pass: AND-free on this fixture
         p = fixtures.satellite()
-        res = plan(p, pipeline="hspa", base_m=3)
+        res, rec = recorded(p, pipeline="hspa", base_m=3)
         assert res.outcome == "solved" and res.cost == 7
-        assert res.search_stats is None  # no final search was needed
-        assert [s.m for s in res.pass_stats] == [4]
+        # one pass, m=4, and no final search was needed
+        assert phases(rec) == ["gbf", "idao:4"]
         assert validate_plan(p, res.plan).ok
 
     def test_fixed_stop_limits_passes(self):
         p = fixtures.satellite()
-        res = plan(p, pipeline="hspa", stop="fixed:3")
+        res, rec = recorded(p, pipeline="hspa", stop="fixed:3")
         assert res.cost == 7
-        assert [s.m for s in res.pass_stats] == [3]
-        assert res.search_stats is not None
+        assert phases(rec) == ["gbf", "idao:3", "ida"]
 
     def test_converged_stop(self):
         p = fixtures.satellite()
-        res = plan(p, pipeline="hspa", stop="converged")
+        res, rec = recorded(p, pipeline="hspa", stop="converged")
         assert res.cost == 7
-        ms = [s.m for s in res.pass_stats]
-        assert ms == list(range(3, 3 + len(ms)))
+        ms = [int(ph[5:]) for ph in phases(rec) if ph.startswith("idao:")]
+        assert ms and ms == list(range(3, 3 + len(ms)))
 
     def test_passes_boost_heuristic(self):
         p = fixtures.satellite()
-        base = plan(p, pipeline="tp4", base_m=1)
-        boosted = plan(p, pipeline="hspa", base_m=1, stop="fixed:2")
+        base, rec_base = recorded(p, pipeline="tp4", base_m=1)
+        boosted, rec_boosted = recorded(p, pipeline="hspa", base_m=1, stop="fixed:2")
         assert base.cost == boosted.cost == 7
-        assert (boosted.search_stats.expansions
-                < base.search_stats.expansions)
+        assert expansions(rec_boosted, NORMAL) < expansions(rec_base, NORMAL)
 
     def test_bad_stop_rules_rejected(self):
         p = fixtures.chain(2)
@@ -110,9 +124,9 @@ class TestEdges:
     def test_unsolvable_short_circuits_before_search(self):
         p = fixtures.unsolvable()
         for pipeline in ("tp4", "hspa"):
-            res = plan(p, pipeline=pipeline)
+            res, rec = recorded(p, pipeline=pipeline)
             assert res.outcome == "unsolvable"
-            assert res.search_stats is None
+            assert phases(rec) == ["gbf"] and rec.expansions == 0
 
     def test_empty_goal(self):
         c = fixtures.chain(2)
@@ -130,10 +144,9 @@ class TestEdges:
 
     def test_result_carries_tables_and_stats(self):
         p = fixtures.satellite()
-        res = plan(p, pipeline="hspa")
+        res, rec = recorded(p, pipeline="hspa")
         assert res.table is not None and res.table.eval(p.goal) == 7
-        assert res.gbf_stats is not None
-        assert res.pass_stats and res.pass_stats[0].m == 3
+        assert phases(rec)[:2] == ["gbf", "idao:3"]
 
     def test_temporal_mix_fractional(self):
         p = fixtures.temporal_mix()
@@ -141,6 +154,32 @@ class TestEdges:
             res = plan(p, pipeline=pipeline)
             assert res.cost == Fraction(5, 2)
             assert validate_plan(p, res.plan).ok
+
+
+class TestPhaseCounts:
+    """Each phase's work as the Recorder counts it: expansions by space,
+    solved-table hits and misses, and the final search's bounds."""
+
+    @pytest.mark.parametrize("mode, kw, events, solved, ida", [
+        (Mode.SEQUENTIAL, dict(stop="fixed:3"),
+         {OR: 11, AND: 1, NORMAL: 7}, (3, 12), [7]),
+        (Mode.SEQUENTIAL, dict(base_m=1, stop="fixed:2"),
+         {OR: 88, AND: 16, NORMAL: 7}, (17, 104), [7]),
+        (Mode.TEMPORAL, dict(stop="fixed:3"),
+         {OR: 10, AND: 1, NORMAL: 6}, (3, 11), [6]),
+    ], ids=["fixed3", "base1-fixed2", "temporal-fixed3"])
+    def test_satellite(self, mode, kw, events, solved, ida):
+        res, rec = recorded(fixtures.satellite(mode=mode), pipeline="hspa", **kw)
+        assert res.outcome == "solved" and res.cost == ida[-1]
+        assert {sp: expansions(rec, sp) for sp in (OR, AND, NORMAL)} == events
+        assert rec.expansions == sum(events.values())
+        assert (rec.solved_hits, rec.solved_misses) == solved
+        assert [r.bound for r in rec.trace if r.phase == "ida"] == ida
+
+    def test_result_carries_outcomes_only(self):
+        res = plan(fixtures.satellite(), pipeline="hspa")
+        assert res.cost == 7
+        assert set(vars(res)) == {"outcome", "cost", "plan", "next_bound", "table"}
 
 
 class TestMixedDenominators:
