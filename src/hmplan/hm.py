@@ -9,20 +9,16 @@ from a FIFO worklist, until no relaxation step applies.  Oversized regressed
 sets are evaluated as the max over their size <= m subsets.  The result is
 written into the shared heuristic table.
 
-The fixpoint runs on integers: every cost, duration and time offset is
-converted once, when the edges are built, to a whole number of 1/scale,
-where scale is the least common multiple of the problem's cost and duration
-denominators.  Only the final values become Fractions again, as they enter
-the table.
+The fixpoint runs on integers: the successor functions already give every
+delta and time offset in the problem's units of 1/scale (`Problem.scale`),
+and the final values enter a table of the same scale unchanged.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
 
 from .htable import HeuristicTable, dense_max
 from .model import INF, AtomSet, Mode, Problem
@@ -53,32 +49,17 @@ def _subsets_upto(atoms, m: int):
     return map(frozenset, chain.from_iterable(combinations(ids, k) for k in sizes))
 
 
-def cost_scale(problem: Problem) -> int:
-    """The least common multiple of the cost and duration denominators."""
-    return lcm(*(x.denominator for a in problem.actions for x in (a.cost, a.dur)))
-
-
-def _units(x: Fraction, scale: int) -> int:
-    q, r = divmod(scale, x.denominator)
-    assert r == 0, f"{x} is no whole number of 1/{scale}"
-    return x.numerator * q
-
-
-def _edges(problem: Problem, s: AtomSet, scale: int) -> list[Edge]:
+def _edges(problem: Problem, s: AtomSet) -> list[Edge]:
     if problem.mode is Mode.SEQUENTIAL:
-        return [(_units(e.delta, scale), ((e.state, 0),))
-                for e in successors_seq(problem, s)]
+        return [(e.delta, ((e.state, 0),)) for e in successors_seq(problem, s)]
     edges, _ = successors_temporal(problem, TempState(s))
-    return [(_units(e.delta, scale),
-             tuple((atoms, _units(offset, scale)) for atoms, offset in relax_state(e.state)))
-            for e in edges]
+    return [(e.delta, tuple(relax_state(e.state))) for e in edges]
 
 
 class _Gbf:
     def __init__(self, problem: Problem, m: int):
         self.problem = problem
         self.m = m
-        self.scale = cost_scale(problem)
         self.sets = _all_sets(len(problem.atoms), m)
         self.value: dict[AtomSet, int | float] = {}
         # For m <= 2, the labels are also held densely by atom id, as in the
@@ -94,7 +75,7 @@ class _Gbf:
             if s <= problem.init:
                 self.edges[s] = []
                 continue
-            es = _edges(problem, s, self.scale)
+            es = _edges(problem, s)
             self.edges[s] = es
             for _, comps in es:
                 for atoms, _ in comps:
@@ -151,9 +132,10 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
     """Least fixpoint of the mode's h^m equation for all sets of size <= m."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if table.scale != problem.scale:
+        raise ValueError(f"table counts 1/{table.scale}, problem 1/{problem.scale}")
     gbf = _Gbf(problem, m)
     gbf.run()
     for s in gbf.sets:  # by size, lexical within: each prefix comes first
-        v = gbf.value[s]
-        table.store(s, v if v == INF else Fraction(v, gbf.scale))
+        table.store(s, gbf.value[s])
     return GbfStats(len(gbf.sets), gbf.rounds)

@@ -6,12 +6,11 @@ better value exists).  Stored values never decrease.  This table is the
 shared store for complete h^m values and for improvements discovered by
 relaxed search; it is not a transposition table for full search states.
 
-`store` takes and `eval`/`lookup_exact` return a Fraction or INF; inside,
-every finite value is an integer count of 1/scale, where scale is the least
-common multiple of the denominators stored so far.  A value with a new
-denominator multiplies the stored integers once by the missing factor, so
-unit-cost problems never rescale.  INF stays a float, which compares with
-ints natively.
+Every value is a whole number of 1/scale of the problem the table serves
+(`Problem.scale`, given to the constructor) or INF, a float that compares
+with ints natively: `store` takes such units and `eval`/`lookup_exact`/
+`items` return them.  Conversion to a Fraction happens outside, at the
+search spaces' `evaluate`.
 
 Sets of size <= 2, the whole of a complete h^1 or h^2 table, live in dense
 lists sized to the largest atom id stored: a singleton vector and, per atom
@@ -25,10 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from fractions import Fraction
-from math import gcd
 
-from .model import INF, ZERO, AtomSet, Cost
+from .model import AtomSet, Units
 
 # Marks a set never stored; below every stored value, which is at least 0.
 _ABSENT = -1
@@ -48,51 +45,14 @@ def dense_max(single: list, pairs: list, ids: list[int]):
 
 
 class HeuristicTable:
-    def __init__(self) -> None:
-        self._scale = 1
+    def __init__(self, scale: int = 1) -> None:
+        self.scale = scale  # the values count units of 1/scale
         self._empty = [_ABSENT]  # the value of the empty set, boxed
         self._single: list = []  # atom a -> value of {a}
         self._pairs: list[list | None] = []  # atom a -> row b -> value of {a, b}
         # Trie of the sets of size >= 3: atom -> [value, children].  Entries
         # at depth 1 and 2 only route to larger sets and keep _ABSENT.
         self._big: dict[int, list] = {}
-        self._reset_costs()
-
-    def _reset_costs(self) -> None:
-        # Integer value -> the Fraction handed out for it, shared by calls.
-        self._costs = {_ABSENT: ZERO, 0: ZERO, INF: INF}
-
-    def _cost(self, v) -> Cost:
-        c = self._costs.get(v)
-        if c is None:
-            c = self._costs[v] = Fraction(v, self._scale)
-        return c
-
-    def _units(self, value: Cost):
-        if value == INF:
-            return INF
-        d = value.denominator
-        if self._scale % d:
-            self._rescale(d // gcd(self._scale, d))
-        return value.numerator * (self._scale // d)
-
-    def _rescale(self, factor: int) -> None:
-        def scaled(values: list) -> list:
-            return [v * factor if v > 0 else v for v in values]
-
-        self._scale *= factor
-        self._empty[:] = scaled(self._empty)
-        self._single[:] = scaled(self._single)
-        for row in self._pairs:
-            if row is not None:
-                row[:] = scaled(row)
-        stack = [self._big]
-        while stack:
-            for entry in stack.pop().values():
-                if entry[0] > 0:
-                    entry[0] *= factor
-                stack.append(entry[1])
-        self._reset_costs()
 
     def _grow(self, n: int) -> None:
         extra = [_ABSENT] * (n - len(self._single))
@@ -102,10 +62,9 @@ class HeuristicTable:
                 row.extend(extra)
         self._pairs.extend([None] * len(extra))
 
-    def store(self, s: AtomSet, value: Cost) -> None:
-        """Set T(s) to max(T(s), value), inserting missing prefixes at 0."""
+    def store(self, s: AtomSet, v: Units) -> None:
+        """Set T(s) to max(T(s), v), inserting missing prefixes at 0."""
         ids = sorted(s)
-        v = self._units(value)
         if ids and ids[-1] >= len(self._single):
             self._grow(ids[-1] + 1)
         # (box, key) walks down the prefixes of ids to the slot of s itself.
@@ -136,7 +95,7 @@ class HeuristicTable:
         if v > box[key]:
             box[key] = v
 
-    def lookup_exact(self, s: AtomSet) -> Cost | None:
+    def lookup_exact(self, s: AtomSet) -> Units | None:
         ids = sorted(s)
         if ids and ids[-1] >= len(self._single):
             return None
@@ -154,9 +113,9 @@ class HeuristicTable:
                 if entry is None:
                     return None
                 v, children = entry
-        return None if v < 0 else self._cost(v)
+        return None if v < 0 else v
 
-    def eval(self, s: AtomSet) -> Cost:
+    def eval(self, s: AtomSet) -> Units:
         """Max value over all stored subsets of s; 0 if none are stored."""
         ids = sorted(s)
         single = self._single
@@ -172,7 +131,7 @@ class HeuristicTable:
                 v = self._eval_big(ids)
                 if v > best:
                     best = v
-        return self._cost(best)
+        return best if best >= 0 else 0
 
     def _eval_big(self, ids: list[int]):
         """Max over the trie's sets that are subsets of the sorted ids."""
@@ -189,9 +148,9 @@ class HeuristicTable:
                         stack.append((entry[1], j + 1))
         return best
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Cost]]:
+    def items(self) -> Iterator[tuple[tuple[int, ...], Units]]:
         """Stored (set, value) pairs in lexical order of the id strings."""
-        found: list[tuple[tuple[int, ...], object]] = []
+        found: list[tuple[tuple[int, ...], Units]] = []
         if self._empty[0] >= 0:
             found.append(((), self._empty[0]))
         for a, v in enumerate(self._single):
@@ -209,5 +168,4 @@ class HeuristicTable:
                     found.append((key, v))
                 stack.append((below, key))
         found.sort(key=lambda item: item[0])
-        for key, v in found:
-            yield key, self._cost(v)
+        yield from found

@@ -7,7 +7,8 @@ costs of solved nodes go into a per-pass solved table; improved lower bounds
 of OR-nodes go into the shared heuristic table as a side effect, which is the
 whole point: they raise later heuristic evaluations.
 
-No transposition table and no right-shift cuts are used here.
+No transposition table and no right-shift cuts are used here.  Like IDA*,
+the search counts in the problem's integer units of 1/scale.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .htable import HeuristicTable
 from .idastar import build_plan
 from .metrics import AND, OR, Recorder
-from .model import INF, ZERO, AtomSet, Cost, Plan
+from .model import INF, AtomSet, Plan, Units
 
 
 class SolvedTable:
@@ -30,15 +31,15 @@ class SolvedTable:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots: list[tuple[object, Cost] | None] = [None] * capacity
+        self._slots: list[tuple[object, Units] | None] = [None] * capacity
 
-    def get(self, key) -> Cost | None:
+    def get(self, key) -> Units | None:
         slot = self._slots[hash(key) % self.capacity]
         if slot is not None and slot[0] == key:
             return slot[1]
         return None
 
-    def put(self, key, cost: Cost) -> None:
+    def put(self, key, cost: Units) -> None:
         self._slots[hash(key) % self.capacity] = (key, cost)
 
 
@@ -51,7 +52,7 @@ def enumerate_and_successors(atoms: AtomSet, m: int) -> list[AtomSet]:
 
 @dataclass
 class PassResult:
-    cost: Cost
+    cost: Units  # exact if solved, else a lower bound above the limit or INF
     solved: bool
     # No AND node was expanded: the pass was a complete regression search,
     # so its cost is exact and, when solved, it carries the plan.
@@ -83,13 +84,15 @@ class IdaoSearch:
         # most once, so its cost is capped by one worst-case step per set.
         # Climbing past the cap therefore proves the node unsolvable, which
         # keeps open-ended runs from deepening forever.
-        n = len(space.problem.atoms)
-        n_sets = sum(math.comb(n, k) for k in range(m + 1))
-        steps = [max(a.cost, a.dur) for a in space.problem.actions]
-        self._value_cap = n_sets * max(steps, default=ZERO)
+        problem = space.problem
+        n_sets = sum(math.comb(len(problem.atoms), k) for k in range(m + 1))
+        steps = [max(problem.cost_units[a], problem.dur_units[a]) for a in problem.actions]
+        self._value_cap = n_sets * max(steps, default=0)
 
-    def run(self, bound: Cost = INF) -> PassResult:
-        """Search the problem goals to the given cost limit."""
+    def run(self, bound: Units = INF) -> PassResult:
+        """Search the problem goals to the given cost limit (in units).  An
+        unsolved pass returns INF if the relaxed problem has no solution,
+        else the least cost above the limit it could not rule out."""
         root = self.space.root()
         cost, solved = self._idao_star(root, bound, top=True)
         plan = None
@@ -97,9 +100,10 @@ class IdaoSearch:
             plan = build_plan(self.space, list(reversed(self._chain)))
         return PassResult(cost, solved, self.complete, plan)
 
-    def _idao_star(self, state, bound: Cost, top: bool) -> tuple[Cost, bool]:
+    def _idao_star(self, state, bound: Units, top: bool) -> tuple[Units, bool]:
         self._solved_flag = False
-        current = self.space.evaluate(self.table, state)
+        space = self.space
+        current = space.estimate(self.table, state)
         # The bound test is inclusive: a node whose estimate equals the limit
         # still gets one search, which either solves it or proves a larger
         # cost.  A strict test can return the unimproved estimate forever.
@@ -110,30 +114,31 @@ class IdaoSearch:
                 current = INF
                 break
             if top and self.recorder:
-                self.recorder.bound(f"idao:{self.m}", current)
-            new = self._dfs(state, current, ())
+                self.recorder.bound(f"idao:{self.m}", space.problem.to_cost(current))
+            # Each search gets its own path: an AND node's subsets start afresh.
+            new = self._dfs(state, current, set())
             assert self._solved_flag or new > current
             current = new
         return current, self._solved_flag
 
-    def _lookup_solved(self, key) -> Cost | None:
+    def _lookup_solved(self, key) -> Units | None:
         hit = self.solved.get(key)
         if self.recorder:
             self.recorder.solved_table(hit is not None)
         return hit
 
-    def _dfs(self, state, bound: Cost, path: tuple) -> Cost:
+    def _dfs(self, state, bound: Units, on_path: set) -> Units:
         space = self.space
         if space.is_final(state):
             self._solved_flag = True
             self._chain = []
-            return ZERO
+            return 0
         size = space.size(state)
         if size > self.m:
             return self._expand_and(state, bound)
-        return self._expand_or(state, bound, path)
+        return self._expand_or(state, bound, on_path)
 
-    def _expand_and(self, state, bound: Cost) -> Cost:
+    def _expand_and(self, state, bound: Units) -> Units:
         space = self.space
         atoms = space.atoms_of(state)
         hit = self._lookup_solved(atoms)
@@ -145,7 +150,7 @@ class IdaoSearch:
         subsets = enumerate_and_successors(atoms, self.m)
         if self.recorder:
             self.recorder.expansion(AND, len(atoms), tuple(len(s) for s in subsets))
-        worst: Cost = ZERO
+        worst = 0
         all_solved = True
         for sub in subsets:
             cost, solved = self._idao_star(space.from_atoms(sub), bound, top=False)
@@ -164,7 +169,7 @@ class IdaoSearch:
             self.solved.put(atoms, worst)
         return worst
 
-    def _expand_or(self, state, bound: Cost, path: tuple) -> Cost:
+    def _expand_or(self, state, bound: Units, on_path: set) -> Units:
         space = self.space
         key = space.key(state)
         hit = self._lookup_solved(key)
@@ -183,18 +188,20 @@ class IdaoSearch:
         # of it (the optimal path is cycle-free, so nothing is lost).
         # store_best: sound lower bound for the table, rebuilt from post-search
         # child evaluations so it stays valid on every path, cycles included.
-        best: Cost = INF
-        store_best: Cost = INF
-        next_path = path + (state,)
+        best: Units = INF
+        store_best: Units = INF
+        estimate, table = space.estimate, self.table
+        on_path.add(state)
         for edge in edges:
-            est = edge.delta + space.evaluate(self.table, edge.state)
-            if any(edge.state == anc for anc in next_path):
+            est = edge.delta + estimate(table, edge.state)
+            if edge.state in on_path:
                 if est < store_best:
                     store_best = est
                 continue
             if est <= bound:
-                r = edge.delta + self._dfs(edge.state, bound - edge.delta, next_path)
+                r = edge.delta + self._dfs(edge.state, bound - edge.delta, on_path)
                 if self._solved_flag:
+                    on_path.discard(state)
                     self.solved.put(key, r)
                     space.store_value(self.table, state, r)
                     if self._chain is not None:
@@ -203,7 +210,7 @@ class IdaoSearch:
                 if r < best:
                     best = r
                 # Re-evaluate: the child search may have improved the table.
-                post = edge.delta + space.evaluate(self.table, edge.state)
+                post = edge.delta + estimate(table, edge.state)
                 if post < store_best:
                     store_best = post
             else:
@@ -211,6 +218,7 @@ class IdaoSearch:
                     best = est
                 if est < store_best:
                     store_best = est
+        on_path.discard(state)
         self._solved_flag = False
         self._chain = None
         space.store_value(self.table, state, store_best)

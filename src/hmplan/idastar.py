@@ -2,6 +2,10 @@
 fixed-capacity closed-hash transposition table and footnote-style bound
 schedule: each iteration's bound is the least f-value pruned in the previous
 one, never a fixed increment.
+
+The search counts in the problem's integer units of 1/scale: g, h, f, the
+bounds, the upper limit and the result's cost and next bound.  `build_plan`
+turns the solution path into a plan with Fraction start times and metric.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from fractions import Fraction
 
 from .htable import HeuristicTable
 from .metrics import NORMAL, Recorder
-from .model import INF, ZERO, Cost, Mode, Plan, PlanStep
+from .model import INF, Mode, Plan, PlanStep, Units
 
 _SOLVED = object()
 
@@ -25,18 +29,18 @@ class TranspositionTable:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots: list[tuple[object, Cost, int] | None] = [None] * capacity
+        self._slots: list[tuple[object, Units, int] | None] = [None] * capacity
 
     def _index(self, key) -> int:
         return hash(key) % self.capacity
 
-    def get(self, key) -> Cost | None:
+    def get(self, key) -> Units | None:
         slot = self._slots[self._index(key)]
         if slot is not None and slot[0] == key:
             return slot[1]
         return None
 
-    def put(self, key, value: Cost, depth: int) -> None:
+    def put(self, key, value: Units, depth: int) -> None:
         i = self._index(key)
         slot = self._slots[i]
         if slot is None:
@@ -57,9 +61,9 @@ class SearchStats:
 @dataclass
 class SearchResult:
     outcome: str  # solved | unsolvable | limit
-    cost: Cost | None = None
+    cost: Units | None = None
     plan: Plan | None = None
-    next_bound: Cost | None = None
+    next_bound: Units | None = None
     stats: SearchStats = field(default_factory=SearchStats)
 
 
@@ -80,14 +84,16 @@ class IdaStar:
         self.recorder = recorder
         self.stats = SearchStats()
         self._solution: list = []
+        self._on_path: set = set()  # the states of the current path
 
-    def run(self, upper_limit: Cost = INF) -> SearchResult:
+    def run(self, upper_limit: Units = INF) -> SearchResult:
+        """Search to the first bound above `upper_limit` (in units)."""
         space = self.space
         root = space.root()
         if space.is_final(root):
             plan = build_plan(self.space, [])
-            return SearchResult("solved", ZERO, plan, stats=self.stats)
-        root_h = space.evaluate(self.table, root)
+            return SearchResult("solved", 0, plan, stats=self.stats)
+        root_h = space.estimate(self.table, root)
         bound = root_h
         if self.tt is not None:
             cached = self.tt.get(space.key(root))
@@ -100,18 +106,19 @@ class IdaStar:
                 return SearchResult("limit", next_bound=bound, stats=self.stats)
             self.stats.iterations += 1
             if self.recorder:
-                self.recorder.bound("ida", bound)
+                self.recorder.bound("ida", space.problem.to_cost(bound))
             self._solution = []
-            result = self._dfs(root, root_h, ZERO, bound, (), None)
+            result = self._dfs(root, root_h, 0, bound, 0, None)
             if result is _SOLVED:
                 edges = list(reversed(self._solution))
                 plan = build_plan(self.space, edges)
-                return SearchResult("solved", plan.metric, plan, stats=self.stats)
+                return SearchResult("solved", sum(e.delta for e in edges), plan,
+                                    stats=self.stats)
             value, _clean = result
             assert value > bound
             bound = value
 
-    def _dfs(self, state, h: Cost, g: Cost, bound: Cost, path: tuple, pred):
+    def _dfs(self, state, h: Units, g: Units, bound: Units, depth: int, pred):
         """Returns _SOLVED or (value, clean).
 
         h is the state's heuristic value, computed by the caller when it
@@ -143,57 +150,55 @@ class IdaStar:
             self.recorder.expansion(
                 NORMAL, space.size(state), tuple(space.size(e.state) for e in edges)
             )
+        estimate, table = space.estimate, self.table
         scored = sorted(
-            ((e.delta + space.evaluate(self.table, e.state), e) for e in edges),
+            ((e.delta + estimate(table, e.state), e) for e in edges),
             key=lambda it: (it[0], tuple(a.index for a in it[1].actions)),
         )
-        subtree_min: Cost = INF
+        subtree_min: Units = INF
         clean = True
-        next_path = path + (state,)
+        on_path = self._on_path
+        on_path.add(state)
         for est, edge in scored:
-            if any(edge.state == anc for anc in next_path):
+            if edge.state in on_path:
                 clean = False
                 continue
             r = self._dfs(edge.state, est - edge.delta, g + edge.delta, bound,
-                          next_path, state)
+                          depth + 1, state)
             if r is _SOLVED:
+                on_path.discard(state)
                 self._solution.append(edge)
                 return _SOLVED
             value, child_clean = r
             clean = clean and child_clean
             if value < subtree_min:
                 subtree_min = value
+        on_path.discard(state)
         # Right-shift cuts make the updated cost path-dependent, so the
         # transposition table is not fed from expansions the rule touched.
         if self.tt is not None and cut_count == 0 and clean:
             new_h = subtree_min - g if subtree_min != INF else INF
             if new_h > h:
-                self.tt.put(key, new_h, len(path))
+                self.tt.put(key, new_h, depth)
         return subtree_min, clean
 
 
 def build_plan(space, edges) -> Plan:
-    """Turn a root-to-final regression path into a forward plan."""
-    mode = space.problem.mode
-    steps: list[PlanStep] = []
-    if mode is Mode.SEQUENTIAL:
+    """Turn a root-to-final regression path into a forward plan, converting
+    its unit times and costs to Fractions."""
+    problem = space.problem
+    # Sequential edges cost their action; temporal edges advance the time.
+    total = sum(edge.delta for edge in edges)
+    if problem.mode is Mode.SEQUENTIAL:
         # The edge taken first from the goal holds the action executed last.
-        t = Fraction(0)
-        metric: Cost = ZERO
-        for edge in reversed(edges):
-            for a in edge.actions:
-                steps.append(PlanStep(t, a))
-                t += 1
-                metric = metric + a.cost
-        return Plan(steps, metric)
-    makespan: Cost = ZERO
-    for edge in edges:
-        makespan = makespan + edge.delta
+        steps = [PlanStep(Fraction(t), edge.actions[0])
+                 for t, edge in enumerate(reversed(edges))]
+        return Plan(steps, problem.to_cost(total))
     # Walking root -> final is walking backwards in time from the end.
-    elapsed: Cost = ZERO
+    steps, elapsed = [], 0
     for edge in edges:
         for a in edge.actions:
-            start = makespan - elapsed - a.dur
-            steps.append(PlanStep(Fraction(start), a))
-        elapsed = elapsed + edge.delta
-    return Plan(steps, makespan)
+            start = total - elapsed - problem.dur_units[a]
+            steps.append(PlanStep(problem.to_cost(start), a))
+        elapsed += edge.delta
+    return Plan(steps, problem.to_cost(total))

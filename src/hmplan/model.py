@@ -1,11 +1,18 @@
 """Ground planning model: atoms, actions, problems, plans, exact cost arithmetic.
 
-Costs and durations are exact rationals (fractions.Fraction); the single
-permitted non-rational value is INF, which absorbs under addition and is
-maximal under comparison.  Finite values must never be floats.
+Costs and durations are given as exact rationals (fractions.Fraction); the
+single permitted non-rational value is INF, which absorbs under addition and
+is maximal under comparison.  Finite values must never be floats.
 
-Fraction is also the type the heuristic layers (`hm`, `htable`) take and
-return; inside, they count in integer units of a common denominator.
+A `Problem` converts every cost and duration once, when it is built, to a
+whole number of 1/scale, where `Problem.scale` is the least common multiple
+of their denominators.  Everything between `run_pipeline`'s entry and
+`build_plan` counts in these integer units (`Units`): the GBF fixpoint, the
+heuristic table, both searches, edge deltas and temporal offsets.  Fraction
+appears only at the edges: plans (`Plan.metric`, `PlanStep.start`), results
+(`PlanResult.cost`/`next_bound`), the bounds handed to a `Recorder`, a
+space's `evaluate`, the upper limit and printing.  `Problem.to_cost` and
+`Problem.to_units` are the two conversions.
 """
 
 from __future__ import annotations
@@ -13,11 +20,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor, lcm
 
 INF = float("inf")
 
 # A cost is either a Fraction (finite) or INF.
 Cost = Fraction | float
+# A cost in whole units of 1/scale of one problem, or INF.
+Units = int | float
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,6 +137,19 @@ class Problem:
             for p in act.add:
                 adders[p].append(act)
         self.adders = tuple(tuple(v) for v in adders)
+        self.scale = scale = lcm(*{x.denominator for a in actions for x in (a.cost, a.dur)})
+        # action -> its cost and its duration in units of 1/scale
+        self.cost_units = {a: a.cost.numerator * (scale // a.cost.denominator) for a in actions}
+        self.dur_units = {a: a.dur.numerator * (scale // a.dur.denominator) for a in actions}
+
+    def to_cost(self, units: Units) -> Cost:
+        """A count of 1/scale as a rational cost; INF stays INF."""
+        return units if units == INF else Fraction(units, self.scale)
+
+    def to_units(self, cost: Cost) -> Units:
+        """The largest count of 1/scale not above the cost; INF stays INF.
+        A count x exceeds the cost exactly when x > to_units(cost)."""
+        return cost if cost == INF else floor(cost * self.scale)
 
     def atom_name(self, atom_id: int) -> str:
         return self._name_of[atom_id]

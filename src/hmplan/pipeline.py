@@ -7,6 +7,10 @@ relaxed m-regression passes with increasing m in between, each of which
 improves the table, until a stopping rule fires; the plain pipeline ("tp4")
 is the same run with no passes.  If any relaxed pass proves the relaxed
 problem unsolvable, the original problem is unsolvable too.
+
+The run counts in the problem's integer units of 1/scale from start to end:
+`config.upper_limit` is converted once, by floor, on entry, and the result's
+cost and next bound become Fractions again on exit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .htable import HeuristicTable
 from .idao import IdaoSearch
 from .idastar import IdaStar
 from .metrics import Recorder
-from .model import INF, Cost, Mode, Plan, Problem
+from .model import INF, Cost, Mode, Plan, Problem, Units
 from .sequential import SequentialSpace
 from .temporal import TemporalSpace
 
@@ -69,68 +73,63 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
     if config.pipeline not in ("tp4", "hspa"):
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
     stop = _parse_stop(config.stop)
-    table = HeuristicTable()
+    limit = problem.to_units(config.upper_limit)
+    table = HeuristicTable(problem.scale)
     compute_base_heuristic(problem, table, config.base_m)
     space = _make_space(problem)
+    root_h = space.estimate(table, space.root())
     if recorder:
-        recorder.bound("gbf", space.evaluate(table, space.root()))
+        recorder.bound("gbf", problem.to_cost(root_h))
     result = PlanResult("unsolvable", table=table)
-    if space.evaluate(table, space.root()) == INF:
+    if root_h == INF:
         return result
     if config.pipeline == "hspa" and _boost(problem, space, table, config, stop,
-                                            recorder, result):
+                                            limit, recorder, result):
         return result
 
     right_shift = config.right_shift and problem.mode is not Mode.SEQUENTIAL
-    search = IdaStar(
-        space,
-        table,
-        use_tt=config.use_tt,
-        tt_capacity=config.tt_size,
-        right_shift=right_shift,
-        recorder=recorder,
-    )
-    out = search.run(config.upper_limit)
+    search = IdaStar(space, table, use_tt=config.use_tt, tt_capacity=config.tt_size,
+                     right_shift=right_shift, recorder=recorder)
+    out = search.run(limit)
     result.outcome = out.outcome
-    result.cost = out.cost
     result.plan = out.plan
-    result.next_bound = out.next_bound
+    if out.cost is not None:
+        result.cost = problem.to_cost(out.cost)
+    if out.next_bound is not None:
+        result.next_bound = problem.to_cost(out.next_bound)
     return result
 
 
 def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig,
-           stop: tuple[str, int | None], recorder: Recorder | None,
+           stop: tuple[str, int | None], limit: Units, recorder: Recorder | None,
            result: PlanResult) -> bool:
     """Run relaxed passes for m = base_m + 1, ... until the stopping rule
-    fires.  Returns True when a pass settled the run: it proved the problem
-    unsolvable, or it was a complete search whose plan is `result`'s."""
+    fires, each bounded by the limit (in units).  Returns True when a pass
+    settled the run: it proved the problem unsolvable, or the optimum above
+    the limit, or it was a complete search whose plan is `result`'s."""
     stop_kind, stop_m = stop
-    prev_cost: Cost | None = None
+    prev_cost: Units | None = None
     m = config.base_m + 1
     n_atoms = len(problem.atoms)
     while True:
-        idao = IdaoSearch(
-            space,
-            table,
-            m,
-            solved_capacity=config.solved_size,
-            recorder=recorder,
-        )
-        out = idao.run()
-        if not out.solved:
+        idao = IdaoSearch(space, table, m, solved_capacity=config.solved_size,
+                          recorder=recorder)
+        out = idao.run(limit)
+        if out.cost == INF:
             # The m-relaxation admits no solution, so neither does the problem.
+            return True
+        if not out.solved or out.cost > limit:
+            # The relaxed cost, a lower bound on the optimum, exceeds the limit.
+            result.outcome = "limit"
+            result.next_bound = problem.to_cost(out.cost)
             return True
         if out.complete:
             # The pass never crossed the size boundary: it was a complete
             # regression search, and its cost and plan are exact.  Larger m
             # would repeat the identical search.
             if out.plan is not None:
-                if out.cost > config.upper_limit:
-                    result.outcome = "limit"
-                    result.next_bound = out.cost
-                    return True
                 result.outcome = "solved"
-                result.cost = out.cost
+                result.cost = problem.to_cost(out.cost)
                 result.plan = out.plan
                 return True
             return False

@@ -1,4 +1,9 @@
-"""Sequential regression search space over atom sets."""
+"""Sequential regression search space over atom sets.
+
+Edge deltas are action costs in the problem's integer units of 1/scale;
+`estimate` gives the searches a state's heuristic value in those units and
+`evaluate` the same value as a Fraction.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .htable import HeuristicTable
-from .model import AtomSet, Cost, GroundAction, Problem
+from .model import AtomSet, Cost, GroundAction, Problem, Units
 
 
 def applicable_seq(action: GroundAction, s: AtomSet) -> bool:
@@ -29,7 +34,7 @@ _index = attrgetter("index")
 @dataclass(frozen=True)
 class SeqEdge:
     state: AtomSet
-    delta: Cost
+    delta: int  # the action's cost in units of 1/scale
     actions: tuple[GroundAction, ...]  # single regressing action
 
 
@@ -37,9 +42,9 @@ def successors_seq(problem: Problem, s: AtomSet) -> list[SeqEdge]:
     """One edge per applicable action, in action index order."""
     # Only actions adding an atom of s can regress it; the filter and the
     # regressed set below are applicable_seq and regress_seq, inlined.
-    adders = problem.adders
+    adders, cost = problem.adders, problem.cost_units
     candidates = sorted({a for p in s for a in adders[p]}, key=_index)
-    return [SeqEdge((s - a.add) | a.pre, a.cost, (a,))
+    return [SeqEdge((s - a.add) | a.pre, cost[a], (a,))
             for a in candidates if not a.delete & s]
 
 
@@ -59,8 +64,11 @@ class SequentialSpace:
         """Returns (edges, cut_count); sequential search has no cut rule."""
         return successors_seq(self.problem, s), 0
 
-    def evaluate(self, table: HeuristicTable, s: AtomSet) -> Cost:
+    def estimate(self, table: HeuristicTable, s: AtomSet) -> Units:
         return table.eval(s)
+
+    def evaluate(self, table: HeuristicTable, s: AtomSet) -> Cost:
+        return self.problem.to_cost(table.eval(s))
 
     def size(self, s: AtomSet) -> int:
         return len(s)
@@ -74,5 +82,5 @@ class SequentialSpace:
     def from_atoms(self, atoms: AtomSet) -> AtomSet:
         return atoms
 
-    def store_value(self, table: HeuristicTable, s: AtomSet, cost: Cost) -> None:
+    def store_value(self, table: HeuristicTable, s: AtomSet, cost: Units) -> None:
         table.store(s, cost)

@@ -5,18 +5,22 @@ for states that still carry in-progress actions.
 A state pairs the subgoal atoms E needed at the current time point with the
 set F of actions already chosen that span that point; each entry (a, d) in F
 started d time units before the current point, with 0 < d < dur(a).
+
+All times here (the offsets d, edge deltas, component offsets and stored
+values) are integers counting the problem's units of 1/scale, taken from
+`Problem.dur_units`.  Only `TemporalSpace.evaluate` turns a value into a
+Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .htable import HeuristicTable
-from .model import EMPTY, ZERO, AtomSet, Cost, GroundAction, Problem
+from .model import EMPTY, AtomSet, Cost, GroundAction, Problem, Units
 
-FEntry = tuple[GroundAction, Fraction]
+FEntry = tuple[GroundAction, int]  # (action, units since its start)
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ def relaxed_atoms(s: TempState) -> AtomSet:
     return atoms
 
 
-def relax_state(s: TempState) -> list[tuple[AtomSet, Cost]]:
+def relax_state(s: TempState) -> list[tuple[AtomSet, int]]:
     """Relax (E, F) to plain atom-set components with time offsets.
 
     For each offset d in F the preconditions of all actions started at least
@@ -66,8 +70,8 @@ def relax_state(s: TempState) -> list[tuple[AtomSet, Cost]]:
     returned in decreasing offset order.
     """
     if not s.in_progress:
-        return [(s.goals, ZERO)]
-    out: list[tuple[AtomSet, Cost]] = []
+        return [(s.goals, 0)]
+    out: list[tuple[AtomSet, int]] = []
     offsets = sorted({d for _, d in s.in_progress}, reverse=True)
     for dk in offsets:
         comp: AtomSet = frozenset()
@@ -76,11 +80,11 @@ def relax_state(s: TempState) -> list[tuple[AtomSet, Cost]]:
                 comp = comp | a.pre
         out.append((comp, dk))
     all_pre = relaxed_atoms(s)
-    out.append((all_pre, ZERO))
+    out.append((all_pre, 0))
     return out
 
 
-def storage_value(s: TempState, found_cost: Cost) -> tuple[AtomSet, Cost]:
+def storage_value(s: TempState, found_cost: Units) -> tuple[AtomSet, Units]:
     """Convert a bound for (E, F) into one for the plain atom set.
 
     A plan achieving all the atoms also achieves the state at most max d
@@ -90,10 +94,7 @@ def storage_value(s: TempState, found_cost: Cost) -> tuple[AtomSet, Cost]:
     if not s.in_progress:
         return s.goals, found_cost
     max_d = max(d for _, d in s.in_progress)
-    value = found_cost - max_d
-    if value < 0:
-        value = ZERO
-    return relaxed_atoms(s), value
+    return relaxed_atoms(s), max(found_cost - max_d, 0)
 
 
 def right_shift_forbids(pred: TempState | None, cur: TempState, a: GroundAction) -> bool:
@@ -119,7 +120,7 @@ def right_shift_forbids(pred: TempState | None, cur: TempState, a: GroundAction)
 @dataclass(frozen=True)
 class TempEdge:
     state: TempState
-    delta: Cost  # time advance
+    delta: int  # time advance in units of 1/scale
     actions: tuple[GroundAction, ...]  # real actions chosen at this point
 
 
@@ -139,6 +140,7 @@ def successors_temporal(
     """
     goal_ids = sorted(s.goals)
     f_actions = [a for a, _ in s.in_progress]
+    dur = problem.dur_units
     cut_count = 0
 
     # Establisher candidates per atom; None encodes the no-op.
@@ -183,16 +185,16 @@ def successors_temporal(
             continue
 
         # Offsets: durations of chosen positive-duration actions plus F.
-        offsets: list[FEntry] = [(a, a.dur) for a in acts if a.dur > 0]
+        offsets: list[FEntry] = [(a, dur[a]) for a in acts if dur[a] > 0]
         offsets.extend(s.in_progress)
         zero_pre: AtomSet = frozenset()
         for a in acts:
-            if a.dur == 0:
+            if dur[a] == 0:
                 zero_pre = zero_pre | a.pre
         noop_set = frozenset(noops)
         released = zero_pre
         if not offsets:
-            advance: Cost = ZERO
+            advance = 0
             new_f: tuple[FEntry, ...] = ()
         else:
             advance = min(d for _, d in offsets)
@@ -230,13 +232,16 @@ class TemporalSpace:
                    right_shift: bool = False):
         return successors_temporal(self.problem, s, pred, right_shift)
 
-    def evaluate(self, table: HeuristicTable, s: TempState) -> Cost:
-        best: Cost = ZERO
+    def estimate(self, table: HeuristicTable, s: TempState) -> Units:
+        best = 0
         for comp, offset in relax_state(s):
             v = offset + table.eval(comp)
             if v > best:
                 best = v
         return best
+
+    def evaluate(self, table: HeuristicTable, s: TempState) -> Cost:
+        return self.problem.to_cost(self.estimate(table, s))
 
     def size(self, s: TempState) -> int:
         return len(relaxed_atoms(s))
@@ -250,6 +255,6 @@ class TemporalSpace:
     def from_atoms(self, atoms: AtomSet) -> TempState:
         return TempState(atoms)
 
-    def store_value(self, table: HeuristicTable, s: TempState, cost: Cost) -> None:
+    def store_value(self, table: HeuristicTable, s: TempState, cost: Units) -> None:
         atoms, value = storage_value(s, cost)
         table.store(atoms, value)

@@ -94,10 +94,11 @@ def parallel_makespan(problem: Problem):
 
 def temporal_makespan(problem: Problem, cap: int = 200_000):
     """Blind Dijkstra over the temporal regression graph (no heuristic,
-    no right-shift, no transposition table)."""
+    no right-shift, no transposition table).  The graph's time advances
+    count units of 1/problem.scale; the makespan returned is a Fraction."""
     root = TempState(problem.goal)
-    dist: dict[TempState, Fraction] = {root: ZERO}
-    heap: list[tuple[Fraction, int, TempState]] = [(ZERO, 0, root)]
+    dist: dict[TempState, int] = {root: 0}
+    heap: list[tuple[int, int, TempState]] = [(0, 0, root)]
     tick = itertools.count(1)
     popped = 0
     while heap:
@@ -107,7 +108,7 @@ def temporal_makespan(problem: Problem, cap: int = 200_000):
         popped += 1
         assert popped <= cap, "temporal oracle exceeded its search cap"
         if final_temporal(s, problem.init):
-            return d
+            return Fraction(d, problem.scale)
         edges, _ = successors_temporal(problem, s)
         for e in edges:
             nd = d + e.delta
@@ -133,12 +134,12 @@ def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:
     return seen
 
 
-def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, Fraction | float]:
+def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, int | float]:
     """Reference schedule for the GBF h^m fixpoint: relax every set of size
     <= m round-robin (by size, lexical within) until a whole sweep changes
     nothing.  It drives `hm._Gbf`'s own edges and relaxation step, so it
     checks the worklist schedule of `compute_base_heuristic`, and returns
-    every set's value."""
+    every set's value in units of 1/problem.scale."""
     from hmplan.hm import _Gbf
 
     gbf = _Gbf(problem, m)
@@ -153,14 +154,15 @@ def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, Fraction | float]:
             if new < gbf.value[s]:
                 gbf._set(s, new)
                 changed = True
-    return {s: v if v == INF else Fraction(v, gbf.scale) for s, v in gbf.value.items()}
+    return dict(gbf.value)
 
 
 def random_problem(rng: random.Random, max_atoms: int = 10,
                    max_actions: int = 15, mode: Mode = Mode.SEQUENTIAL,
-                   costs: tuple[Fraction, ...] | None = None) -> Problem:
-    """A random problem; sequential action costs are drawn from `costs`
-    when it is given."""
+                   costs: tuple[Fraction, ...] | None = None,
+                   durs: tuple[Fraction, ...] | None = None) -> Problem:
+    """A random problem; sequential action costs are drawn from `costs` and
+    temporal durations from `durs` when they are given."""
     n = rng.randint(4, max_atoms)
     atoms = [Atom(i, f"x{i}") for i in range(n)]
     ids = list(range(n))
@@ -176,6 +178,9 @@ def random_problem(rng: random.Random, max_atoms: int = 10,
         elif mode is Mode.SEQUENTIAL:
             cost = Fraction(rng.choice([1, 1, 1, 2, 3]), rng.choice([1, 1, 2]))
             dur = Fraction(1)
+        elif mode is Mode.TEMPORAL and durs is not None:
+            cost = Fraction(1)
+            dur = rng.choice(durs)
         else:
             cost = Fraction(1)
             dur = Fraction(1) if mode is Mode.PARALLEL else \
@@ -188,6 +193,9 @@ def random_problem(rng: random.Random, max_atoms: int = 10,
 
 # Action costs whose common scale (6) is the LCM of unlike denominators.
 MIXED_COSTS = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(1))
+# Durations with the same scale, and zero-duration actions among them.
+MIXED_DURS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6),
+              Fraction(1), Fraction(3, 2))
 
 
 @pytest.fixture

@@ -118,11 +118,11 @@ class TestCriteria:
             instances += 1
             space = SequentialSpace(p)
             for m in (1, 2, 3):
-                complete = HeuristicTable()
+                complete = HeuristicTable(p.scale)
                 compute_base_heuristic(p, complete, m)
                 want = complete.eval(p.goal)
 
-                seed = HeuristicTable()
+                seed = HeuristicTable(p.scale)
                 if m > 1:
                     compute_base_heuristic(p, seed, m - 1)
                 out = IdaoSearch(space, seed, m).run()
@@ -145,16 +145,16 @@ class TestCriteria:
                 nonlocal violations, states_checked
                 for s in states:
                     states_checked += 1
-                    if t.eval(s) > achieve_cost(dist, s):
+                    if p.to_cost(t.eval(s)) > achieve_cost(dist, s):
                         violations += 1
 
-            t = HeuristicTable()
+            t = HeuristicTable(p.scale)
             compute_base_heuristic(p, t, 1)
             phase_ok(t)
-            t2 = HeuristicTable()
+            t2 = HeuristicTable(p.scale)
             compute_base_heuristic(p, t2, 2)
             phase_ok(t2)
-            boosted = HeuristicTable()
+            boosted = HeuristicTable(p.scale)
             compute_base_heuristic(p, boosted, 1)
             for m in (2, 3):
                 IdaoSearch(space, boosted, m).run()
@@ -213,7 +213,7 @@ class TestCriteria:
                 # measured without the transposition table: cut-touched
                 # expansions are never cached, which otherwise masks the
                 # rule's effect with extra re-expansions
-                t = HeuristicTable()
+                t = HeuristicTable(p.scale)
                 compute_base_heuristic(p, t, 2)
                 rec = Recorder()
                 res = IdaStar(TemporalSpace(p), t, right_shift=rs,
@@ -224,7 +224,7 @@ class TestCriteria:
             if want == INF:
                 ok = ok and on.outcome == off.outcome == "unsolvable"
                 continue
-            ok = ok and on.cost == off.cost == want
+            ok = ok and p.to_cost(on.cost) == p.to_cost(off.cost) == want
             ok = ok and on_exp <= off_exp
             if on_exp < off_exp:
                 reductions += 1
@@ -306,7 +306,7 @@ class TestCriteria:
         pairs = 0
         for _ in range(8):
             p = random_problem(rng, max_atoms=7, max_actions=10)
-            t = HeuristicTable()
+            t = HeuristicTable(p.scale)
             compute_base_heuristic(p, t, 2)
             for s in regression_states(p, cap=50_000):
                 for edge in successors_seq(p, s):
@@ -317,7 +317,7 @@ class TestCriteria:
             p = random_problem(rng, max_atoms=6, max_actions=8,
                                mode=Mode.PARALLEL)
             sp = TemporalSpace(p)
-            t = HeuristicTable()
+            t = HeuristicTable(p.scale)
             compute_base_heuristic(p, t, 2)
             frontier = [sp.root()]
             seen = set()
@@ -327,7 +327,7 @@ class TestCriteria:
                     continue
                 seen.add(sp.key(s))
                 for edge in sp.successors(s, None, False)[0]:
-                    if sp.evaluate(t, s) > edge.delta + sp.evaluate(t, edge.state):
+                    if sp.estimate(t, s) > edge.delta + sp.estimate(t, edge.state):
                         temp_violations += 1
                     frontier.append(edge.state)
         # the relaxed temporal table may be inconsistent; only report it

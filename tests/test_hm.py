@@ -6,20 +6,20 @@ import pytest
 from conftest import achieve_cost, forward_dijkstra, gbf_sweep, random_problem
 from conftest import MIXED_COSTS, regression_states
 from hmplan import fixtures
-from hmplan.hm import compute_base_heuristic, cost_scale
+from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
 
 
 def table_for(problem, m):
-    t = HeuristicTable()
+    t = HeuristicTable(problem.scale)
     compute_base_heuristic(problem, t, m)
     return t
 
 
 def stored_sets(table):
-    """The table's nonempty stored sets and their values."""
+    """The table's nonempty stored sets and their values, in units."""
     return {frozenset(ids): v for ids, v in table.items() if ids}
 
 
@@ -64,6 +64,11 @@ class TestSequentialValues:
     def test_hm_rejects_nonpositive_m(self, sat1):
         with pytest.raises(ValueError):
             compute_base_heuristic(sat1, HeuristicTable(), 0)
+
+    def test_rejects_a_table_of_another_scale(self):
+        p = fixtures.temporal_mix()
+        with pytest.raises(ValueError):
+            compute_base_heuristic(p, HeuristicTable(), 1)
 
 
 class TestTemporalValues:
@@ -127,7 +132,7 @@ class TestAdmissibility:
             for m in (1, 2):
                 t = table_for(p, m)
                 for s in regression_states(p, cap=20_000):
-                    assert t.eval(s) <= achieve_cost(dist, s)
+                    assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
 
     def test_h1_le_h2(self):
         rng = random.Random(13)
@@ -156,21 +161,21 @@ class TestMixedDenominators:
             GroundAction(1, "b", frozenset({0}), frozenset({1}), frozenset(), Fraction(1, 3)),
         ]
         p = Problem(atoms, acts, frozenset(), frozenset({1}))
-        assert cost_scale(p) == 6
+        assert p.scale == 6
         t = table_for(p, 2)
-        # [DERIVED: a then b, 1/2 + 1/3]
-        assert t.eval(p.goal) == Fraction(5, 6)
-        assert t.eval(p.atom_set("p")) == Fraction(1, 2)
+        # [DERIVED: a then b, 1/2 + 1/3 = 5/6, or 5 sixths]
+        assert t.eval(p.goal) == 5 and p.to_cost(t.eval(p.goal)) == Fraction(5, 6)
+        assert t.eval(p.atom_set("p")) == 3
 
     def test_h1_h2_admissible_random(self):
         rng = random.Random(17)
         scales = set()
         for _ in range(12):
             p = random_problem(rng, max_atoms=7, max_actions=10, costs=MIXED_COSTS)
-            scales.add(cost_scale(p))
+            scales.add(p.scale)
             dist = forward_dijkstra(p)
             for m in (1, 2):
                 t = table_for(p, m)
                 for s in regression_states(p, cap=20_000):
-                    assert t.eval(s) <= achieve_cost(dist, s)
+                    assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
         assert scales == {6}

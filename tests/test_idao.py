@@ -15,7 +15,7 @@ from hmplan.temporal import TemporalSpace
 
 
 def search(problem, m, base_m=1, **kw):
-    t = HeuristicTable()
+    t = HeuristicTable(problem.scale)
     compute_base_heuristic(problem, t, base_m)
     space = (
         SequentialSpace(problem)
@@ -99,7 +99,7 @@ class TestExactness:
             out = search(p, len(p.atoms)).run()
             assert out.solved == (opt != INF)
             if out.solved:
-                assert out.cost == opt
+                assert p.to_cost(out.cost) == opt
                 checked += 1
         assert checked >= 5
 
@@ -137,12 +137,12 @@ class TestTableSideEffects:
 
         for _ in range(10):
             p = random_problem(rng, max_atoms=6, max_actions=9)
-            t = HeuristicTable()
+            t = HeuristicTable(p.scale)
             compute_base_heuristic(p, t, 1)
             IdaoSearch(SequentialSpace(p), t, 2).run()
             dist = forward_dijkstra(p)
             for s in regression_states(p, cap=20_000):
-                assert t.eval(s) <= achieve_cost(dist, s)
+                assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
 
     def test_solved_table_reused_within_pass(self):
         p = fixtures.satellite()

@@ -15,7 +15,7 @@ from hmplan.validate import validate_plan
 
 
 def searcher(problem, m=2, **kw):
-    t = HeuristicTable()
+    t = HeuristicTable(problem.scale)
     compute_base_heuristic(problem, t, m)
     space = (
         SequentialSpace(problem)
@@ -125,7 +125,9 @@ class TestTemporalSearch:
         # [DERIVED: by hand; both millings overlap, box at the end]
         p = fixtures.temporal_mix()
         res = searcher(p, right_shift=True).run()
-        assert res.cost == Fraction(5, 2)
+        # [DERIVED: 5/2 is 5 halves]
+        assert p.scale == 2 and res.cost == 5
+        assert res.plan.metric == Fraction(5, 2)
         assert validate_plan(p, res.plan).ok
 
     def test_right_shift_preserves_cost(self):
@@ -151,31 +153,34 @@ class TestBuildPlan:
                 self.actions = actions
                 self.delta = delta
 
-        plan = build_plan(space, [E((b,), Fraction(3)), E((a,), Fraction(2))])
-        assert plan.metric == 5
+        # edge deltas count units of 1/scale; the plan holds Fractions
+        plan = build_plan(space, [E((b,), 3), E((a,), 2)])
+        assert plan.metric == 5 and type(plan.metric) is Fraction
         starts = {s.action.name: s.start for s in plan.steps}
         assert starts == {"a": 0, "b": 2}
+        assert all(type(s.start) is Fraction for s in plan.steps)
 
 
 class TestEvaluationCount:
     def test_one_evaluation_per_child(self):
         # The root is evaluated once per run and every child once, when it is
-        # scored for ordering; entering it reuses that score.
+        # scored for ordering; entering it reuses that score.  The search
+        # evaluates in units, through the space's estimate.
         p = fixtures.satellite()
         ida = searcher(p, m=1)
         calls = {"evaluate": 0, "edges": 0}
-        evaluate, successors = ida.space.evaluate, ida.space.successors
+        estimate, successors = ida.space.estimate, ida.space.successors
 
-        def counted_evaluate(table, s):
+        def counted_estimate(table, s):
             calls["evaluate"] += 1
-            return evaluate(table, s)
+            return estimate(table, s)
 
         def counted_successors(*args):
             edges, cuts = successors(*args)
             calls["edges"] += len(edges)
             return edges, cuts
 
-        ida.space.evaluate = counted_evaluate
+        ida.space.estimate = counted_estimate
         ida.space.successors = counted_successors
         res = ida.run()
         assert res.cost == 7 and res.stats.iterations > 1

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import parallel_makespan, random_problem, seq_optimal
-from conftest import MIXED_COSTS
+from conftest import parallel_makespan, random_problem, seq_optimal, temporal_makespan
+from conftest import MIXED_COSTS, MIXED_DURS
 from hmplan import fixtures
 from hmplan.cli import _build_parser
 from hmplan.metrics import AND, NORMAL, OR, Recorder
@@ -198,6 +198,96 @@ class TestMixedDenominators:
                     assert validate_plan(p, res.plan).ok
             solved += opt != INF
         assert solved >= 5
+
+
+class TestUnlikeDenominatorDurations:
+    """Durations from {0, 1/3, 1/2, 5/6, 1, 3/2}: the search counts sixths,
+    and its answers come back as Fractions."""
+
+    CONFIGS = [dict(pipeline="tp4"), dict(pipeline="hspa", stop="fixed:3")]
+
+    @staticmethod
+    def problems():
+        for seed in (59, 61):
+            rng = random.Random(seed)
+            for _ in range(15):
+                yield random_problem(rng, max_atoms=6, max_actions=8,
+                                     mode=Mode.TEMPORAL, durs=MIXED_DURS)
+
+    def test_makespans_match_oracle(self):
+        fractional = 0
+        for p in self.problems():
+            opt = temporal_makespan(p)
+            for kw in self.CONFIGS:
+                res = plan(p, **kw)
+                if opt == INF:
+                    assert res.outcome == "unsolvable"
+                    continue
+                assert res.outcome == "solved" and res.cost == opt
+                assert type(res.cost) is Fraction and type(res.plan.metric) is Fraction
+                assert all(type(st.start) is Fraction for st in res.plan.steps)
+                assert validate_plan(p, res.plan).ok
+            fractional += opt != INF and opt.denominator > 1
+        assert fractional >= 4
+
+    def test_limit_between_units(self):
+        # 7/3 is no whole number of halves: the run must stop at bound 5/2,
+        # the first above the limit, as it does for a limit of 2.
+        p = fixtures.temporal_mix()
+        assert p.scale == 2
+        for kw in self.CONFIGS:
+            for limit in (Fraction(7, 3), Fraction(2)):
+                res = plan(p, upper_limit=limit, **kw)
+                assert res.outcome == "limit" and res.next_bound == Fraction(5, 2)
+                assert type(res.next_bound) is Fraction
+            assert plan(p, upper_limit=Fraction(5, 2), **kw).cost == Fraction(5, 2)
+
+    def test_limits_on_random_problems(self):
+        # Below the optimum a run reports a bound above the limit and no
+        # higher than the optimum; at or above it the run solves.
+        for p in self.problems():
+            opt = temporal_makespan(p)
+            for kw in self.CONFIGS:
+                for limit in (Fraction(1, 4), Fraction(4, 3), Fraction(7, 3)):
+                    res = plan(p, upper_limit=limit, **kw)
+                    if opt == INF:
+                        assert res.outcome == "unsolvable"
+                    elif opt > limit:
+                        assert res.outcome == "limit"
+                        assert limit < res.next_bound <= opt
+                    else:
+                        assert res.outcome == "solved" and res.cost == opt
+
+
+class TestBoostingHonoursLimit:
+    def test_zero_limit_expands_nothing(self):
+        # [DERIVED: the h^2 root value 3 already exceeds the limit, as tp4 reports]
+        p = fixtures.growing(2, 5)
+        for pipeline in ("hspa", "tp4"):
+            res, rec = recorded(p, pipeline=pipeline, stop="fixed:4",
+                                upper_limit=Fraction(0))
+            assert res.outcome == "limit" and res.next_bound == 3
+            assert rec.expansions == 0
+
+    def test_limit_at_or_above_optimum_changes_nothing(self):
+        p = fixtures.satellite()
+        free, rec_free = recorded(p, pipeline="hspa", stop="fixed:3")
+        for limit in (Fraction(7), Fraction(15, 2), Fraction(100)):
+            res, rec = recorded(p, pipeline="hspa", stop="fixed:3", upper_limit=limit)
+            assert res.outcome == "solved" and res.cost == free.cost == 7
+            assert rec.expansions == rec_free.expansions
+            assert [(r.phase, r.bound) for r in rec.trace] == \
+                [(r.phase, r.bound) for r in rec_free.trace]
+
+    def test_pass_above_limit_reports_its_bound(self):
+        # [DERIVED: from root h^1 3 the m=2 pass fails at bounds 3, 4 and 5;
+        # its next bound 6 exceeds the limit and is a lower bound on 7]
+        p = fixtures.satellite()
+        res, rec = recorded(p, pipeline="hspa", base_m=1, stop="fixed:2",
+                            upper_limit=Fraction(5))
+        assert res.outcome == "limit" and res.next_bound == 6
+        assert [r.bound for r in rec.trace] == [3, 3, 4, 5]
+        assert phases(rec) == ["gbf", "idao:2"]
 
 
 class TestDefaults:

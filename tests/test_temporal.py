@@ -72,27 +72,27 @@ class TestRelaxation:
         # [DERIVED: offsets 2 then 1 then 0; deeper offsets join shallower sets]
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["q", "r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, Fraction(1)), (a2, Fraction(2))))
+        s = TempState(frozenset({0}), ((a1, 1), (a2, 2)))
         comps = relax_state(s)
         assert comps == [
-            (a2.pre, Fraction(2)),
-            (a1.pre | a2.pre, Fraction(1)),
+            (a2.pre, 2),
+            (a1.pre | a2.pre, 1),
             (frozenset({0}) | a1.pre | a2.pre, ZERO),
         ]
 
     def test_equal_offsets_share_a_component(self):
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, Fraction(2)), (a2, Fraction(2))))
+        s = TempState(frozenset({0}), ((a1, 2), (a2, 2)))
         comps = relax_state(s)
-        assert comps[0] == (a1.pre | a2.pre, Fraction(2))
+        assert comps[0] == (a1.pre | a2.pre, 2)
         assert len(comps) == 2
 
     def test_state_size_counts_union(self):
         # [DERIVED: |{p} u {q} u {q,r}| = 3]
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["q", "r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, Fraction(1)), (a2, Fraction(2))))
+        s = TempState(frozenset({0}), ((a1, 1), (a2, 2)))
         space = TemporalSpace(problem(_NAMES, [a1, a2], [], ["p"]))
         assert space.size(s) == 3
         assert relaxed_atoms(s) == frozenset({0}) | a1.pre | a2.pre
@@ -101,19 +101,19 @@ class TestRelaxation:
         # [DERIVED: 5 - 2 = 3]
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, Fraction(1)), (a2, Fraction(2))))
-        atoms, value = storage_value(s, Fraction(5))
+        s = TempState(frozenset({0}), ((a1, 1), (a2, 2)))
+        atoms, value = storage_value(s, 5)
         assert atoms == relaxed_atoms(s)
         assert value == 3
 
     def test_storage_clamps_at_zero(self):
         a = act(0, "a", ["q"], ["u"])
-        s = TempState(frozenset({0}), ((a, Fraction(4)),))
-        assert storage_value(s, Fraction(2))[1] == ZERO
+        s = TempState(frozenset({0}), ((a, 4),))
+        assert storage_value(s, 2)[1] == ZERO
 
     def test_storage_without_in_progress_is_identity(self):
         s = TempState(frozenset({1, 2}))
-        assert storage_value(s, Fraction(6)) == (frozenset({1, 2}), 6)
+        assert storage_value(s, 6) == (frozenset({1, 2}), 6)
 
 
 class TestSuccessors:
@@ -133,12 +133,12 @@ class TestSuccessors:
         a1 = act(0, "a1", ["q"], ["u"], dur=3)
         a2 = act(1, "a2", ["r"], ["v"], dur=3)
         p = problem(["p", "q", "r", "u", "v"], [a1, a2], ["q", "r", "p"], ["p"])
-        s = TempState(p.atom_set("p"), ((a1, Fraction(1)), (a2, Fraction(2))))
+        s = TempState(p.atom_set("p"), ((a1, 1), (a2, 2)))
         edges, _ = successors_temporal(p, s)
         noop_edge = next(e for e in edges if not e.actions)
         assert noop_edge.delta == 1
         assert noop_edge.state.goals == a1.pre | p.atom_set("p")
-        assert noop_edge.state.in_progress == ((a2, Fraction(1)),)
+        assert noop_edge.state.in_progress == ((a2, 1),)
 
     def test_chosen_action_enters_progress_when_longer(self):
         a = act(0, "a", ["q"], ["p"], dur=3)
@@ -147,7 +147,7 @@ class TestSuccessors:
         edges, _ = successors_temporal(p, TempState(p.goal))
         both = next(e for e in edges if len(e.actions) == 2)
         assert both.delta == 1
-        assert both.state.in_progress == ((a, Fraction(2)),)
+        assert both.state.in_progress == ((a, 2),)
         assert both.state.goals == b.pre  # a's pre released 2 units later
 
     def test_zero_duration_effects_at_start_point(self):
@@ -190,7 +190,7 @@ class TestSuccessors:
         init = frozenset({1})
         assert final_temporal(TempState(frozenset({1})), init)
         assert not final_temporal(
-            TempState(frozenset({1}), ((a, Fraction(1)),)), init
+            TempState(frozenset({1}), ((a, 1),)), init
         )
 
 
@@ -248,16 +248,17 @@ class TestSpaceInterface:
         p = problem(["p", "q", "u"], [a], ["q"], ["p"])
         sp = TemporalSpace(p)
         t = HeuristicTable()
-        t.store(p.atom_set("q"), Fraction(4))
-        s = TempState(p.atom_set("p"), ((a, Fraction(2)),))
-        # component (pre a, offset 2) evaluates to 2 + 4
-        assert sp.evaluate(t, s) == 6
+        t.store(p.atom_set("q"), 4)
+        s = TempState(p.atom_set("p"), ((a, 2),))
+        # component (pre a, offset 2) evaluates to 2 + 4, in units and as a cost
+        assert sp.estimate(t, s) == 6
+        assert sp.evaluate(t, s) == 6 and type(sp.evaluate(t, s)) is Fraction
 
     def test_store_value_uses_storage_rule(self):
         a = act(0, "a", ["q"], ["u"])
         p = problem(["p", "q", "u"], [a], ["q"], ["p"])
         sp = TemporalSpace(p)
         t = HeuristicTable()
-        s = TempState(p.atom_set("p"), ((a, Fraction(2)),))
-        sp.store_value(t, s, Fraction(5))
+        s = TempState(p.atom_set("p"), ((a, 2),))
+        sp.store_value(t, s, 5)
         assert t.lookup_exact(p.atom_set("p", "q")) == 3
