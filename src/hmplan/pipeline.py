@@ -1,8 +1,8 @@
 """The planner pipeline.
 
 `run_pipeline` is the one entry point.  Every run starts from a complete h^m
-heuristic computed by the generalized Bellman-Ford fixpoint and ends with
-IDA* on the shared heuristic table.  The boosted pipeline ("hspa") runs
+heuristic, computed by the label-setting engine of `hm`, and ends with IDA*
+on the shared heuristic table.  The boosted pipeline ("hspa") runs
 relaxed m-regression passes with increasing m in between, each of which
 improves the table, until a stopping rule fires; the plain pipeline ("tp4")
 is the same run with no passes.  If any relaxed pass proves the relaxed
@@ -104,14 +104,15 @@ def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig
            stop: tuple[str, int | None], limit: Units, recorder: Recorder | None,
            result: PlanResult) -> bool:
     """Run relaxed passes for m = base_m + 1, ... until the stopping rule
-    fires, each bounded by the limit (in units).  Returns True when a pass
-    settled the run: it proved the problem unsolvable, or the optimum above
-    the limit, or it was a complete search whose plan is `result`'s."""
+    fires (under fixed:M, up to m = M only), each bounded by the limit (in
+    units).  Returns True when a pass settled the run: it proved the problem
+    unsolvable, or the optimum above the limit, or it was a complete search
+    whose plan is `result`'s."""
     stop_kind, stop_m = stop
     prev_cost: Units | None = None
     m = config.base_m + 1
     n_atoms = len(problem.atoms)
-    while True:
+    while stop_kind != "fixed" or m <= stop_m:
         idao = IdaoSearch(space, table, m, solved_capacity=config.solved_size,
                           recorder=recorder)
         out = idao.run(limit)
@@ -133,11 +134,10 @@ def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig
                 result.plan = out.plan
                 return True
             return False
-        if stop_kind == "fixed" and m >= stop_m:
-            return False
         if stop_kind == "converged" and out.cost == prev_cost:
             return False
         prev_cost = out.cost
         m += 1
         if m > n_atoms:
             return False
+    return False

@@ -137,24 +137,31 @@ def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:
 def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, int | float]:
     """Reference schedule for the GBF h^m fixpoint: relax every set of size
     <= m round-robin (by size, lexical within) until a whole sweep changes
-    nothing.  It drives `hm._Gbf`'s own edges and relaxation step, so it
-    checks the worklist schedule of `compute_base_heuristic`, and returns
-    every set's value in units of 1/problem.scale."""
-    from hmplan.hm import _Gbf
+    nothing.  It takes only the edges from `hm._edges` and keeps its own
+    labels and relaxation step, so it checks the label-setting engine of
+    `compute_base_heuristic`, and returns every set's value in units of
+    1/problem.scale."""
+    from hmplan.hm import _edges, _subsets_upto
 
-    gbf = _Gbf(problem, m)
-    order = sorted(gbf.sets, key=lambda s: (len(s), sorted(s)))
+    value = {s: 0 if s <= problem.init else INF
+             for s in _subsets_upto(range(len(problem.atoms)), m)}
+    edges = {s: _edges(problem, s) for s in value if not s <= problem.init}
+
+    def atoms_value(atoms: AtomSet):
+        if 0 < len(atoms) <= m:
+            return value[atoms]
+        return max(map(value.__getitem__, _subsets_upto(atoms, m)), default=0)
+
     changed = True
     while changed:
         changed = False
-        for s in order:
-            if s <= problem.init:
-                continue
-            new = gbf._relax(s)
-            if new < gbf.value[s]:
-                gbf._set(s, new)
+        for s, es in edges.items():
+            new = min((delta + max(offset + atoms_value(atoms) for atoms, offset in comps)
+                       for delta, comps in es), default=INF)
+            if new < value[s]:
+                value[s] = new
                 changed = True
-    return dict(gbf.value)
+    return value
 
 
 def random_problem(rng: random.Random, max_atoms: int = 10,

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import achieve_cost, forward_dijkstra, gbf_sweep, random_problem
-from conftest import MIXED_COSTS, regression_states
+from conftest import MIXED_COSTS, MIXED_DURS, regression_states
 from hmplan import fixtures
-from hmplan.hm import compute_base_heuristic
+from hmplan.hm import _edges, _subsets_upto, compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
@@ -97,30 +97,63 @@ class TestTemporalValues:
 
 
 class TestStrategiesAgree:
-    """The worklist fixpoint equals the round-robin sweep in conftest."""
+    """The label-setting engine equals the round-robin sweep in conftest."""
 
     def test_worklist_matches_sweep_on_fixtures(self, sat1):
-        for m in (1, 2):
+        for m in (1, 2, 3):
             assert stored_sets(table_for(sat1, m)) == gbf_sweep(sat1, m)
 
     def test_worklist_matches_sweep_random(self):
         rng = random.Random(7)
-        for _ in range(15):
-            p = random_problem(rng, max_atoms=7, max_actions=10)
-            for m in (1, 2):
+        for k in range(30):
+            # Every other problem draws its costs from MIXED_COSTS.
+            costs = MIXED_COSTS if k % 2 else None
+            p = random_problem(rng, max_atoms=7, max_actions=10, costs=costs)
+            for m in (1, 2, 3):
                 assert stored_sets(table_for(p, m)) == gbf_sweep(p, m)
 
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
     def test_worklist_matches_sweep_random_concurrent(self, mode):
         rng = random.Random(19)
         finite = 0
-        for _ in range(20):
-            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode)
-            for m in (1, 2):
+        for k in range(30):
+            # Every third temporal problem draws its durations from
+            # MIXED_DURS, whose zero durations make zero-delta edges.
+            durs = MIXED_DURS if mode is Mode.TEMPORAL and k % 3 == 2 else None
+            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode, durs=durs)
+            for m in (1, 2, 3):
                 values = gbf_sweep(p, m)
                 assert stored_sets(table_for(p, m)) == values
                 finite += sum(0 < v < INF for v in values.values())
         assert finite > 0
+
+
+class TestLabelSetting:
+    def test_edge_without_subsets_keeps_its_offset(self):
+        # g by a (no preconditions, 3/2) and h by b (no preconditions, 1/2).
+        # Regressing {g, h} through a and b together steps back 1/2 to a
+        # state with only a in progress, whose start is 1 further back.  Its
+        # components are empty, so that edge reads no set, and its value,
+        # 1/2 + 1, comes from its delta and offset alone.
+        atoms = [Atom(0, "g"), Atom(1, "h")]
+        acts = [
+            GroundAction(0, "a", frozenset(), frozenset({0}), frozenset(),
+                         Fraction(1), Fraction(3, 2)),
+            GroundAction(1, "b", frozenset(), frozenset({1}), frozenset(),
+                         Fraction(1), Fraction(1, 2)),
+        ]
+        p = Problem(atoms, acts, frozenset(), frozenset({0, 1}), Mode.TEMPORAL)
+        t = table_for(p, 2)
+        # [DERIVED: a alone takes 3/2; a and b together end by 3/2, b first]
+        assert p.to_cost(t.eval(p.atom_set("g"))) == Fraction(3, 2)
+        assert p.to_cost(t.lookup_exact(p.goal)) == Fraction(3, 2)
+
+    def test_each_edge_fires_at_most_once(self, sat1):
+        stats = compute_base_heuristic(sat1, HeuristicTable(), 2)
+        built = sum(len(_edges(sat1, s)) for s in _subsets_upto(range(len(sat1.atoms)), 2)
+                    if not s <= sat1.init)
+        assert stats.rounds == 72  # pinned: the engine's firings here
+        assert stats.rounds <= built
 
 
 class TestAdmissibility:

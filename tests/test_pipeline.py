@@ -76,7 +76,7 @@ class TestHspaStopping:
     def test_no_and_returns_plan_directly(self):
         # base_m=3 makes m=4 the first pass: AND-free on this fixture
         p = fixtures.satellite()
-        res, rec = recorded(p, pipeline="hspa", base_m=3)
+        res, rec = recorded(p, pipeline="hspa", base_m=3, stop="no-and")
         assert res.outcome == "solved" and res.cost == 7
         # one pass, m=4, and no final search was needed
         assert phases(rec) == ["gbf", "idao:4"]
@@ -87,6 +87,12 @@ class TestHspaStopping:
         res, rec = recorded(p, pipeline="hspa", stop="fixed:3")
         assert res.cost == 7
         assert phases(rec) == ["gbf", "idao:3", "ida"]
+
+    def test_fixed_stop_at_base_level_runs_no_pass(self):
+        p = fixtures.satellite()
+        res, rec = recorded(p, pipeline="hspa", base_m=2, stop="fixed:2")
+        assert phases(rec) == ["gbf", "ida"]
+        assert res.cost == plan(p, pipeline="tp4", base_m=2).cost == 7
 
     def test_converged_stop(self):
         p = fixtures.satellite()
