@@ -111,9 +111,10 @@ def collect_metrics(events: list[ExpansionEvent]) -> dict[str, SpaceMetrics]:
 def write_trace_csv(path: str, trace: list[TraceRecord]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["elapsed_ms", "phase", "bound"])
+        w.writerow(["elapsed_ms", "phase", "bound", "expansions"])
         for rec in trace:
-            w.writerow([f"{rec.elapsed_ms:.3f}", rec.phase, fmt_cost(rec.bound)])
+            w.writerow([f"{rec.elapsed_ms:.3f}", rec.phase, fmt_cost(rec.bound),
+                        rec.expansions])
 
 
 def write_metrics_csv(path: str, per_space: dict[str, SpaceMetrics]) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import floor, lcm
 
 INF = float("inf")
@@ -116,6 +117,8 @@ class Problem:
         for s, what in [(init, "init"), (goal, "goal")]:
             if not s <= universe:
                 raise ValueError(f"{what} references undeclared atoms")
+        if [a.index for a in actions] != list(range(len(actions))):
+            raise ValueError("action indices must be their positions 0..n-1")
         for a in actions:
             if not (a.pre | a.add | a.delete) <= universe:
                 raise ValueError(f"action {a.name} references undeclared atoms")
@@ -141,6 +144,39 @@ class Problem:
         # action -> its cost and its duration in units of 1/scale
         self.cost_units = {a: a.cost.numerator * (scale // a.cost.denominator) for a in actions}
         self.dur_units = {a: a.dur.numerator * (scale // a.dur.denominator) for a in actions}
+
+    @cached_property
+    def conflict_masks(self) -> tuple[int, ...]:
+        """Per action index, the actions it may not overlap in time with: bit
+        b is set iff not `temporal.compatible(a, b)`, self-pairs included.
+        Built on first use, so sequential problems never pay for it, from
+        per-atom masks of the actions that use (require or add) and that
+        delete each atom."""
+        uses = [0] * len(self.atoms)
+        deletes = [0] * len(self.atoms)
+        for a in self.actions:
+            bit = 1 << a.index
+            for p in a.pre | a.add:
+                uses[p] |= bit
+            for p in a.delete:
+                deletes[p] |= bit
+        masks = [0] * len(self.actions)
+        for a in self.actions:
+            mask = 0
+            for p in a.delete:
+                mask |= uses[p]
+            for p in a.pre | a.add:
+                mask |= deletes[p]
+            masks[a.index] = mask
+        return tuple(masks)
+
+    @cached_property
+    def delete_masks(self) -> tuple[int, ...]:
+        """Per action index, the atoms it deletes as a bitmask."""
+        masks = [0] * len(self.actions)
+        for a in self.actions:
+            masks[a.index] = sum(1 << p for p in a.delete)
+        return tuple(masks)
 
     def to_cost(self, units: Units) -> Cost:
         """A count of 1/scale as a rational cost; INF stays INF."""

@@ -14,7 +14,6 @@ Fraction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .htable import HeuristicTable
@@ -97,7 +96,8 @@ def storage_value(s: TempState, found_cost: Units) -> tuple[AtomSet, Units]:
     return relaxed_atoms(s), max(found_cost - max_d, 0)
 
 
-def right_shift_forbids(pred: TempState | None, cur: TempState, a: GroundAction) -> bool:
+def right_shift_forbids(problem: Problem, pred: TempState | None, cur: TempState,
+                        a: GroundAction) -> bool:
     """True iff a must not establish anything at cur: every atom of cur.E
     that a adds was carried from the predecessor by a no-op, so a could have
     been scheduled later, ending at the predecessor's time point instead.
@@ -112,9 +112,12 @@ def right_shift_forbids(pred: TempState | None, cur: TempState, a: GroundAction)
         return False
     if a.delete & pred.goals:
         return False
-    if any(not compatible(a, b) for b, _ in pred.in_progress):
-        return False
-    return all(compatible(a, c) for c in cur.pred_chosen)
+    there = 0
+    for b, _ in pred.in_progress:
+        there |= 1 << b.index
+    for c in cur.pred_chosen:
+        there |= 1 << c.index
+    return not problem.conflict_masks[a.index] & there
 
 
 @dataclass(frozen=True)
@@ -135,64 +138,80 @@ def successors_temporal(
     Each atom of E gets an establisher: a real action adding it, or a no-op.
     Chosen actions must be pairwise compatible, compatible with everything in
     F, and nothing (chosen or in F) may delete a no-op'd atom.  Returns the
-    edge list and the number of establisher candidates removed by the
+    edge list and the number of (atom, adder) pairs removed by the
     right-shift rule (0 unless use_right_shift).
+
+    Order contract: the edges are those of the product of the establisher
+    choices per goal atom (atoms in id order; the no-op first, then the
+    adders in action index order), in product order, each signature (chosen
+    actions, no-op'd atoms) at its first occurrence.  IDA* sorts edges
+    stably, so this order decides its expansions.
+
+    The choices are made atom by atom over the problem's conflict and delete
+    masks, and a partial choice is cut as soon as it conflicts with F, with
+    the actions chosen so far or with the no-op'd atoms.  Partial choices
+    with the same signature have the same completions, so only the first of
+    them in product order is kept; every completion of the others repeats a
+    signature that occurred earlier.
     """
-    goal_ids = sorted(s.goals)
-    f_actions = [a for a, _ in s.in_progress]
-    dur = problem.dur_units
+    conflict = problem.conflict_masks
+    deletes = problem.delete_masks
+    f_mask = f_del = 0
+    for a, _ in s.in_progress:
+        f_mask |= 1 << a.index
+        f_del |= deletes[a.index]
     cut_count = 0
 
-    # Establisher candidates per atom; None encodes the no-op.
-    options: list[list[GroundAction | None]] = []
+    # Partial choices in product order: (chosen actions, no-op'd atoms) as
+    # bitmasks, mapped to the atoms the chosen actions delete.
+    goal_ids = sorted(s.goals)
+    frontier = {(0, 0): 0}
     for p in goal_ids:
-        cands: list[GroundAction | None] = [None]
+        cands = []
         for a in problem.adders[p]:
-            if use_right_shift and right_shift_forbids(pred, s, a):
+            if use_right_shift and right_shift_forbids(problem, pred, s, a):
                 cut_count += 1
-                continue
-            if all(compatible(a, b) for b in f_actions):
-                cands.append(a)
-        options.append(cands)
+            elif not conflict[a.index] & f_mask:
+                cands.append((1 << a.index, conflict[a.index], deletes[a.index]))
+        bit = 1 << p
+        noop_ok = not f_del & bit
+        extended = {}
+        for (chosen, noops), dels in frontier.items():
+            if noop_ok and not dels & bit:
+                extended.setdefault((chosen, noops | bit), dels)
+            for abit, aconflict, adel in cands:
+                if chosen & abit:
+                    # Chosen already, and tested then; an action that deletes
+                    # its own precondition has its own conflict bit set.
+                    extended.setdefault((chosen, noops), dels)
+                elif not (aconflict & chosen or adel & noops):
+                    extended.setdefault((chosen | abit, noops), dels | adel)
+        frontier = extended
 
+    actions = problem.actions
+    dur = problem.dur_units
+    in_progress = s.in_progress
     edges: list[TempEdge] = []
-    seen: set[tuple[tuple[int, ...], AtomSet]] = set()
-    for choice in itertools.product(*options):
-        chosen: dict[int, GroundAction] = {}
-        noops: set[int] = set()
-        for p, a in zip(goal_ids, choice):
-            if a is None:
-                noops.add(p)
-            else:
-                chosen[a.index] = a
-        if not chosen and not s.in_progress:
+    for chosen, noops in frontier:
+        if not chosen and not in_progress:
             continue  # pure stutter
-        sig = (tuple(sorted(chosen)), frozenset(noops))
-        if sig in seen:
-            continue
-        seen.add(sig)
-        acts = [chosen[i] for i in sorted(chosen)]
-        if any(a.delete & noops for a in acts):
-            continue
-        if any(a.delete & noops for a in f_actions):
-            continue
-        ok = True
-        for a, b in itertools.combinations(acts, 2):
-            if not compatible(a, b):
-                ok = False
-                break
-        if not ok:
-            continue
+        picked = []
+        while chosen:
+            low = chosen & -chosen
+            picked.append(actions[low.bit_length() - 1])
+            chosen ^= low
+        acts = tuple(picked)
+        noop_set = frozenset(p for p in goal_ids if noops >> p & 1)
 
-        # Offsets: durations of chosen positive-duration actions plus F.
-        offsets: list[FEntry] = [(a, dur[a]) for a in acts if dur[a] > 0]
-        offsets.extend(s.in_progress)
-        zero_pre: AtomSet = frozenset()
+        # Offsets: F plus the durations of chosen positive-duration actions;
+        # a zero-duration action needs its preconditions at once.
+        offsets = list(in_progress)
+        released: AtomSet = EMPTY
         for a in acts:
-            if dur[a] == 0:
-                zero_pre = zero_pre | a.pre
-        noop_set = frozenset(noops)
-        released = zero_pre
+            if dur[a] > 0:
+                offsets.append((a, dur[a]))
+            else:
+                released = released | a.pre
         if not offsets:
             advance = 0
             new_f: tuple[FEntry, ...] = ()
@@ -210,8 +229,8 @@ def successors_temporal(
         # reason for being a goal; atoms also required as preconditions stay
         # required no matter how the carried copy came about.
         state = TempState(new_e, new_f, noop_carried=noop_set - released,
-                          pred_chosen=tuple(acts))
-        edges.append(TempEdge(state, advance, tuple(acts)))
+                          pred_chosen=acts)
+        edges.append(TempEdge(state, advance, acts))
     return edges, cut_count
 
 

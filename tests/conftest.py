@@ -4,7 +4,9 @@ The oracles here are deliberately independent of the planner's search code:
 sequential costs come from forward Dijkstra over full world states, parallel
 makespans from forward breadth-first search over compatible action sets.
 The temporal oracle is a blind (heuristic-free) Dijkstra over the regression
-graph; it shares only the transition relation with the planner.
+graph.  Its transitions come from `successors_product`, the plain product
+enumeration of establisher choices that `successors_temporal` must match;
+the two share only `compatible` and the state and edge types.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from hmplan.model import INF, ZERO, Atom, AtomSet, GroundAction, Mode, Problem
-from hmplan.temporal import TempState, compatible, final_temporal, successors_temporal
+from hmplan.temporal import FEntry, TempEdge, TempState, compatible, final_temporal
 
 
 def forward_dijkstra(problem: Problem) -> dict[AtomSet, Fraction]:
@@ -92,6 +94,114 @@ def parallel_makespan(problem: Problem):
     return INF
 
 
+def _right_shift_forbids(pred: TempState | None, cur: TempState, a: GroundAction) -> bool:
+    """The right-shift rule stated with `compatible`: a may not establish
+    anything at cur if every atom of cur.E that it adds was carried from the
+    predecessor by a no-op, it deletes none of the predecessor's goals, and
+    it is compatible with the predecessor's in-progress actions and with the
+    establishers chosen there."""
+    if pred is None:
+        return False
+    added = a.add & cur.goals
+    if not added or not added <= cur.noop_carried:
+        return False
+    if a.delete & pred.goals:
+        return False
+    if any(not compatible(a, b) for b, _ in pred.in_progress):
+        return False
+    return all(compatible(a, c) for c in cur.pred_chosen)
+
+
+def successors_product(
+    problem: Problem,
+    s: TempState,
+    pred: TempState | None = None,
+    use_right_shift: bool = False,
+) -> tuple[list[TempEdge], int]:
+    """Reference enumeration for `successors_temporal`: the full
+    `itertools.product` of establisher candidates per sorted goal atom (the
+    no-op first, then the adders in action index order), each signature
+    (chosen actions, no-op'd atoms) kept at its first occurrence and only
+    then filtered for compatibility and no-op deletes.  Returns the edges in
+    that order and the number of (atom, adder) pairs the right-shift rule
+    removed."""
+    goal_ids = sorted(s.goals)
+    f_actions = [a for a, _ in s.in_progress]
+    dur = problem.dur_units
+    cut_count = 0
+
+    # Establisher candidates per atom; None encodes the no-op.
+    options: list[list[GroundAction | None]] = []
+    for p in goal_ids:
+        cands: list[GroundAction | None] = [None]
+        for a in problem.adders[p]:
+            if use_right_shift and _right_shift_forbids(pred, s, a):
+                cut_count += 1
+                continue
+            if all(compatible(a, b) for b in f_actions):
+                cands.append(a)
+        options.append(cands)
+
+    edges: list[TempEdge] = []
+    seen: set[tuple[tuple[int, ...], AtomSet]] = set()
+    for choice in itertools.product(*options):
+        chosen: dict[int, GroundAction] = {}
+        noops: set[int] = set()
+        for p, a in zip(goal_ids, choice):
+            if a is None:
+                noops.add(p)
+            else:
+                chosen[a.index] = a
+        if not chosen and not s.in_progress:
+            continue  # pure stutter
+        sig = (tuple(sorted(chosen)), frozenset(noops))
+        if sig in seen:
+            continue
+        seen.add(sig)
+        acts = [chosen[i] for i in sorted(chosen)]
+        if any(a.delete & noops for a in acts):
+            continue
+        if any(a.delete & noops for a in f_actions):
+            continue
+        ok = True
+        for a, b in itertools.combinations(acts, 2):
+            if not compatible(a, b):
+                ok = False
+                break
+        if not ok:
+            continue
+
+        # Offsets: durations of chosen positive-duration actions plus F.
+        offsets: list[FEntry] = [(a, dur[a]) for a in acts if dur[a] > 0]
+        offsets.extend(s.in_progress)
+        zero_pre: AtomSet = frozenset()
+        for a in acts:
+            if dur[a] == 0:
+                zero_pre = zero_pre | a.pre
+        noop_set = frozenset(noops)
+        released = zero_pre
+        if not offsets:
+            advance = 0
+            new_f: tuple[FEntry, ...] = ()
+        else:
+            advance = min(d for _, d in offsets)
+            remaining = []
+            for a, d in offsets:
+                if d == advance:
+                    released = released | a.pre
+                else:
+                    remaining.append((a, d - advance))
+            new_f = tuple(sorted(remaining, key=lambda e: (e[0].index, e[1])))
+        new_e = noop_set | released
+        # An atom counts as no-op-carried only if persistence is its sole
+        # reason for being a goal; atoms also required as preconditions stay
+        # required no matter how the carried copy came about.
+        state = TempState(new_e, new_f, noop_carried=noop_set - released,
+                          pred_chosen=tuple(acts))
+        edges.append(TempEdge(state, advance, tuple(acts)))
+    return edges, cut_count
+
+
 def temporal_makespan(problem: Problem, cap: int = 200_000):
     """Blind Dijkstra over the temporal regression graph (no heuristic,
     no right-shift, no transposition table).  The graph's time advances
@@ -109,7 +219,7 @@ def temporal_makespan(problem: Problem, cap: int = 200_000):
         assert popped <= cap, "temporal oracle exceeded its search cap"
         if final_temporal(s, problem.init):
             return Fraction(d, problem.scale)
-        edges, _ = successors_temporal(problem, s)
+        edges, _ = successors_product(problem, s)
         for e in edges:
             nd = d + e.delta
             if nd < dist.get(e.state, INF):

@@ -132,8 +132,16 @@ class TestArtifacts:
         code, _, _ = run(capsys, *OBS, "--trace", str(out_csv))
         assert code == 0
         rows = list(csv.reader(out_csv.open()))
-        assert rows[0] == ["elapsed_ms", "phase", "bound"]
+        assert rows[0] == ["elapsed_ms", "phase", "bound", "expansions"]
         assert rows[-1][1] == "ida" and rows[-1][2] == "7"
+        # The cumulative expansion count at each record never goes down; the
+        # IDAO* pass expands nodes before the final IDA* bound is set.
+        code, _, _ = run(capsys, *OBS, "--pipeline", "hspa", "--stop", "fixed:3",
+                         "--trace", str(out_csv))
+        assert code == 0
+        rows = list(csv.reader(out_csv.open()))
+        counts = [int(r[3]) for r in rows[1:]]
+        assert counts == sorted(counts) and counts[-1] > 0
 
     def test_metrics_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "metrics.csv"

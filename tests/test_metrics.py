@@ -118,8 +118,9 @@ class TestCsv:
         out = tmp_path / "trace.csv"
         write_trace_csv(str(out), rec.trace)
         rows = list(csv.reader(out.open()))
-        assert rows[0] == ["elapsed_ms", "phase", "bound"]
+        assert rows[0] == ["elapsed_ms", "phase", "bound", "expansions"]
         assert rows[1][1] == "ida" and rows[1][2] == "7"
+        assert [int(r[3]) for r in rows[1:]] == [r.expansions for r in rec.trace]
 
     def test_metrics_csv(self, tmp_path):
         rec = run_instrumented(fixtures.satellite())

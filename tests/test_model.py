@@ -72,6 +72,14 @@ class TestProblem:
         with pytest.raises(ValueError):
             Problem([Atom(0, "p"), Atom(2, "q")], [], frozenset(), frozenset())
 
+    def test_action_indices_are_positions(self):
+        # the temporal conflict masks give action a the bit 1 << a.index
+        p, q = act(index=0), act(index=1)
+        Problem([Atom(0, "p")], [p, q], frozenset(), frozenset())
+        for actions in ([q], [q, p], [p, p]):
+            with pytest.raises(ValueError):
+                Problem([Atom(0, "p")], actions, frozenset(), frozenset())
+
     def test_undeclared_atoms_rejected(self):
         with pytest.raises(ValueError):
             Problem([Atom(0, "p")], [], frozenset({1}), frozenset())

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hmplan import fixtures
+from conftest import MIXED_DURS, random_problem, successors_product
+from hmplan import fixtures, pddl
 from hmplan.htable import HeuristicTable
 from hmplan.model import ZERO, Atom, GroundAction, Mode, Problem
+from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.temporal import (
     TempState,
     TemporalSpace,
@@ -17,6 +21,8 @@ from hmplan.temporal import (
     successors_temporal,
 )
 
+
+DATA = Path(__file__).parent / "data"
 
 _NAMES = ["p", "q", "r", "s", "u", "v"]
 _ID = {n: i for i, n in enumerate(_NAMES)}
@@ -202,11 +208,11 @@ class TestRightShift:
         edges, _ = successors_temporal(sat1, root)
         cur = next(e for e in edges if e.actions == (take5,)).state
         assert cur.noop_carried == sat1.atom_set("img d4")
-        assert right_shift_forbids(root, cur, take4)
+        assert right_shift_forbids(sat1, root, cur, take4)
 
     def test_no_cut_without_predecessor(self, sat1):
         take4 = by_name(sat1, "take-image d4")
-        assert not right_shift_forbids(None, TempState(sat1.goal), take4)
+        assert not right_shift_forbids(sat1, None, TempState(sat1.goal), take4)
 
     def test_no_cut_when_incompatible_with_chosen(self, sat1):
         # turn d4 d5 deletes (point d4): take-image d4 cannot shift across it
@@ -219,7 +225,7 @@ class TestRightShift:
         s2 = next(e for e in successors_temporal(sat1, s1)[0]
                   if e.actions == (turn,)).state
         assert sat1.atom_id("img d4") in s2.noop_carried
-        assert not right_shift_forbids(s1, s2, take4)
+        assert not right_shift_forbids(sat1, s1, s2, take4)
 
     def test_no_cut_when_atom_also_released_precondition(self, sat1):
         # (point d4) is no-op'd and simultaneously pre of the chosen take-image
@@ -229,7 +235,7 @@ class TestRightShift:
         s3 = next(e for e in successors_temporal(sat1, s2)[0]
                   if e.actions == (take4,)).state
         assert sat1.atom_id("point d4") not in s3.noop_carried
-        assert not right_shift_forbids(s2, s3, turn24)
+        assert not right_shift_forbids(sat1, s2, s3, turn24)
 
     def test_cut_counting(self, sat1):
         take5 = by_name(sat1, "take-image d5")
@@ -262,3 +268,135 @@ class TestSpaceInterface:
         s = TempState(p.atom_set("p"), ((a, 2),))
         sp.store_value(t, s, 5)
         assert t.lookup_exact(p.atom_set("p", "q")) == 3
+
+
+def _self_deleting(rng, mode):
+    """A random problem in which some actions delete their own
+    preconditions (so they conflict with themselves)."""
+    p = random_problem(rng, mode=mode, durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+    actions = [
+        GroundAction(a.index, a.name, a.pre | frozenset(sorted(a.delete)[:rng.randint(0, 1)]),
+                     a.add, a.delete, a.cost, a.dur)
+        for a in p.actions
+    ]
+    return Problem(list(p.atoms), actions, p.init, p.goal, mode, p.name)
+
+
+class TestConflictMasks:
+    @staticmethod
+    def check(problem):
+        for a in problem.actions:
+            conflicts = problem.conflict_masks[a.index]
+            for b in problem.actions:
+                assert bool(conflicts >> b.index & 1) == (not compatible(a, b)), (a, b)
+            assert problem.delete_masks[a.index] == sum(1 << p for p in a.delete)
+
+    def test_satellite(self, sat1):
+        self.check(sat1)
+        # take-image d4 needs (point d4), which turn d4 d5 deletes
+        take4, turn = by_name(sat1, "take-image d4"), by_name(sat1, "turn d4 d5")
+        assert sat1.conflict_masks[take4.index] >> turn.index & 1
+
+    def test_temporal_mix(self):
+        self.check(fixtures.temporal_mix())
+
+    def test_workshop_pddl(self):
+        self.check(pddl.load(str(DATA / "workshop-domain.pddl"),
+                             str(DATA / "workshop-1.pddl"), Mode.TEMPORAL))
+
+    def test_random_self_deleting(self, rng):
+        self_conflicts = 0
+        for mode in (Mode.TEMPORAL, Mode.PARALLEL):
+            for _ in range(40):
+                p = _self_deleting(rng, mode)
+                self.check(p)
+                self_conflicts += sum(p.conflict_masks[a.index] >> a.index & 1
+                                      for a in p.actions)
+        assert self_conflicts > 0
+
+    def test_sequential_runs_build_no_masks(self):
+        p = fixtures.satellite()
+        assert run_pipeline(p, PlannerConfig()).outcome == "solved"
+        assert "conflict_masks" not in vars(p) and "delete_masks" not in vars(p)
+
+
+def _walk(problem, rng, depth=4, width=3):
+    """(predecessor, state) pairs up to `depth` regression steps from the
+    goal, following up to `width` random edges of each state."""
+    out = []
+    frontier = [(None, TempState(problem.goal))]
+    for _ in range(depth):
+        nxt = []
+        for pred, s in frontier:
+            out.append((pred, s))
+            edges, _ = successors_product(problem, s)
+            nxt += [(s, e.state) for e in rng.sample(edges, min(width, len(edges)))]
+        frontier = nxt
+    return out
+
+
+class TestAgainstProduct:
+    """`successors_temporal` against the product enumeration it replaced:
+    the same edges in the same order, the same annotations, the same cuts."""
+
+    @staticmethod
+    def same(problem, pred, s, right_shift):
+        got, got_cuts = successors_temporal(problem, s, pred, right_shift)
+        want, want_cuts = successors_product(problem, s, pred, right_shift)
+        assert got_cuts == want_cuts
+        assert got == want
+        for g, w in zip(got, want):
+            assert (g.delta, g.actions) == (w.delta, w.actions)
+            assert (g.state.goals, g.state.in_progress) == (w.state.goals, w.state.in_progress)
+            # compare=False fields, which TempEdge equality ignores
+            assert g.state.noop_carried == w.state.noop_carried
+            assert g.state.pred_chosen == w.state.pred_chosen
+        return len(got), got_cuts
+
+    @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
+    def test_random_walks(self, rng, mode):
+        edges = cuts = with_f = 0
+        for _ in range(30):
+            p = random_problem(rng, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            for pred, s in _walk(p, rng):
+                with_f += bool(s.in_progress)
+                for right_shift in (False, True):
+                    n, c = self.same(p, pred, s, right_shift)
+                    edges, cuts = edges + n, cuts + c
+        assert edges > 0 and cuts > 0
+        if mode is Mode.TEMPORAL:
+            assert with_f > 0
+
+    def test_random_states(self, rng):
+        # States no regression from the goal reaches: there, no action of F
+        # ever deletes an atom of E, so only drawn states reach that rule.
+        f_deletes = 0
+        for _ in range(60):
+            p = random_problem(rng, mode=Mode.TEMPORAL, durs=MIXED_DURS)
+            ids = range(len(p.atoms))
+            long = [a for a in p.actions if p.dur_units[a] > 1]
+            for _ in range(10):
+                goals = frozenset(rng.sample(ids, rng.randint(1, 4)))
+                f = tuple(sorted({(a, rng.randint(1, p.dur_units[a] - 1))
+                                  for a in rng.sample(long, min(len(long), rng.randint(0, 2)))},
+                                 key=lambda e: (e[0].index, e[1])))
+                s = TempState(goals, f)
+                f_deletes += any(a.delete & goals for a, _ in f)
+                self.same(p, None, s, False)
+        assert f_deletes > 0
+
+    def test_self_deleting_walks(self, rng):
+        for _ in range(20):
+            p = _self_deleting(rng, Mode.TEMPORAL)
+            for pred, s in _walk(p, rng):
+                for right_shift in (False, True):
+                    self.same(p, pred, s, right_shift)
+
+    def test_fixtures(self, sat1):
+        rng = random.Random(7)
+        for p in (sat1, fixtures.satellite(("d2", "d3", "d4", "d5"), Mode.PARALLEL),
+                  fixtures.temporal_mix()):
+            for pred, s in _walk(p, rng, width=2):
+                for right_shift in (False, True):
+                    self.same(p, pred, s, right_shift)
