@@ -80,6 +80,13 @@ def _plan(args: argparse.Namespace) -> int:
     # Only the artifacts read the recorder; without them the run counts nothing.
     recorder = None
     if args.trace or args.metrics:
+        # Fail before the search, not after it, on a path that cannot be written.
+        for path in filter(None, (args.trace, args.metrics)):
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                print(f"hmplan: cannot write {path}: {exc.strerror}", file=sys.stderr)
+                return 2
         recorder = Recorder(first_iteration_only=args.first_iteration_only)
     try:
         result = run_pipeline(problem, config, recorder)

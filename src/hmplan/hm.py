@@ -135,6 +135,6 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
         raise ValueError(f"table counts 1/{table.scale}, problem 1/{problem.scale}")
     sets = list(_subsets_upto(range(len(problem.atoms)), m))
     values, fired = _label_setting(problem, m, sets)
-    for s, v in zip(sets, values):  # by size, lexical within: each prefix comes first
+    for s, v in zip(sets, values):
         table.store(s, v)
     return GbfStats(len(sets), fired)

@@ -121,31 +121,28 @@ class IdaoSearch:
             current = new
         return current, self._solved_flag
 
-    def _lookup_solved(self, key) -> Units | None:
-        hit = self.solved.get(key)
-        if self.recorder:
-            self.recorder.solved_table(hit is not None)
-        return hit
-
     def _dfs(self, state, bound: Units, on_path: set) -> Units:
         space = self.space
         if space.is_final(state):
             self._solved_flag = True
             self._chain = []
             return 0
-        size = space.size(state)
-        if size > self.m:
-            return self._expand_and(state, bound)
-        return self._expand_or(state, bound, on_path)
-
-    def _expand_and(self, state, bound: Units) -> Units:
-        space = self.space
+        # AND nodes are solved by their atoms, OR nodes by the state itself.
         atoms = space.atoms_of(state)
-        hit = self._lookup_solved(atoms)
+        is_and = len(atoms) > self.m
+        hit = self.solved.get(atoms if is_and else state)
+        if self.recorder:
+            self.recorder.solved_table(hit is not None)
         if hit is not None:
             self._solved_flag = True
             self._chain = None
             return hit
+        if is_and:
+            return self._expand_and(atoms, bound)
+        return self._expand_or(state, atoms, bound, on_path)
+
+    def _expand_and(self, atoms: AtomSet, bound: Units) -> Units:
+        space = self.space
         self.complete = False
         subsets = enumerate_and_successors(atoms, self.m)
         if self.recorder:
@@ -169,19 +166,12 @@ class IdaoSearch:
             self.solved.put(atoms, worst)
         return worst
 
-    def _expand_or(self, state, bound: Units, on_path: set) -> Units:
+    def _expand_or(self, state, atoms: AtomSet, bound: Units, on_path: set) -> Units:
         space = self.space
-        key = space.key(state)
-        hit = self._lookup_solved(key)
-        if hit is not None:
-            self._solved_flag = True
-            self._chain = None
-            return hit
         edges, _ = space.successors(state)
         if self.recorder:
-            self.recorder.expansion(
-                OR, space.size(state), tuple(space.size(e.state) for e in edges)
-            )
+            self.recorder.expansion(OR, len(atoms),
+                                    tuple(len(space.atoms_of(e.state)) for e in edges))
         # best: least cost not proven exceeded, used as the next bound; every
         # contribution exceeds the current bound, so iteration always makes
         # progress.  Branches closing a cycle on the current path are left out
@@ -202,7 +192,7 @@ class IdaoSearch:
                 r = edge.delta + self._dfs(edge.state, bound - edge.delta, on_path)
                 if self._solved_flag:
                     on_path.discard(state)
-                    self.solved.put(key, r)
+                    self.solved.put(state, r)
                     space.store_value(self.table, state, r)
                     if self._chain is not None:
                         self._chain.append(edge)

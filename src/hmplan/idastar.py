@@ -96,7 +96,7 @@ class IdaStar:
         root_h = space.estimate(self.table, root)
         bound = root_h
         if self.tt is not None:
-            cached = self.tt.get(space.key(root))
+            cached = self.tt.get(root)
             if cached is not None and cached > bound:
                 bound = cached
         while True:
@@ -137,9 +137,8 @@ class IdaStar:
             if g > bound:
                 return g, True
             return _SOLVED
-        key = space.key(state)
         if self.tt is not None:
-            cached = self.tt.get(key)
+            cached = self.tt.get(state)
             if cached is not None and cached > h:
                 h = cached
         f = g + h
@@ -147,9 +146,8 @@ class IdaStar:
             return f, True
         edges, cut_count = space.successors(state, pred, self.right_shift)
         if self.recorder:
-            self.recorder.expansion(
-                NORMAL, space.size(state), tuple(space.size(e.state) for e in edges)
-            )
+            self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
+                                    tuple(len(space.atoms_of(e.state)) for e in edges))
         estimate, table = space.estimate, self.table
         scored = sorted(
             ((e.delta + estimate(table, e.state), e) for e in edges),
@@ -179,7 +177,7 @@ class IdaStar:
         if self.tt is not None and cut_count == 0 and clean:
             new_h = subtree_min - g if subtree_min != INF else INF
             if new_h > h:
-                self.tt.put(key, new_h, depth)
+                self.tt.put(state, new_h, depth)
         return subtree_min, clean
 
 

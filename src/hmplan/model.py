@@ -18,7 +18,7 @@ space's `evaluate`, the upper limit and printing.  `Problem.to_cost` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, lcm
@@ -70,11 +70,7 @@ class Atom:
 @dataclass(frozen=True, eq=False)
 class GroundAction:
     """STRIPS action with exact cost and duration.  Identity-hashed: two
-    actions are the same only if they are the same object of one Problem.
-
-    `persistent` (pre minus delete) is derived in __post_init__; those atoms
-    must remain true over the action's whole execution interval.
-    """
+    actions are the same only if they are the same object of one Problem."""
 
     index: int
     name: str
@@ -83,7 +79,6 @@ class GroundAction:
     delete: AtomSet
     cost: Fraction = ONE
     dur: Fraction = ONE
-    persistent: AtomSet = field(init=False)
 
     def __post_init__(self) -> None:
         if self.add & self.delete:
@@ -92,7 +87,6 @@ class GroundAction:
             raise ValueError(f"action {self.name}: cost must be a positive rational")
         if not isinstance(self.dur, Fraction) or self.dur < 0:
             raise ValueError(f"action {self.name}: duration must be a rational >= 0")
-        object.__setattr__(self, "persistent", self.pre - self.delete)
 
     def __repr__(self) -> str:
         return f"GroundAction({self.name!r})"
@@ -186,9 +180,6 @@ class Problem:
         """The largest count of 1/scale not above the cost; INF stays INF.
         A count x exceeds the cost exactly when x > to_units(cost)."""
         return cost if cost == INF else floor(cost * self.scale)
-
-    def atom_name(self, atom_id: int) -> str:
-        return self._name_of[atom_id]
 
     def atom_id(self, name: str) -> int:
         return self._id_of[name]

@@ -69,9 +69,13 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
                  recorder: Recorder | None = None) -> PlanResult:
     """Solve the problem optimally, or prove it unsolvable, or report the
     next bound above `config.upper_limit`; raises ValueError on a bad
-    pipeline name or stopping rule before any work is done."""
+    pipeline name, stopping rule or table size before any work is done."""
     if config.pipeline not in ("tp4", "hspa"):
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
+    if config.tt_size < 1:
+        raise ValueError("transposition table size must be at least 1")
+    if config.solved_size < 1:
+        raise ValueError("solved table size must be at least 1")
     stop = _parse_stop(config.stop)
     limit = problem.to_units(config.upper_limit)
     table = HeuristicTable(problem.scale)

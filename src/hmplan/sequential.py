@@ -70,12 +70,6 @@ class SequentialSpace:
     def evaluate(self, table: HeuristicTable, s: AtomSet) -> Cost:
         return self.problem.to_cost(table.eval(s))
 
-    def size(self, s: AtomSet) -> int:
-        return len(s)
-
-    def key(self, s: AtomSet) -> AtomSet:
-        return s
-
     def atoms_of(self, s: AtomSet) -> AtomSet:
         return s
 

@@ -262,12 +262,6 @@ class TemporalSpace:
     def evaluate(self, table: HeuristicTable, s: TempState) -> Cost:
         return self.problem.to_cost(self.estimate(table, s))
 
-    def size(self, s: TempState) -> int:
-        return len(relaxed_atoms(s))
-
-    def key(self, s: TempState) -> TempState:
-        return s
-
     def atoms_of(self, s: TempState) -> AtomSet:
         return relaxed_atoms(s)
 

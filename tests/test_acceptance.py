@@ -323,9 +323,9 @@ class TestCriteria:
             seen = set()
             while frontier and len(seen) < 300:
                 s = frontier.pop()
-                if sp.key(s) in seen:
+                if s in seen:
                     continue
-                seen.add(sp.key(s))
+                seen.add(s)
                 for edge in sp.successors(s, None, False)[0]:
                     if sp.estimate(t, s) > edge.delta + sp.estimate(t, edge.state):
                         temp_violations += 1

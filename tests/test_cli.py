@@ -107,6 +107,24 @@ class TestNonZeroExits:
         code, out, err = run(capsys, *OBS, "--stop", "bogus")
         assert code == 2 and "bogus" in err and out == ""
 
+    @pytest.mark.parametrize("pipeline", ["tp4", "hspa"])
+    @pytest.mark.parametrize("option", ["--tt-size", "--solved-size"])
+    def test_table_size_below_one(self, capsys, monkeypatch, pipeline, option):
+        # Rejected before any search: the GBF never runs.
+        monkeypatch.setattr("hmplan.pipeline.compute_base_heuristic", None)
+        code, out, err = run(capsys, *OBS, "--pipeline", pipeline, option, "0")
+        assert code == 2 and out == ""
+        assert "size must be at least 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--trace", "--metrics"])
+    def test_unwritable_artifact_path(self, tmp_path, capsys, monkeypatch, option):
+        # Rejected before any search, naming the path.
+        monkeypatch.setattr(cli, "run_pipeline", None)
+        path = str(tmp_path / "missing" / "out.csv")
+        code, out, err = run(capsys, *OBS, option, path)
+        assert code == 2 and out == ""
+        assert err.startswith("hmplan: ") and path in err
+
     def test_malformed_pddl(self, tmp_path, capsys):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain x) (:predicates (p))\n"
@@ -131,7 +149,7 @@ class TestArtifacts:
         out_csv = tmp_path / "trace.csv"
         code, _, _ = run(capsys, *OBS, "--trace", str(out_csv))
         assert code == 0
-        rows = list(csv.reader(out_csv.open()))
+        rows = list(csv.reader(out_csv.read_text().splitlines()))
         assert rows[0] == ["elapsed_ms", "phase", "bound", "expansions"]
         assert rows[-1][1] == "ida" and rows[-1][2] == "7"
         # The cumulative expansion count at each record never goes down; the
@@ -139,7 +157,7 @@ class TestArtifacts:
         code, _, _ = run(capsys, *OBS, "--pipeline", "hspa", "--stop", "fixed:3",
                          "--trace", str(out_csv))
         assert code == 0
-        rows = list(csv.reader(out_csv.open()))
+        rows = list(csv.reader(out_csv.read_text().splitlines()))
         counts = [int(r[3]) for r in rows[1:]]
         assert counts == sorted(counts) and counts[-1] > 0
 
@@ -148,7 +166,7 @@ class TestArtifacts:
         code, _, _ = run(capsys, *OBS, "--pipeline", "hspa", "--stop",
                          "fixed:3", "--metrics", str(out_csv))
         assert code == 0
-        rows = list(csv.reader(out_csv.open()))
+        rows = list(csv.reader(out_csv.read_text().splitlines()))
         assert rows[0] == ["space", "avg_size", "avg_ratio", "avg_branching",
                            "expansions"]
         spaces = {r[0] for r in rows[1:]}

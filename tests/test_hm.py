@@ -18,9 +18,11 @@ def table_for(problem, m):
     return t
 
 
-def stored_sets(table):
-    """The table's nonempty stored sets and their values, in units."""
-    return {frozenset(ids): v for ids, v in table.items() if ids}
+def stored_sets(problem, m):
+    """The values, in units, of the nonempty sets of size <= m in the
+    problem's complete h^m table."""
+    table = table_for(problem, m)
+    return {s: table.eval(s) for s in _subsets_upto(range(len(problem.atoms)), m)}
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +103,7 @@ class TestStrategiesAgree:
 
     def test_worklist_matches_sweep_on_fixtures(self, sat1):
         for m in (1, 2, 3):
-            assert stored_sets(table_for(sat1, m)) == gbf_sweep(sat1, m)
+            assert stored_sets(sat1, m) == gbf_sweep(sat1, m)
 
     def test_worklist_matches_sweep_random(self):
         rng = random.Random(7)
@@ -110,7 +112,7 @@ class TestStrategiesAgree:
             costs = MIXED_COSTS if k % 2 else None
             p = random_problem(rng, max_atoms=7, max_actions=10, costs=costs)
             for m in (1, 2, 3):
-                assert stored_sets(table_for(p, m)) == gbf_sweep(p, m)
+                assert stored_sets(p, m) == gbf_sweep(p, m)
 
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
     def test_worklist_matches_sweep_random_concurrent(self, mode):
@@ -123,7 +125,7 @@ class TestStrategiesAgree:
             p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode, durs=durs)
             for m in (1, 2, 3):
                 values = gbf_sweep(p, m)
-                assert stored_sets(table_for(p, m)) == values
+                assert stored_sets(p, m) == values
                 finite += sum(0 < v < INF for v in values.values())
         assert finite > 0
 
@@ -146,7 +148,7 @@ class TestLabelSetting:
         t = table_for(p, 2)
         # [DERIVED: a alone takes 3/2; a and b together end by 3/2, b first]
         assert p.to_cost(t.eval(p.atom_set("g"))) == Fraction(3, 2)
-        assert p.to_cost(t.lookup_exact(p.goal)) == Fraction(3, 2)
+        assert p.to_cost(t.eval(p.goal)) == Fraction(3, 2)
 
     def test_each_edge_fires_at_most_once(self, sat1):
         stats = compute_base_heuristic(sat1, HeuristicTable(), 2)
@@ -180,7 +182,8 @@ class TestAdmissibility:
         stats = compute_base_heuristic(sat1, t, 2)
         n = len(sat1.atoms)
         assert stats.sets == n + n * (n - 1) // 2
-        mutex_pairs = sum(1 for ids, v in t.items() if len(ids) == 2 and v == INF)
+        mutex_pairs = sum(1 for s in _subsets_upto(range(n), 2)
+                          if len(s) == 2 and t.eval(s) == INF)
         assert mutex_pairs >= 10  # the pointing mutexes at least
 
 

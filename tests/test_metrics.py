@@ -117,7 +117,7 @@ class TestCsv:
         rec = run_instrumented(fixtures.satellite())
         out = tmp_path / "trace.csv"
         write_trace_csv(str(out), rec.trace)
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["elapsed_ms", "phase", "bound", "expansions"]
         assert rows[1][1] == "ida" and rows[1][2] == "7"
         assert [int(r[3]) for r in rows[1:]] == [r.expansions for r in rec.trace]
@@ -126,7 +126,7 @@ class TestCsv:
         rec = run_instrumented(fixtures.satellite())
         out = tmp_path / "metrics.csv"
         write_metrics_csv(str(out), collect_metrics(rec.events))
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["space", "avg_size", "avg_ratio", "avg_branching", "expansions"]
         assert rows[1][0] == "normal"
         assert int(rows[1][4]) == rec.expansions
@@ -136,5 +136,5 @@ class TestCsv:
         rec.bound("ida", Fraction(5, 2))
         out = tmp_path / "t.csv"
         write_trace_csv(str(out), rec.trace)
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[1][2] == "5/2"

@@ -43,10 +43,6 @@ class TestCostArithmetic:
 
 
 class TestGroundAction:
-    def test_persistent_derived(self):
-        a = act(pre=(1, 2), delete=(2,))
-        assert a.persistent == frozenset({1})
-
     def test_add_delete_overlap_rejected(self):
         with pytest.raises(ValueError):
             act(add=(0,), delete=(0,))

@@ -7,7 +7,7 @@ from conftest import parallel_makespan, random_problem, seq_optimal, temporal_ma
 from conftest import MIXED_COSTS, MIXED_DURS
 from hmplan import fixtures
 from hmplan.cli import _build_parser
-from hmplan.metrics import AND, NORMAL, OR, Recorder
+from hmplan.metrics import AND, NORMAL, OR, Recorder, collect_metrics
 from hmplan.model import INF, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.validate import validate_plan
@@ -125,6 +125,19 @@ class TestHspaStopping:
         with pytest.raises(ValueError):
             plan(fixtures.chain(2), pipeline="tp5")
 
+    @pytest.mark.parametrize("kw", [
+        dict(pipeline="tp4"), dict(pipeline="hspa", stop="fixed:2"),
+        dict(pipeline="hspa", stop="fixed:3"),
+    ], ids=["tp4", "hspa-fixed2", "hspa-fixed3"])
+    @pytest.mark.parametrize("size", ["tt_size", "solved_size"])
+    def test_table_sizes_below_one_rejected_before_work(self, kw, size):
+        # Checked before the GBF, also where the run never builds the table.
+        for value in (0, -1):
+            rec = Recorder()
+            with pytest.raises(ValueError, match="at least 1"):
+                run_pipeline(fixtures.satellite(), PlannerConfig(**kw, **{size: value}), rec)
+            assert rec.trace == [] and rec.expansions == 0
+
 
 class TestEdges:
     def test_unsolvable_short_circuits_before_search(self):
@@ -181,6 +194,19 @@ class TestPhaseCounts:
         assert rec.expansions == sum(events.values())
         assert (rec.solved_hits, rec.solved_misses) == solved
         assert [r.bound for r in rec.trace if r.phase == "ida"] == ida
+
+    def test_temporal_event_sizes(self):
+        # Pinned: a temporal state counts the atoms of its relaxed view.
+        _, rec = recorded(fixtures.satellite(mode=Mode.TEMPORAL), pipeline="hspa",
+                          stop="fixed:3")
+        got = {sp: (m.expansions, m.avg_state_size, m.avg_successor_ratio,
+                    m.avg_branching_factor)
+               for sp, m in collect_metrics(rec.events).items()}
+        assert got == {
+            AND: (1, 4.0, 0.75, 4.0),
+            NORMAL: (6, 3.0, pytest.approx(61 / 64), pytest.approx(32 / 3)),
+            OR: (10, 2.8, pytest.approx(881 / 840), 14.0),
+        }
 
     def test_result_carries_outcomes_only(self):
         res = plan(fixtures.satellite(), pipeline="hspa")

@@ -75,10 +75,9 @@ class TestSpaceInterface:
     def test_size_and_atoms(self, sat1):
         sp = SequentialSpace(sat1)
         s = sat1.atom_set("on", "cal")
-        assert sp.size(s) == 2
+        assert len(sp.atoms_of(s)) == 2
         assert sp.atoms_of(s) == s
         assert sp.from_atoms(s) == s
-        assert sp.key(s) == s
 
     def test_no_cut_rule(self, sat1):
         sp = SequentialSpace(sat1)

@@ -100,7 +100,7 @@ class TestRelaxation:
         a2 = act(1, "a2", ["q", "r"], ["v"])
         s = TempState(frozenset({0}), ((a1, 1), (a2, 2)))
         space = TemporalSpace(problem(_NAMES, [a1, a2], [], ["p"]))
-        assert space.size(s) == 3
+        assert len(space.atoms_of(s)) == 3
         assert relaxed_atoms(s) == frozenset({0}) | a1.pre | a2.pre
 
     def test_storage_subtracts_max_offset(self):
@@ -267,7 +267,7 @@ class TestSpaceInterface:
         t = HeuristicTable()
         s = TempState(p.atom_set("p"), ((a, 2),))
         sp.store_value(t, s, 5)
-        assert t.lookup_exact(p.atom_set("p", "q")) == 3
+        assert t.eval(p.atom_set("p", "q")) == 3
 
 
 def _self_deleting(rng, mode):
