@@ -118,8 +118,11 @@ class IdaStar:
             assert value > bound
             bound = value
 
-    def _dfs(self, state, h: Units, g: Units, bound: Units, depth: int, pred):
+    def _dfs(self, state, h: Units, g: Units, bound: Units, depth: int, via):
         """Returns _SOLVED or (value, clean).
+
+        via is the edge the search came to the state by (None at the root);
+        the space's right-shift rule reads it.
 
         h is the state's heuristic value, computed by the caller when it
         scored the state for ordering; the table is never written during
@@ -144,7 +147,7 @@ class IdaStar:
         f = g + h
         if f > bound:
             return f, True
-        edges, cut_count = space.successors(state, pred, self.right_shift)
+        edges, cut_count = space.successors(state, via, self.right_shift)
         if self.recorder:
             self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
                                     tuple(len(space.atoms_of(e.state)) for e in edges))
@@ -162,7 +165,7 @@ class IdaStar:
                 clean = False
                 continue
             r = self._dfs(edge.state, est - edge.delta, g + edge.delta, bound,
-                          depth + 1, state)
+                          depth + 1, edge)
             if r is _SOLVED:
                 on_path.discard(state)
                 self._solution.append(edge)

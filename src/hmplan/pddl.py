@@ -433,6 +433,9 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
     if len(forms) != 1:
         raise PddlError("expected a single (define (problem ..)) form", filename, 1, 1)
     form = forms[0]
+    if not (isinstance(form, SList) and form and isinstance(form[0], Token)
+            and form[0].text == "define"):
+        raise PddlError("expected (define (problem ..))", filename, *_pos(form))
     head = form[1] if len(form) > 1 else form
     if not (isinstance(head, SList) and len(head) == 2
             and isinstance(head[0], Token) and head[0].text == "problem"):
@@ -465,8 +468,8 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
             if eq or neq:
                 raise PddlError("equality has no place in a ground goal",
                                 filename, *_pos(node))
-        elif kind == ":metric":
-            continue  # metric is implied by the planning mode
+        elif kind in (":requirements", ":metric"):
+            continue  # requirements are the domain's; metric is the mode's
         else:
             raise PddlError(f"unsupported feature: unknown section {kind}",
                             filename, node[0].line, node[0].col)

@@ -7,21 +7,11 @@ Edge deltas are action costs in the problem's integer units of 1/scale;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .htable import HeuristicTable
 from .model import AtomSet, Cost, GroundAction, Problem, Units
-
-
-def applicable_seq(action: GroundAction, s: AtomSet) -> bool:
-    """An action regresses s iff it deletes nothing in s and adds something in s."""
-    return not (action.delete & s) and bool(action.add & s)
-
-
-def regress_seq(s: AtomSet, action: GroundAction) -> AtomSet:
-    assert applicable_seq(action, s)
-    return (s - action.add) | action.pre
 
 
 def final_seq(s: AtomSet, init: AtomSet) -> bool:
@@ -31,17 +21,15 @@ def final_seq(s: AtomSet, init: AtomSet) -> bool:
 _index = attrgetter("index")
 
 
-@dataclass(frozen=True)
-class SeqEdge:
+class SeqEdge(NamedTuple):
     state: AtomSet
     delta: int  # the action's cost in units of 1/scale
     actions: tuple[GroundAction, ...]  # single regressing action
 
 
 def successors_seq(problem: Problem, s: AtomSet) -> list[SeqEdge]:
-    """One edge per applicable action, in action index order."""
-    # Only actions adding an atom of s can regress it; the filter and the
-    # regressed set below are applicable_seq and regress_seq, inlined.
+    """One edge per action that regresses s (it adds an atom of s and deletes
+    none), in action index order: s minus its adds plus its preconditions."""
     adders, cost = problem.adders, problem.cost_units
     candidates = sorted({a for p in s for a in adders[p]}, key=_index)
     return [SeqEdge((s - a.add) | a.pre, cost[a], (a,))
@@ -60,7 +48,7 @@ class SequentialSpace:
     def is_final(self, s: AtomSet) -> bool:
         return final_seq(s, self.problem.init)
 
-    def successors(self, s: AtomSet, pred=None, right_shift: bool = False):
+    def successors(self, s: AtomSet, via=None, right_shift: bool = False):
         """Returns (edges, cut_count); sequential search has no cut rule."""
         return successors_seq(self.problem, s), 0
 

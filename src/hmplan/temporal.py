@@ -2,9 +2,12 @@
 right-shift cuts, the relaxed view used for evaluation, and the storage rule
 for states that still carry in-progress actions.
 
-A state pairs the subgoal atoms E needed at the current time point with the
-set F of actions already chosen that span that point; each entry (a, d) in F
-started d time units before the current point, with 0 < d < dur(a).
+A state is the pair (E, F) and nothing more: the subgoal atoms E needed at
+the current time point and the set F of actions already chosen that span
+that point; each entry (a, d) in F started d time units before the current
+point, with 0 < d < dur(a).  How a state was reached lives on the edge: the
+right-shift rule reads the edge the search came by (the state it left, the
+actions chosen there and the atoms carried by no-ops).
 
 All times here (the offsets d, edge deltas, component offsets and stored
 values) are integers counting the problem's units of 1/scale, taken from
@@ -14,7 +17,7 @@ Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .htable import HeuristicTable
 from .model import EMPTY, AtomSet, Cost, GroundAction, Problem, Units
@@ -22,19 +25,17 @@ from .model import EMPTY, AtomSet, Cost, GroundAction, Problem, Units
 FEntry = tuple[GroundAction, int]  # (action, units since its start)
 
 
-@dataclass(frozen=True)
-class TempState:
+class TempState(NamedTuple):
     goals: AtomSet
     in_progress: tuple[FEntry, ...] = ()
-    # Edge annotations describing how this state was produced from its
-    # predecessor: atoms carried over by no-ops, and the real actions chosen
-    # there.  Needed only by the right-shift rule, so excluded from identity.
-    noop_carried: AtomSet = field(default=EMPTY, compare=False)
-    pred_chosen: tuple[GroundAction, ...] = field(default=(), compare=False)
 
-    def __repr__(self) -> str:
-        f = ", ".join(f"({a.name}, {d})" for a, d in self.in_progress)
-        return f"TempState({set(self.goals) or '{}'}, [{f}])"
+
+class TempEdge(NamedTuple):
+    state: TempState
+    delta: int  # time advance in units of 1/scale
+    actions: tuple[GroundAction, ...]  # real actions chosen at the source
+    carried: AtomSet  # atoms of state.goals carried only by no-ops
+    source: TempState  # the state the edge leaves
 
 
 def compatible(a: GroundAction, b: GroundAction) -> bool:
@@ -96,41 +97,34 @@ def storage_value(s: TempState, found_cost: Units) -> tuple[AtomSet, Units]:
     return relaxed_atoms(s), max(found_cost - max_d, 0)
 
 
-def right_shift_forbids(problem: Problem, pred: TempState | None, cur: TempState,
+def right_shift_forbids(problem: Problem, via: TempEdge | None,
                         a: GroundAction) -> bool:
-    """True iff a must not establish anything at cur: every atom of cur.E
-    that a adds was carried from the predecessor by a no-op, so a could have
-    been scheduled later, ending at the predecessor's time point instead.
+    """True iff a must not establish anything at via.state: every atom of its
+    E that a adds was carried from via.source by a no-op, so a could have
+    been scheduled later, ending at the source's time point instead.
 
     The cut is only sound when that later scheduling is actually available:
-    a must not delete any of the predecessor's goals, and must be compatible
-    with its in-progress actions and with the establishers chosen there."""
-    if pred is None:
+    a must not delete any of the source's goals, and must be compatible with
+    its in-progress actions and with the establishers chosen there."""
+    if via is None:
         return False
-    added = a.add & cur.goals
-    if not added or not added <= cur.noop_carried:
+    added = a.add & via.state.goals
+    if not added or not added <= via.carried:
         return False
-    if a.delete & pred.goals:
+    if a.delete & via.source.goals:
         return False
     there = 0
-    for b, _ in pred.in_progress:
+    for b, _ in via.source.in_progress:
         there |= 1 << b.index
-    for c in cur.pred_chosen:
+    for c in via.actions:
         there |= 1 << c.index
     return not problem.conflict_masks[a.index] & there
-
-
-@dataclass(frozen=True)
-class TempEdge:
-    state: TempState
-    delta: int  # time advance in units of 1/scale
-    actions: tuple[GroundAction, ...]  # real actions chosen at this point
 
 
 def successors_temporal(
     problem: Problem,
     s: TempState,
-    pred: TempState | None = None,
+    via: TempEdge | None = None,
     use_right_shift: bool = False,
 ) -> tuple[list[TempEdge], int]:
     """All successor states, advancing time to the next action start.
@@ -139,7 +133,8 @@ def successors_temporal(
     Chosen actions must be pairwise compatible, compatible with everything in
     F, and nothing (chosen or in F) may delete a no-op'd atom.  Returns the
     edge list and the number of (atom, adder) pairs removed by the
-    right-shift rule (0 unless use_right_shift).
+    right-shift rule (0 unless use_right_shift), which reads `via`, the edge
+    the search came to s by (None at the root).
 
     Order contract: the edges are those of the product of the establisher
     choices per goal atom (atoms in id order; the no-op first, then the
@@ -169,7 +164,7 @@ def successors_temporal(
     for p in goal_ids:
         cands = []
         for a in problem.adders[p]:
-            if use_right_shift and right_shift_forbids(problem, pred, s, a):
+            if use_right_shift and right_shift_forbids(problem, via, a):
                 cut_count += 1
             elif not conflict[a.index] & f_mask:
                 cands.append((1 << a.index, conflict[a.index], deletes[a.index]))
@@ -224,13 +219,11 @@ def successors_temporal(
                 else:
                     remaining.append((a, d - advance))
             new_f = tuple(sorted(remaining, key=lambda e: (e[0].index, e[1])))
-        new_e = noop_set | released
         # An atom counts as no-op-carried only if persistence is its sole
         # reason for being a goal; atoms also required as preconditions stay
         # required no matter how the carried copy came about.
-        state = TempState(new_e, new_f, noop_carried=noop_set - released,
-                          pred_chosen=acts)
-        edges.append(TempEdge(state, advance, acts))
+        edges.append(TempEdge(TempState(noop_set | released, new_f), advance, acts,
+                              noop_set - released, s))
     return edges, cut_count
 
 
@@ -247,9 +240,9 @@ class TemporalSpace:
     def is_final(self, s: TempState) -> bool:
         return final_temporal(s, self.problem.init)
 
-    def successors(self, s: TempState, pred: TempState | None = None,
+    def successors(self, s: TempState, via: TempEdge | None = None,
                    right_shift: bool = False):
-        return successors_temporal(self.problem, s, pred, right_shift)
+        return successors_temporal(self.problem, s, via, right_shift)
 
     def estimate(self, table: HeuristicTable, s: TempState) -> Units:
         best = 0

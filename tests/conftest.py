@@ -6,7 +6,9 @@ makespans from forward breadth-first search over compatible action sets.
 The temporal oracle is a blind (heuristic-free) Dijkstra over the regression
 graph.  Its transitions come from `successors_product`, the plain product
 enumeration of establisher choices that `successors_temporal` must match;
-the two share only `compatible` and the state and edge types.
+the two share only `compatible` and the state and edge types.  Sequential
+regression is stated here by `applicable_seq` and `regress_seq`, the full
+scan over every action that `successors_seq` must match.
 """
 
 from __future__ import annotations
@@ -94,28 +96,28 @@ def parallel_makespan(problem: Problem):
     return INF
 
 
-def _right_shift_forbids(pred: TempState | None, cur: TempState, a: GroundAction) -> bool:
+def _right_shift_forbids(via: TempEdge | None, a: GroundAction) -> bool:
     """The right-shift rule stated with `compatible`: a may not establish
-    anything at cur if every atom of cur.E that it adds was carried from the
-    predecessor by a no-op, it deletes none of the predecessor's goals, and
-    it is compatible with the predecessor's in-progress actions and with the
+    anything at via.state if every atom of its E that a adds was carried
+    from via.source by a no-op, a deletes none of the source's goals, and it
+    is compatible with the source's in-progress actions and with the
     establishers chosen there."""
-    if pred is None:
+    if via is None:
         return False
-    added = a.add & cur.goals
-    if not added or not added <= cur.noop_carried:
+    added = a.add & via.state.goals
+    if not added or not added <= via.carried:
         return False
-    if a.delete & pred.goals:
+    if a.delete & via.source.goals:
         return False
-    if any(not compatible(a, b) for b, _ in pred.in_progress):
+    if any(not compatible(a, b) for b, _ in via.source.in_progress):
         return False
-    return all(compatible(a, c) for c in cur.pred_chosen)
+    return all(compatible(a, c) for c in via.actions)
 
 
 def successors_product(
     problem: Problem,
     s: TempState,
-    pred: TempState | None = None,
+    via: TempEdge | None = None,
     use_right_shift: bool = False,
 ) -> tuple[list[TempEdge], int]:
     """Reference enumeration for `successors_temporal`: the full
@@ -135,7 +137,7 @@ def successors_product(
     for p in goal_ids:
         cands: list[GroundAction | None] = [None]
         for a in problem.adders[p]:
-            if use_right_shift and _right_shift_forbids(pred, s, a):
+            if use_right_shift and _right_shift_forbids(via, a):
                 cut_count += 1
                 continue
             if all(compatible(a, b) for b in f_actions):
@@ -196,9 +198,8 @@ def successors_product(
         # An atom counts as no-op-carried only if persistence is its sole
         # reason for being a goal; atoms also required as preconditions stay
         # required no matter how the carried copy came about.
-        state = TempState(new_e, new_f, noop_carried=noop_set - released,
-                          pred_chosen=tuple(acts))
-        edges.append(TempEdge(state, advance, tuple(acts)))
+        edges.append(TempEdge(TempState(new_e, new_f), advance, tuple(acts),
+                              noop_set - released, s))
     return edges, cut_count
 
 
@@ -226,6 +227,16 @@ def temporal_makespan(problem: Problem, cap: int = 200_000):
                 dist[e.state] = nd
                 heapq.heappush(heap, (nd, next(tick), e.state))
     return INF
+
+
+def applicable_seq(action: GroundAction, s: AtomSet) -> bool:
+    """An action regresses s iff it deletes nothing in s and adds something in s."""
+    return not (action.delete & s) and bool(action.add & s)
+
+
+def regress_seq(s: AtomSet, action: GroundAction) -> AtomSet:
+    assert applicable_seq(action, s)
+    return (s - action.add) | action.pre
 
 
 def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:

@@ -80,6 +80,19 @@ class TestDomainParsing:
         assert any(l.pred == "pointing" and l.args == ("d1",) for l in p.init)
         assert len(p.goal) == 2
 
+    def test_problem_requirements_ignored(self, tmp_path):
+        # PDDL lets a problem state requirements; they are the domain's to set.
+        text = read("workshop-1.pddl").replace(
+            "(:domain workshop)", "(:domain workshop)\n  (:requirements :strips :typing)")
+        path = tmp_path / "workshop-req.pddl"
+        path.write_text(text)
+        domain = str(DATA / "workshop-domain.pddl")
+        got = load(domain, str(path), Mode.TEMPORAL)
+        want = load(domain, str(DATA / "workshop-1.pddl"), Mode.TEMPORAL)
+        assert [a.name for a in got.atoms] == [a.name for a in want.atoms]
+        assert [(a.name, a.dur) for a in got.actions] == [(a.name, a.dur) for a in want.actions]
+        assert (got.init, got.goal) == (want.init, want.goal)
+
 
 class TestRejections:
     def err(self, text):
@@ -145,8 +158,9 @@ _ACTION = ("(define (domain x) (:predicates (p ?a) (q ?a))\n"
     (parse_domain, "(define)", "f.pddl:1:1:"),
     (parse_problem, "(define (problem y) (:domain))", "f.pddl:1:21:"),
     (parse_problem, "(define (problem y) (:domain x) (:goal))", "f.pddl:1:33:"),
+    (parse_problem, "(foo (problem p) (:domain d) (:init) (:goal (and)))", "f.pddl:1:1:"),
 ], ids=["not-effect", "eq-arity", "neq-arity", "params-token", "define",
-        "domain-section", "goal-section"])
+        "domain-section", "goal-section", "problem-define"])
 def test_malformed_forms_rejected_with_position(parse, text, where):
     with pytest.raises(PddlError) as ei:
         parse(text, "f.pddl")

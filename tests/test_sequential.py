@@ -1,16 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from conftest import (
+    MIXED_COSTS,
+    applicable_seq,
+    random_problem,
+    regress_seq,
+    regression_states,
+)
 
 from hmplan import fixtures
-from hmplan.model import Mode
-from hmplan.sequential import (
-    SequentialSpace,
-    applicable_seq,
-    final_seq,
-    regress_seq,
-    successors_seq,
-)
+from hmplan.sequential import SeqEdge, SequentialSpace, final_seq, successors_seq
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +83,31 @@ class TestSpaceInterface:
         sp = SequentialSpace(sat1)
         edges, cuts = sp.successors(sat1.goal, None, True)
         assert cuts == 0 and edges
+
+
+class TestAgainstFullScan:
+    """`successors_seq` against the scan over every action that its adders
+    shortcut replaced: the same edges in the same order."""
+
+    @staticmethod
+    def same(problem, s):
+        want = [SeqEdge(regress_seq(s, a), problem.cost_units[a], (a,))
+                for a in problem.actions if applicable_seq(a, s)]
+        assert successors_seq(problem, s) == want
+        return len(want)
+
+    @pytest.mark.parametrize("costs", [None, MIXED_COSTS], ids=["default", "mixed"])
+    def test_random_problems(self, rng, costs):
+        edges = states = 0
+        for _ in range(30):
+            p = random_problem(rng, costs=costs)
+            ids = range(len(p.atoms))
+            drawn = {frozenset(rng.sample(ids, rng.randint(0, len(ids)))) for _ in range(10)}
+            for s in regression_states(p) | drawn:
+                edges += self.same(p, s)
+                states += 1
+        assert edges > 0 and states > 0
+
+    def test_satellite(self, sat1):
+        for s in regression_states(sat1):
+            self.same(sat1, s)
