@@ -9,7 +9,9 @@ effects deletes.
 
 Rejected with an unsupported-feature error: derived predicates, numeric
 fluents, negative or disjunctive conditions, quantifiers, and conditional
-effects.  All diagnostics carry `file:line:col` positions.
+effects.  Each section, action keyword, predicate and action name may appear
+once, and a problem's `(:domain ..)` must name its domain.  All diagnostics
+carry `file:line:col` positions.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ class SList(list):
 
 def _pos(node) -> tuple[int, int]:
     return (node.line, node.col)
+
+
+def _head(node) -> str | None:
+    """The name heading `node` if it is a non-empty list that starts with a
+    token, else None."""
+    if isinstance(node, SList) and node and isinstance(node[0], Token):
+        return node[0].text
+    return None
 
 
 def tokenize(text: str, filename: str) -> list[Token]:
@@ -151,7 +161,7 @@ class DomainAst:
 @dataclass(frozen=True)
 class ProblemAst:
     name: str
-    domain: str
+    domain: Token  # the name in (:domain <name>), where it was read
     objects: tuple[tuple[str, str], ...]
     init: tuple[Literal, ...]
     goal: tuple[Literal, ...]
@@ -173,6 +183,11 @@ _UNSUPPORTED_CONNECTIVES = {
     "increase": "numeric fluent",
     "decrease": "numeric fluent",
     "assign": "numeric fluent",
+}
+# The keywords each kind of action may hold, each at most once.
+_ACTION_KEYWORDS = {
+    ":action": (":parameters", ":precondition", ":effect"),
+    ":durative-action": (":parameters", ":duration", ":condition", ":effect"),
 }
 
 
@@ -223,22 +238,30 @@ def _term_pair(node: SList, filename: str) -> tuple[str, str]:
     return a, b
 
 
+def _conjuncts(node, what: str, filename: str):
+    """Yield the conjuncts of `node` in order, nested `(and ..)` forms
+    flattened.  Each is a non-empty list headed by a token; `what` names one
+    in errors.  An explicit stack leaves the nesting depth unbounded."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if not isinstance(n, SList) or not n:
+            raise PddlError(f"expected {what}", filename, *_pos(n))
+        if _expect_token(n[0], f"{what} head", filename).text == "and":
+            stack.extend(reversed(n[1:]))
+        else:
+            yield n
+
+
 def _condition(node, filename: str):
     """Positive conjunctive condition plus equality/inequality constraints."""
     lits: list[Literal] = []
     eq: list[tuple[str, str]] = []
     neq: list[tuple[str, str]] = []
-
-    def walk(n) -> None:
-        if not isinstance(n, SList) or not n:
-            raise PddlError("expected a condition", filename, *_pos(n))
-        head = _expect_token(n[0], "a condition head", filename)
-        if head.text == "and":
-            for sub in n[1:]:
-                walk(sub)
-        elif head.text == "not":
-            if len(n) == 2 and isinstance(n[1], SList) and n[1] and \
-                    isinstance(n[1][0], Token) and n[1][0].text == "=":
+    for n in _conjuncts(node, "a condition", filename):
+        head = n[0]
+        if head.text == "not":
+            if len(n) == 2 and _head(n[1]) == "=":
                 neq.append(_term_pair(n[1], filename))
             else:
                 raise PddlError(
@@ -249,30 +272,19 @@ def _condition(node, filename: str):
             eq.append(_term_pair(n, filename))
         else:
             lits.append(_literal(n, filename))
-
-    walk(node)
     return tuple(lits), tuple(eq), tuple(neq)
 
 
 def _effects(node, filename: str) -> tuple[tuple[Literal, ...], tuple[Literal, ...]]:
     add: list[Literal] = []
     delete: list[Literal] = []
-
-    def walk(n) -> None:
-        if not isinstance(n, SList) or not n:
-            raise PddlError("expected an effect", filename, *_pos(n))
-        head = _expect_token(n[0], "an effect head", filename)
-        if head.text == "and":
-            for sub in n[1:]:
-                walk(sub)
-        elif head.text == "not":
-            if len(n) != 2:
-                raise PddlError("expected (not <atom>)", filename, *_pos(n))
+    for n in _conjuncts(node, "an effect", filename):
+        if n[0].text != "not":
+            add.append(_literal(n, filename))
+        elif len(n) == 2:
             delete.append(_literal(n[1], filename))
         else:
-            add.append(_literal(n, filename))
-
-    walk(node)
+            raise PddlError("expected (not <atom>)", filename, *_pos(n))
     return tuple(add), tuple(delete)
 
 
@@ -280,27 +292,14 @@ def _strip_time_annotations(node, filename: str) -> SList:
     """Flatten `(and (at start X) (over all Y) (at end Z))` to `(and X Y Z)`."""
     out = SList(*_pos(node))
     out.append(Token("and", *_pos(node)))
-
-    def walk(n) -> None:
-        if not isinstance(n, SList) or not n:
-            raise PddlError("expected an annotated formula", filename, *_pos(n))
-        head = _expect_token(n[0], "a formula head", filename)
-        if head.text == "and":
-            for sub in n[1:]:
-                walk(sub)
-        elif head.text == "at" and len(n) == 3 and isinstance(n[1], Token) \
-                and n[1].text in ("start", "end"):
-            out.append(n[2])
-        elif head.text == "over" and len(n) == 3 and isinstance(n[1], Token) \
-                and n[1].text == "all":
-            out.append(n[2])
-        else:
+    for n in _conjuncts(node, "an annotated formula", filename):
+        if not (len(n) == 3 and isinstance(n[1], Token) and (n[0].text, n[1].text)
+                in (("at", "start"), ("at", "end"), ("over", "all"))):
             raise PddlError(
                 "expected (at start ..), (at end ..) or (over all ..)",
-                filename, head.line, head.col,
+                filename, *_pos(n[0]),
             )
-
-    walk(node)
+        out.append(n[2])
     return out
 
 
@@ -314,8 +313,7 @@ def _rational(tok: Token, filename: str) -> Fraction:
 
 def _duration(node, filename: str) -> Fraction:
     # Accepted form: (= ?duration <rational constant>)
-    if (isinstance(node, SList) and len(node) == 3
-            and isinstance(node[0], Token) and node[0].text == "="
+    if (_head(node) == "=" and len(node) == 3
             and isinstance(node[1], Token) and node[1].text == "?duration"
             and isinstance(node[2], Token)):
         d = _rational(node[2], filename)
@@ -328,14 +326,18 @@ def _duration(node, filename: str) -> Fraction:
     )
 
 
-def _sections(body: list, filename: str) -> dict[str, object]:
+def _sections(body: list, keywords: tuple[str, ...], filename: str) -> dict[str, object]:
+    """The value after each keyword of an action body; each of `keywords`
+    may appear once, and no other keyword may."""
     out: dict[str, object] = {}
     it = iter(body)
     for node in it:
         key = _expect_token(node, "a keyword like :parameters", filename)
-        if not key.text.startswith(":"):
-            raise PddlError(f"expected a keyword, got {key.text!r}",
+        if key.text not in keywords:
+            raise PddlError(f"expected one of {' '.join(keywords)}, got {key.text!r}",
                             filename, key.line, key.col)
+        if key.text in out:
+            raise PddlError(f"{key.text} given twice", filename, key.line, key.col)
         try:
             out[key.text] = next(it)
         except StopIteration:
@@ -344,136 +346,122 @@ def _sections(body: list, filename: str) -> dict[str, object]:
     return out
 
 
-def _parse_action(node: SList, durative: bool, filename: str) -> ActionSchema:
+def _parse_action(node: SList, filename: str) -> ActionSchema:
+    durative = node[0].text == ":durative-action"
     if len(node) < 2:
         raise PddlError("action needs a name", filename, *_pos(node))
     name = _expect_token(node[1], "an action name", filename).text
-    sec = _sections(list(node[2:]), filename)
+    sec = _sections(node[2:], _ACTION_KEYWORDS[node[0].text], filename)
     params_node = sec.get(":parameters")
     if isinstance(params_node, Token):
         raise PddlError("expected a parameter list", filename, *_pos(params_node))
     params = _typed_list(list(params_node), filename) if params_node else ()
-    if durative:
-        dur = _duration(sec[":duration"], filename) if ":duration" in sec else Fraction(1)
-        cond = sec.get(":condition")
-        eff = sec.get(":effect")
-        pre, eq, neq = ((), (), ())
-        if cond is not None:
-            pre, eq, neq = _condition(_strip_time_annotations(cond, filename), filename)
-        add, delete = ((), ())
-        if eff is not None:
-            add, delete = _effects(_strip_time_annotations(eff, filename), filename)
-    else:
-        dur = Fraction(1)
-        pre, eq, neq = ((), (), ())
-        if ":precondition" in sec:
-            pre, eq, neq = _condition(sec[":precondition"], filename)
-        add, delete = ((), ())
-        if ":effect" in sec:
-            add, delete = _effects(sec[":effect"], filename)
+    dur = _duration(sec[":duration"], filename) if ":duration" in sec else Fraction(1)
+    # Only a durative action's :condition and :effect carry time annotations.
+    timed = _strip_time_annotations if durative else lambda n, _: n
+    cond = sec.get(":condition", sec.get(":precondition"))
+    pre, eq, neq = ((), (), ())
+    if cond is not None:
+        pre, eq, neq = _condition(timed(cond, filename), filename)
+    add, delete = ((), ())
+    if ":effect" in sec:
+        add, delete = _effects(timed(sec[":effect"], filename), filename)
     return ActionSchema(name, params, pre, add, delete, eq, neq, dur, durative,
                         *_pos(node))
 
 
-def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
+def _define(text: str, filename: str, kind: str, sections: tuple[str, ...],
+            repeatable: tuple[str, ...]) -> tuple[Token, dict[str, SList], list[SList]]:
+    """Read the one `(define (<kind> <name>) ..)` form of `text`.
+
+    Returns the name token, a dict from the keyword of each section present
+    to its form, for the `sections` that may appear once, and the forms of
+    the `repeatable` sections in file order.  A malformed, unsupported,
+    unknown or repeated section is rejected at its keyword."""
     forms = parse_sexprs(text, filename)
     if len(forms) != 1:
-        raise PddlError("expected a single (define (domain ..)) form", filename, 1, 1)
+        raise PddlError(f"expected a single (define ({kind} ..)) form", filename, 1, 1)
     form = forms[0]
-    if not (isinstance(form, SList) and form and isinstance(form[0], Token)
-            and form[0].text == "define"):
-        raise PddlError("expected (define (domain ..))", filename, *_pos(form))
+    if _head(form) != "define":
+        raise PddlError(f"expected (define ({kind} ..))", filename, *_pos(form))
     head = form[1] if len(form) > 1 else form
-    if not (isinstance(head, SList) and len(head) == 2
-            and isinstance(head[0], Token) and head[0].text == "domain"):
-        raise PddlError("expected (domain <name>)", filename, *_pos(head))
-    name = _expect_token(head[1], "a domain name", filename).text
-
-    requirements: tuple[str, ...] = ()
-    types: tuple[tuple[str, str], ...] = ()
-    predicates: list[tuple[str, tuple[str, ...]]] = []
-    constants: tuple[tuple[str, str], ...] = ()
-    actions: list[ActionSchema] = []
+    if not (_head(head) == kind and len(head) == 2):
+        raise PddlError(f"expected ({kind} <name>)", filename, *_pos(head))
+    name = _expect_token(head[1], f"a {kind} name", filename)
+    once: dict[str, SList] = {}
+    repeated: list[SList] = []
     for node in form[2:]:
-        if not (isinstance(node, SList) and node and isinstance(node[0], Token)):
-            raise PddlError("expected a domain section", filename, *_pos(node))
-        kind = node[0].text
-        if kind in _UNSUPPORTED_SECTIONS:
-            raise PddlError(
-                f"unsupported feature: {_UNSUPPORTED_SECTIONS[kind]} ({kind})",
-                filename, node[0].line, node[0].col,
-            )
-        if kind == ":requirements":
-            requirements = tuple(
-                _expect_token(r, "a requirement", filename).text for r in node[1:]
-            )
-        elif kind == ":types":
-            types = _typed_list(list(node[1:]), filename)
-        elif kind == ":constants":
-            constants = _typed_list(list(node[1:]), filename)
-        elif kind == ":predicates":
-            for p in node[1:]:
-                if not (isinstance(p, SList) and p and isinstance(p[0], Token)):
-                    raise PddlError("expected a predicate schema", filename, *_pos(p))
-                arg_types = tuple(t for _, t in _typed_list(list(p[1:]), filename))
-                predicates.append((p[0].text, arg_types))
-        elif kind == ":action":
-            actions.append(_parse_action(node, durative=False, filename=filename))
-        elif kind == ":durative-action":
-            actions.append(_parse_action(node, durative=True, filename=filename))
+        if _head(node) is None:
+            raise PddlError(f"expected a {kind} section", filename, *_pos(node))
+        key = node[0]
+        if key.text not in sections:
+            what = _UNSUPPORTED_SECTIONS.get(key.text, "unknown section")
+            raise PddlError(f"unsupported feature: {what} ({key.text})",
+                            filename, key.line, key.col)
+        if key.text in repeatable:
+            repeated.append(node)
+        elif key.text in once:
+            raise PddlError(f"{key.text} section given twice", filename, key.line, key.col)
         else:
-            raise PddlError(f"unsupported feature: unknown section {kind}",
-                            filename, node[0].line, node[0].col)
-    return DomainAst(name, requirements, types, tuple(predicates), constants,
-                     tuple(actions), filename)
+            once[key.text] = node
+    return name, once, repeated
+
+
+def parse_domain(text: str, filename: str = "<domain>") -> DomainAst:
+    name, sec, action_nodes = _define(
+        text, filename, "domain",
+        (":requirements", ":types", ":constants", ":predicates", *_ACTION_KEYWORDS),
+        tuple(_ACTION_KEYWORDS),
+    )
+    requirements = tuple(_expect_token(r, "a requirement", filename).text
+                         for r in sec.get(":requirements", ())[1:])
+    types = _typed_list(sec.get(":types", ())[1:], filename)
+    constants = _typed_list(sec.get(":constants", ())[1:], filename)
+    predicates: dict[str, tuple[str, ...]] = {}
+    for p in sec.get(":predicates", ())[1:]:
+        if _head(p) is None:
+            raise PddlError("expected a predicate schema", filename, *_pos(p))
+        if p[0].text in predicates:
+            raise PddlError(f"predicate {p[0].text!r} declared twice", filename, *_pos(p[0]))
+        predicates[p[0].text] = tuple(t for _, t in _typed_list(p[1:], filename))
+    actions: dict[str, ActionSchema] = {}
+    for node in action_nodes:
+        action = _parse_action(node, filename)
+        if action.name in actions:
+            raise PddlError(f"action {action.name!r} declared twice", filename, *_pos(node[1]))
+        actions[action.name] = action
+    return DomainAst(name.text, requirements, types, tuple(predicates.items()), constants,
+                     tuple(actions.values()), filename)
 
 
 def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
-    forms = parse_sexprs(text, filename)
-    if len(forms) != 1:
-        raise PddlError("expected a single (define (problem ..)) form", filename, 1, 1)
-    form = forms[0]
-    if not (isinstance(form, SList) and form and isinstance(form[0], Token)
-            and form[0].text == "define"):
-        raise PddlError("expected (define (problem ..))", filename, *_pos(form))
-    head = form[1] if len(form) > 1 else form
-    if not (isinstance(head, SList) and len(head) == 2
-            and isinstance(head[0], Token) and head[0].text == "problem"):
-        raise PddlError("expected (problem <name>)", filename, *_pos(form))
-    name = _expect_token(head[1], "a problem name", filename).text
-
-    domain = ""
-    objects: tuple[tuple[str, str], ...] = ()
+    # :requirements are the domain's to set and :metric is the mode's, so
+    # both are read past.
+    name, sec, _ = _define(
+        text, filename, "problem",
+        (":domain", ":requirements", ":objects", ":init", ":goal", ":metric"), (),
+    )
+    if ":domain" not in sec:
+        raise PddlError(f"problem {name.text} has no (:domain <name>) section",
+                        filename, *_pos(name))
+    for key in (":domain", ":goal"):
+        if key in sec and len(sec[key]) != 2:
+            raise PddlError(f"expected ({key} <one argument>)", filename, *_pos(sec[key]))
+    domain = _expect_token(sec[":domain"][1], "a domain name", filename)
+    objects = _typed_list(sec.get(":objects", ())[1:], filename)
     init: list[Literal] = []
+    for lit in sec.get(":init", ())[1:]:
+        if _head(lit) == "=":
+            raise PddlError("unsupported feature: numeric fluent in :init",
+                            filename, *_pos(lit))
+        init.append(_literal(lit, filename))
     goal: tuple[Literal, ...] = ()
-    for node in form[2:]:
-        if not (isinstance(node, SList) and node and isinstance(node[0], Token)):
-            raise PddlError("expected a problem section", filename, *_pos(node))
-        kind = node[0].text
-        if kind in (":domain", ":goal") and len(node) != 2:
-            raise PddlError(f"expected ({kind} <one argument>)", filename, *_pos(node))
-        if kind == ":domain":
-            domain = _expect_token(node[1], "a domain name", filename).text
-        elif kind == ":objects":
-            objects = _typed_list(list(node[1:]), filename)
-        elif kind == ":init":
-            for lit in node[1:]:
-                if isinstance(lit, SList) and lit and isinstance(lit[0], Token) \
-                        and lit[0].text == "=":
-                    raise PddlError("unsupported feature: numeric fluent in :init",
-                                    filename, *_pos(lit))
-                init.append(_literal(lit, filename))
-        elif kind == ":goal":
-            goal, eq, neq = _condition(node[1], filename)
-            if eq or neq:
-                raise PddlError("equality has no place in a ground goal",
-                                filename, *_pos(node))
-        elif kind in (":requirements", ":metric"):
-            continue  # requirements are the domain's; metric is the mode's
-        else:
-            raise PddlError(f"unsupported feature: unknown section {kind}",
-                            filename, node[0].line, node[0].col)
-    return ProblemAst(name, domain, objects, tuple(init), goal, filename)
+    if ":goal" in sec:
+        goal, eq, neq = _condition(sec[":goal"][1], filename)
+        if eq or neq:
+            raise PddlError("equality has no place in a ground goal",
+                            filename, *_pos(sec[":goal"]))
+    return ProblemAst(name.text, domain, objects, tuple(init), goal, filename)
 
 
 def parse(domain_text: str, problem_text: str,
@@ -511,6 +499,9 @@ def ground(domain: DomainAst, problem: ProblemAst,
     add and delete sets collide, are dropped.  Actions needing an atom that
     nothing adds and the initial state lacks are pruned to a fixpoint.
     """
+    if problem.domain.text != domain.name:
+        raise PddlError(f"problem is for domain {problem.domain.text!r}, not {domain.name!r}",
+                        problem.filename, *_pos(problem.domain))
     assignable = _subtypes(domain.types, domain.filename)
     objects: dict[str, str] = {}
     declared = [(o, t, domain.filename) for o, t in domain.constants]
@@ -634,9 +625,15 @@ def ground(domain: DomainAst, problem: ProblemAst,
     return Problem(atoms, actions, init_atoms, goal_atoms, mode, problem.name)
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PddlError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from None
+
+
 def load(domain_path: str, problem_path: str, mode: Mode = Mode.SEQUENTIAL) -> Problem:
-    with open(domain_path) as fh:
-        domain = parse_domain(fh.read(), domain_path)
-    with open(problem_path) as fh:
-        problem = parse_problem(fh.read(), problem_path)
+    domain = parse_domain(_read(domain_path), domain_path)
+    problem = parse_problem(_read(problem_path), problem_path)
     return ground(domain, problem, mode)

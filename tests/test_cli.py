@@ -134,6 +134,13 @@ class TestNonZeroExits:
         assert "bad.pddl:2:" in err and "Traceback" not in err
 
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pddl"
+        bad.write_bytes(b"\xff\xfe" + Path(OBS[0]).read_bytes())
+        code, out, err = run(capsys, str(bad), OBS[1])
+        assert code == 2 and out == ""
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
     def test_grounding_error_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad-problem.pddl"
         bad.write_text("(define (problem b) (:domain observation)\n"

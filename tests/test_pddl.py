@@ -1,9 +1,11 @@
 from fractions import Fraction
 from pathlib import Path
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hmplan.model import Mode
+from hmplan.model import Mode, Problem
 from hmplan.pddl import (
     PddlError,
     ground,
@@ -154,17 +156,112 @@ _ACTION = ("(define (domain x) (:predicates (p ?a) (q ?a))\n"
     (parse_domain, _ACTION.format(":precondition (= ?a) :effect (p ?a)"), "f.pddl:2:"),
     (parse_domain, _ACTION.format(":precondition (not (= ?a)) :effect (p ?a)"),
      "f.pddl:2:"),
-    (parse_domain, _ACTION.format(":parameters ?a :effect (p ?a)"), "f.pddl:2:"),
+    (parse_domain, "(define (domain x) (:predicates (p ?a))\n"
+                   " (:action a :parameters ?a :effect (p ?a)))", "f.pddl:2:25:"),
+    (parse_domain, _ACTION.format(":parameters (?a) :effect (p ?a)"), "f.pddl:2:33:"),
+    (parse_domain, _ACTION.format(":duration (= ?duration 1) :effect (p ?a)"),
+     "f.pddl:2:33:"),
     (parse_domain, "(define)", "f.pddl:1:1:"),
     (parse_problem, "(define (problem y) (:domain))", "f.pddl:1:21:"),
     (parse_problem, "(define (problem y) (:domain x) (:goal))", "f.pddl:1:33:"),
     (parse_problem, "(foo (problem p) (:domain d) (:init) (:goal (and)))", "f.pddl:1:1:"),
-], ids=["not-effect", "eq-arity", "neq-arity", "params-token", "define",
-        "domain-section", "goal-section", "problem-define"])
+    (parse_problem, "(define (problem) (:domain d))", "f.pddl:1:9:"),
+], ids=["not-effect", "eq-arity", "neq-arity", "params-token", "params-twice",
+        "foreign-keyword", "define", "domain-section", "goal-section",
+        "problem-define", "problem-head"])
 def test_malformed_forms_rejected_with_position(parse, text, where):
     with pytest.raises(PddlError) as ei:
         parse(text, "f.pddl")
     assert str(ei.value).startswith(where)
+
+
+# Each edit of the workshop pair gives a second meaning to one form; the
+# error names that form's file and the position of the repeated or
+# mismatched name or keyword.
+@pytest.mark.parametrize("file, old, new, message", [
+    ("p", "(:goal (and (boxed)))", "(:goal (and (boxed)))\n  (:goal (and (raw)))",
+     "p.pddl:6:4: :goal section given twice"),
+    ("p", "(:objects a b - part)", "(:objects a b - part)\n  (:objects c - part)",
+     "p.pddl:4:4: :objects section given twice"),
+    ("p", "(:domain workshop)", "(:domain other)",
+     "p.pddl:2:12: problem is for domain 'other', not 'workshop'"),
+    ("p", "(:domain workshop)", "",
+     "p.pddl:1:18: problem workshop-1 has no (:domain <name>) section"),
+    ("d", "action mill-b", "action mill-a",
+     "d.pddl:10:21: action 'mill-a' declared twice"),
+    ("d", "(= ?duration 1.5)", "(= ?duration 1.5)\n    :duration (= ?duration 9)",
+     "d.pddl:8:5: :duration given twice"),
+    ("d", "part) (boxed))", "part) (boxed))\n  (:predicates (cut))",
+     "d.pddl:5:4: :predicates section given twice"),
+    ("d", "part) (boxed))", "part) (boxed) (raw ?p - part))",
+     "d.pddl:4:50: predicate 'raw' declared twice"),
+    ("d", "(= ?duration 1.5)", "(= ?duration 1.5)\n    :precondition (and (raw))",
+     "d.pddl:8:5: expected one of :parameters :duration :condition :effect, "
+     "got ':precondition'"),
+], ids=["goal-twice", "objects-twice", "domain-other", "domain-missing",
+        "action-twice", "duration-twice", "predicates-twice", "predicate-twice",
+        "foreign-keyword"])
+def test_one_meaning_per_form(file, old, new, message):
+    texts = {"d": read("workshop-domain.pddl"), "p": read("workshop-1.pddl")}
+    assert texts[file].count(old) == 1
+    texts[file] = texts[file].replace(old, new)
+    with pytest.raises(PddlError) as ei:
+        ground(parse_domain(texts["d"], "d.pddl"), parse_problem(texts["p"], "p.pddl"))
+    assert str(ei.value) == message
+
+
+def _nested(form, depth=3000):
+    return "(and " * depth + form + ")" * depth
+
+
+def test_deep_conjunctions_ground():
+    # Far deeper than Python's default recursion limit of 1000.
+    domain = parse_domain(
+        "(define (domain x) (:predicates (p) (q) (r))\n"
+        f" (:action a :parameters () :precondition {_nested('(p)')}\n"
+        f"  :effect {_nested('(and (q) (not (p)))')})\n"
+        " (:durative-action b :parameters () :duration (= ?duration 2)\n"
+        f"  :condition {_nested('(at start ' + _nested('(q)') + ')')}\n"
+        f"  :effect {_nested('(at end (r))')}))", "d.pddl")
+    problem = parse_problem("(define (problem y) (:domain x) (:init (p))\n"
+                            f" (:goal {_nested('(r)')}))", "p.pddl")
+    p = ground(domain, problem, Mode.TEMPORAL)
+    assert [(a.name, a.dur) for a in p.actions] == [("a", 1), ("b", 2)]
+    a, b = p.actions
+    assert (a.pre, a.add, a.delete) == (p.atom_set("p"), p.atom_set("q"), p.atom_set("p"))
+    assert (b.pre, b.add) == (p.atom_set("q"), p.atom_set("r"))
+    assert p.goal == p.atom_set("r")
+
+
+_PAIRS = [tuple(read(name) for name in pair) for pair in (
+    ("observation-domain.pddl", "observation-1.pddl"),
+    ("workshop-domain.pddl", "workshop-1.pddl"))]
+
+
+@st.composite
+def _token_edits(draw):
+    """One of the two data pairs with 1-3 tokens deleted, replaced by a
+    token of the same file, or preceded by one."""
+    texts = list(draw(st.sampled_from(_PAIRS)))
+    for _ in range(draw(st.integers(1, 3))):
+        which = draw(st.integers(0, 1))
+        spans = list(re.finditer(r"[()]|[^\s()]+", texts[which]))
+        at = draw(st.sampled_from(spans))
+        other = draw(st.sampled_from(spans)).group()
+        new = draw(st.sampled_from(["", other, f"{other} {at.group()}"]))
+        texts[which] = texts[which][:at.start()] + new + texts[which][at.end():]
+    return texts
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_token_edits(), st.sampled_from(Mode))
+def test_token_edits_give_problem_or_pddl_error(texts, mode):
+    try:
+        problem = ground(parse_domain(texts[0], "d.pddl"),
+                         parse_problem(texts[1], "p.pddl"), mode)
+    except PddlError:
+        return
+    assert isinstance(problem, Problem)
 
 
 # A bad literal goes on a line of its own: line 3 of the domain (in the
