@@ -7,6 +7,12 @@ costs of solved nodes go into a per-pass solved table; improved lower bounds
 of OR-nodes go into the shared heuristic table as a side effect, which is the
 whole point: they raise later heuristic evaluations.
 
+Every search call returns its (cost, solved) pair, and a pass returns an
+`idastar.SearchResult` like IDA*: unsolvable, at the limit with the next
+bound, or solved with the relaxed cost.  A pass that expanded no AND node was
+a complete regression search, so its cost is exact and its result carries
+the plan.
+
 No transposition table and no right-shift cuts are used here.  Like IDA*,
 the search counts in the problem's integer units of 1/scale.
 """
@@ -15,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .htable import HeuristicTable
-from .idastar import build_plan
+from .idastar import SearchResult, build_plan
 from .metrics import AND, OR, Recorder
-from .model import INF, AtomSet, Plan, Units
+from .model import INF, AtomSet, Units
 
 
 class SolvedTable:
@@ -50,16 +55,6 @@ def enumerate_and_successors(atoms: AtomSet, m: int) -> list[AtomSet]:
     return [frozenset(c) for c in itertools.combinations(sorted(atoms), m)]
 
 
-@dataclass
-class PassResult:
-    cost: Units  # exact if solved, else a lower bound above the limit or INF
-    solved: bool
-    # No AND node was expanded: the pass was a complete regression search,
-    # so its cost is exact and, when solved, it carries the plan.
-    complete: bool
-    plan: Plan | None = None
-
-
 class IdaoSearch:
     """One m-regression pass; the solved table lives exactly as long as the
     instance, the heuristic table is shared and only ever improves."""
@@ -77,9 +72,10 @@ class IdaoSearch:
         self.m = m
         self.solved = SolvedTable(solved_capacity)
         self.recorder = recorder
+        # No AND node expanded yet: the pass is a complete regression search.
         self.complete = True
-        self._solved_flag = False
-        self._chain: list | None = None
+        self._solution: list = []  # the solved path's edges, final state first
+        self._searching: set = set()  # the states of the enclosing _idao_star calls
         # Any solvable node has a witness chain visiting each size-<=m set at
         # most once, so its cost is capped by one worst-case step per set.
         # Climbing past the cap therefore proves the node unsolvable, which
@@ -89,25 +85,38 @@ class IdaoSearch:
         steps = [max(problem.cost_units[a], problem.dur_units[a]) for a in problem.actions]
         self._value_cap = n_sets * max(steps, default=0)
 
-    def run(self, bound: Units = INF) -> PassResult:
-        """Search the problem goals to the given cost limit (in units).  An
-        unsolved pass returns INF if the relaxed problem has no solution,
-        else the least cost above the limit it could not rule out."""
-        root = self.space.root()
-        cost, solved = self._idao_star(root, bound, top=True)
+    def run(self, bound: Units = INF) -> SearchResult:
+        """Search the problem goals to the given cost limit (in units).  The
+        result is unsolvable when the relaxed problem has no solution, and
+        at the limit, with the least cost above it that could not be ruled
+        out, when the search did not solve it within the limit."""
+        cost, solved = self._idao_star(self.space.root(), bound, top=True)
+        if cost == INF:
+            return SearchResult("unsolvable")
+        if not solved or cost > bound:
+            return SearchResult("limit", next_bound=cost)
+        # A complete pass is an exact regression search, so its solution
+        # path is a plan.
         plan = None
-        if solved and self._chain is not None:
-            plan = build_plan(self.space, list(reversed(self._chain)))
-        return PassResult(cost, solved, self.complete, plan)
+        if self.complete:
+            plan = build_plan(self.space, list(reversed(self._solution)))
+        return SearchResult("solved", cost, plan)
 
     def _idao_star(self, state, bound: Units, top: bool) -> tuple[Units, bool]:
-        self._solved_flag = False
+        # A state met again inside its own search, as a subset of an AND node
+        # it reached, would be searched afresh, and over zero-cost edges at
+        # the same bound forever.  Its cost through that node is at least its
+        # own, so, like an on-path state in _expand_or, it is left out.
+        if state in self._searching:
+            return INF, False
+        self._searching.add(state)
         space = self.space
         current = space.estimate(self.table, state)
+        solved = False
         # The bound test is inclusive: a node whose estimate equals the limit
         # still gets one search, which either solves it or proves a larger
         # cost.  A strict test can return the unimproved estimate forever.
-        while current <= bound and not self._solved_flag:
+        while current <= bound and not solved:
             if current == INF:
                 break
             if current > self._value_cap:
@@ -116,17 +125,16 @@ class IdaoSearch:
             if top and self.recorder:
                 self.recorder.bound(f"idao:{self.m}", space.problem.to_cost(current))
             # Each search gets its own path: an AND node's subsets start afresh.
-            new = self._dfs(state, current, set())
-            assert self._solved_flag or new > current
+            new, solved = self._dfs(state, current, set())
+            assert solved or new > current
             current = new
-        return current, self._solved_flag
+        self._searching.discard(state)
+        return current, solved
 
-    def _dfs(self, state, bound: Units, on_path: set) -> Units:
+    def _dfs(self, state, bound: Units, on_path: set) -> tuple[Units, bool]:
         space = self.space
         if space.is_final(state):
-            self._solved_flag = True
-            self._chain = []
-            return 0
+            return 0, True
         # AND nodes are solved by their atoms, OR nodes by the state itself.
         atoms = space.atoms_of(state)
         is_and = len(atoms) > self.m
@@ -134,14 +142,12 @@ class IdaoSearch:
         if self.recorder:
             self.recorder.solved_table(hit is not None)
         if hit is not None:
-            self._solved_flag = True
-            self._chain = None
-            return hit
+            return hit, True
         if is_and:
             return self._expand_and(atoms, bound)
         return self._expand_or(state, atoms, bound, on_path)
 
-    def _expand_and(self, atoms: AtomSet, bound: Units) -> Units:
+    def _expand_and(self, atoms: AtomSet, bound: Units) -> tuple[Units, bool]:
         space = self.space
         self.complete = False
         subsets = enumerate_and_successors(atoms, self.m)
@@ -153,20 +159,16 @@ class IdaoSearch:
             cost, solved = self._idao_star(space.from_atoms(sub), bound, top=False)
             if cost > bound:
                 # This subset alone exceeds the bound; the node's cost does too.
-                self._solved_flag = False
-                self._chain = None
-                return cost
-            if not solved:
-                all_solved = False
+                return cost, False
+            all_solved = all_solved and solved
             if cost > worst:
                 worst = cost
-        self._solved_flag = all_solved
-        self._chain = None
         if all_solved:
             self.solved.put(atoms, worst)
-        return worst
+        return worst, all_solved
 
-    def _expand_or(self, state, atoms: AtomSet, bound: Units, on_path: set) -> Units:
+    def _expand_or(self, state, atoms: AtomSet, bound: Units,
+                   on_path: set) -> tuple[Units, bool]:
         space = self.space
         edges, _ = space.successors(state)
         if self.recorder:
@@ -189,14 +191,15 @@ class IdaoSearch:
                     store_best = est
                 continue
             if est <= bound:
-                r = edge.delta + self._dfs(edge.state, bound - edge.delta, on_path)
-                if self._solved_flag:
+                value, solved = self._dfs(edge.state, bound - edge.delta, on_path)
+                r = edge.delta + value
+                if solved:
                     on_path.discard(state)
                     self.solved.put(state, r)
                     space.store_value(self.table, state, r)
-                    if self._chain is not None:
-                        self._chain.append(edge)
-                    return r
+                    if self.complete:
+                        self._solution.append(edge)
+                    return r, True
                 if r < best:
                     best = r
                 # Re-evaluate: the child search may have improved the table.
@@ -209,7 +212,5 @@ class IdaoSearch:
                 if est < store_best:
                     store_best = est
         on_path.discard(state)
-        self._solved_flag = False
-        self._chain = None
         space.store_value(self.table, state, store_best)
-        return best
+        return best, False

@@ -447,6 +447,9 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
     for key in (":domain", ":goal"):
         if key in sec and len(sec[key]) != 2:
             raise PddlError(f"expected ({key} <one argument>)", filename, *_pos(sec[key]))
+    if ":goal" not in sec:
+        raise PddlError(f"problem {name.text} has no (:goal <condition>) section",
+                        filename, *_pos(name))
     domain = _expect_token(sec[":domain"][1], "a domain name", filename)
     objects = _typed_list(sec.get(":objects", ())[1:], filename)
     init: list[Literal] = []
@@ -455,12 +458,10 @@ def parse_problem(text: str, filename: str = "<problem>") -> ProblemAst:
             raise PddlError("unsupported feature: numeric fluent in :init",
                             filename, *_pos(lit))
         init.append(_literal(lit, filename))
-    goal: tuple[Literal, ...] = ()
-    if ":goal" in sec:
-        goal, eq, neq = _condition(sec[":goal"][1], filename)
-        if eq or neq:
-            raise PddlError("equality has no place in a ground goal",
-                            filename, *_pos(sec[":goal"]))
+    goal, eq, neq = _condition(sec[":goal"][1], filename)
+    if eq or neq:
+        raise PddlError("equality has no place in a ground goal",
+                        filename, *_pos(sec[":goal"]))
     return ProblemAst(name.text, domain, objects, tuple(init), goal, filename)
 
 

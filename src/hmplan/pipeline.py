@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .hm import compute_base_heuristic
 from .htable import HeuristicTable
 from .idao import IdaoSearch
-from .idastar import IdaStar
+from .idastar import IdaStar, SearchResult
 from .metrics import Recorder
 from .model import INF, Cost, Mode, Plan, Problem, Units
 from .sequential import SequentialSpace
@@ -84,34 +84,32 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
     root_h = space.estimate(table, space.root())
     if recorder:
         recorder.bound("gbf", problem.to_cost(root_h))
-    result = PlanResult("unsolvable", table=table)
     if root_h == INF:
-        return result
-    if config.pipeline == "hspa" and _boost(problem, space, table, config, stop,
-                                            limit, recorder, result):
-        return result
+        return PlanResult("unsolvable", table=table)
+    out = None
+    if config.pipeline == "hspa":
+        out = _boost(problem, space, table, config, stop, limit, recorder)
+    if out is None:
+        right_shift = config.right_shift and problem.mode is not Mode.SEQUENTIAL
+        search = IdaStar(space, table, use_tt=config.use_tt, tt_capacity=config.tt_size,
+                         right_shift=right_shift, recorder=recorder)
+        out = search.run(limit)
 
-    right_shift = config.right_shift and problem.mode is not Mode.SEQUENTIAL
-    search = IdaStar(space, table, use_tt=config.use_tt, tt_capacity=config.tt_size,
-                     right_shift=right_shift, recorder=recorder)
-    out = search.run(limit)
-    result.outcome = out.outcome
-    result.plan = out.plan
-    if out.cost is not None:
-        result.cost = problem.to_cost(out.cost)
-    if out.next_bound is not None:
-        result.next_bound = problem.to_cost(out.next_bound)
-    return result
+    def to_cost(units: Units | None) -> Cost | None:
+        return None if units is None else problem.to_cost(units)
+
+    return PlanResult(out.outcome, to_cost(out.cost), out.plan,
+                      to_cost(out.next_bound), table)
 
 
 def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig,
-           stop: tuple[str, int | None], limit: Units, recorder: Recorder | None,
-           result: PlanResult) -> bool:
+           stop: tuple[str, int | None], limit: Units,
+           recorder: Recorder | None) -> SearchResult | None:
     """Run relaxed passes for m = base_m + 1, ... until the stopping rule
     fires (under fixed:M, up to m = M only), each bounded by the limit (in
-    units).  Returns True when a pass settled the run: it proved the problem
-    unsolvable, or the optimum above the limit, or it was a complete search
-    whose plan is `result`'s."""
+    units).  Returns the pass that settled the run, if one did: it proved
+    the problem unsolvable, or the optimum above the limit, or it was a
+    complete search and carries the plan."""
     stop_kind, stop_m = stop
     prev_cost: Units | None = None
     m = config.base_m + 1
@@ -120,28 +118,16 @@ def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig
         idao = IdaoSearch(space, table, m, solved_capacity=config.solved_size,
                           recorder=recorder)
         out = idao.run(limit)
-        if out.cost == INF:
-            # The m-relaxation admits no solution, so neither does the problem.
-            return True
-        if not out.solved or out.cost > limit:
-            # The relaxed cost, a lower bound on the optimum, exceeds the limit.
-            result.outcome = "limit"
-            result.next_bound = problem.to_cost(out.cost)
-            return True
-        if out.complete:
-            # The pass never crossed the size boundary: it was a complete
-            # regression search, and its cost and plan are exact.  Larger m
-            # would repeat the identical search.
-            if out.plan is not None:
-                result.outcome = "solved"
-                result.cost = problem.to_cost(out.cost)
-                result.plan = out.plan
-                return True
-            return False
+        # An unsolvable m-relaxation means an unsolvable problem; a relaxed
+        # cost above the limit bounds the optimum; a plan means the pass never
+        # crossed the size boundary, so its cost and plan are exact and larger
+        # m would repeat the identical search.
+        if out.outcome != "solved" or out.plan is not None:
+            return out
         if stop_kind == "converged" and out.cost == prev_cost:
-            return False
+            return None
         prev_cost = out.cost
         m += 1
         if m > n_atoms:
-            return False
-    return False
+            return None
+    return None

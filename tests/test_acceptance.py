@@ -101,7 +101,7 @@ class TestCriteria:
         c = any(it == 2 and k == pair and v == 2
                 for it, k, v in search.solved.log)
         d = any(it >= 2 and k == p.goal and v == 5 for it, k, v in table.log)
-        e = table.eval(p.goal) == 7 and out.solved and out.cost == 7
+        e = table.eval(p.goal) == 7 and out.outcome == "solved" and out.cost == 7
         ok = a and b and c and d and e and elapsed < 1.0
         verdict(1, ok, f"root 3:{a} pair@4:{b} sub@2:{c} pair@5:{d} final 7:{e}")
 
@@ -126,7 +126,7 @@ class TestCriteria:
                 if m > 1:
                     compute_base_heuristic(p, seed, m - 1)
                 out = IdaoSearch(space, seed, m).run()
-                got = out.cost if (out.solved or out.cost == INF) else None
+                got = INF if out.outcome == "unsolvable" else out.cost
                 ok = ok and got == want
                 checked += 1
         verdict(2, ok and checked >= 60, f"{checked} root comparisons")

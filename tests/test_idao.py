@@ -8,10 +8,11 @@ from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.idao import IdaoSearch, SolvedTable, enumerate_and_successors
-from hmplan.metrics import Recorder
+from hmplan.metrics import AND, Recorder
 from hmplan.model import INF, Mode
 from hmplan.sequential import SequentialSpace
 from hmplan.temporal import TemporalSpace
+from hmplan.validate import validate_plan
 
 
 def search(problem, m, base_m=1, **kw):
@@ -67,17 +68,15 @@ class TestExactness:
         # [DERIVED: brute-force optimal 7; goal has 2 atoms so m=2 suffices]
         p = fixtures.satellite()
         out = search(p, 2).run()
-        assert out.solved and out.cost == 7
-        # size-4 regressed states split into pairs
-        assert not out.complete
+        assert out.outcome == "solved" and out.cost == 7
+        # size-4 regressed states split into pairs, so the pass has no plan
         assert out.plan is None
 
     def test_satellite_m4_is_and_free(self):
         # no regressed state exceeds 4 atoms, so m=4 yields a plan chain
         p = fixtures.satellite()
         out = search(p, 4, base_m=2).run()
-        assert out.solved and out.cost == 7
-        assert out.complete
+        assert out.outcome == "solved" and out.cost == 7
         assert out.plan is not None and out.plan.metric == 7
 
     def test_complete_flags_and_free_passes_only(self):
@@ -85,9 +84,9 @@ class TestExactness:
         # the m=3 pass splits one size-4 state]
         p = fixtures.satellite()
         free = search(p, 4, base_m=3).run()
-        assert free.solved and free.complete and free.plan is not None
+        assert free.outcome == "solved" and free.plan is not None
         split = search(p, 3, base_m=2).run()
-        assert split.solved and not split.complete
+        assert split.outcome == "solved" and split.plan is None
 
     def test_random_or_only_matches_oracle(self):
         # m at least the largest reachable state removes all AND nodes
@@ -97,28 +96,52 @@ class TestExactness:
             p = random_problem(rng, max_atoms=6, max_actions=9)
             opt = seq_optimal(p)
             out = search(p, len(p.atoms)).run()
-            assert out.solved == (opt != INF)
-            if out.solved:
+            assert (out.outcome == "solved") == (opt != INF)
+            if out.outcome == "solved":
                 assert p.to_cost(out.cost) == opt
                 checked += 1
         assert checked >= 5
 
     def test_unsolvable_pair(self):
         out = search(fixtures.unsolvable(), 2).run()
-        assert not out.solved
-        assert out.cost == INF
+        assert out.outcome == "unsolvable"
 
     def test_bounded_run_stops_early(self):
         p = fixtures.satellite()
         out = search(p, 2).run(bound=Fraction(4))
-        assert not out.solved
-        assert out.cost > 4
+        assert out.outcome == "limit"
+        assert out.next_bound > 4
 
     def test_temporal_pass(self):
         # [DERIVED: forward layered search gives makespan 6]
         p = fixtures.satellite(mode=Mode.PARALLEL)
         out = search(p, 2).run()
-        assert out.solved and out.cost == 6
+        assert out.outcome == "solved" and out.cost == 6
+
+
+class TestPassPlans:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_plans_are_plans(self, mode):
+        # A solved pass has a plan exactly when it split no state, and the
+        # plan is valid at the pass cost.  Temporal durations are positive.
+        rng = random.Random(43)
+        plans = splits = 0
+        for _ in range(15):
+            p = random_problem(rng, max_atoms=8, max_actions=12, mode=mode)
+            for m, base_m in ((1, 1), (2, 1), (len(p.atoms), 2)):
+                rec = Recorder()
+                out = search(p, m, base_m=base_m, recorder=rec).run()
+                if out.outcome != "solved":
+                    assert out.plan is None
+                    continue
+                split = any(e.space == AND for e in rec.events)
+                assert (out.plan is None) == split
+                if out.plan is not None:
+                    assert validate_plan(p, out.plan).ok
+                    assert out.plan.metric == p.to_cost(out.cost)
+                plans += not split
+                splits += split
+        assert plans >= 20 and splits >= 5
 
 
 class TestTableSideEffects:
@@ -148,5 +171,5 @@ class TestTableSideEffects:
         p = fixtures.satellite()
         rec = Recorder()
         out = search(p, 2, recorder=rec).run()
-        assert out.solved and out.cost == 7
+        assert out.outcome == "solved" and out.cost == 7
         assert rec.solved_hits > 0

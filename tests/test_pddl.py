@@ -187,6 +187,8 @@ def test_malformed_forms_rejected_with_position(parse, text, where):
      "p.pddl:2:12: problem is for domain 'other', not 'workshop'"),
     ("p", "(:domain workshop)", "",
      "p.pddl:1:18: problem workshop-1 has no (:domain <name>) section"),
+    ("p", "(:goal (and (boxed)))", "",
+     "p.pddl:1:18: problem workshop-1 has no (:goal <condition>) section"),
     ("d", "action mill-b", "action mill-a",
      "d.pddl:10:21: action 'mill-a' declared twice"),
     ("d", "(= ?duration 1.5)", "(= ?duration 1.5)\n    :duration (= ?duration 9)",
@@ -199,8 +201,8 @@ def test_malformed_forms_rejected_with_position(parse, text, where):
      "d.pddl:8:5: expected one of :parameters :duration :condition :effect, "
      "got ':precondition'"),
 ], ids=["goal-twice", "objects-twice", "domain-other", "domain-missing",
-        "action-twice", "duration-twice", "predicates-twice", "predicate-twice",
-        "foreign-keyword"])
+        "goal-missing", "action-twice", "duration-twice", "predicates-twice",
+        "predicate-twice", "foreign-keyword"])
 def test_one_meaning_per_form(file, old, new, message):
     texts = {"d": read("workshop-domain.pddl"), "p": read("workshop-1.pddl")}
     assert texts[file].count(old) == 1

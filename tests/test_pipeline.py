@@ -8,7 +8,7 @@ from conftest import MIXED_COSTS, MIXED_DURS
 from hmplan import fixtures
 from hmplan.cli import _build_parser
 from hmplan.metrics import AND, NORMAL, OR, Recorder, collect_metrics
-from hmplan.model import INF, Mode, Problem
+from hmplan.model import INF, Atom, GroundAction, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.validate import validate_plan
 
@@ -289,6 +289,46 @@ class TestUnlikeDenominatorDurations:
                         assert limit < res.next_bound <= opt
                     else:
                         assert res.outcome == "solved" and res.cost == opt
+
+
+class TestZeroCostAndCycles:
+    """An OR node whose zero-duration step reaches an AND node over a
+    superset of itself must not search itself again inside its own search."""
+
+    def test_subset_reentry_terminates(self):
+        # [DERIVED: tp4 solves it at makespan 1; hspa used to recurse forever]
+        def act(k, pre, add, delete, dur):
+            return GroundAction(k, f"a{k}", frozenset(pre), frozenset(add),
+                                frozenset(delete), Fraction(1), Fraction(dur))
+
+        actions = [
+            act(0, [3, 4], [2], [], 2), act(1, [0, 4, 5], [0, 4], [1, 3], 0),
+            act(2, [0], [3], [], 0), act(3, [1, 2, 3], [2, 3], [], 0),
+            act(4, [3], [2, 4], [], 1), act(5, [1], [0, 1], [], 2),
+            act(6, [1, 4], [5], [2], 0), act(7, [1, 5], [3], [0, 5], 0),
+            act(8, [5], [3], [1, 4], 2),
+        ]
+        p = Problem([Atom(i, f"p{i}") for i in range(6)], actions,
+                    frozenset({0, 1, 3, 4, 5}), frozenset({2}), Mode.TEMPORAL, "reentry")
+        for pipeline in ("tp4", "hspa"):
+            res = plan(p, pipeline=pipeline)
+            assert res.outcome == "solved" and res.cost == 1
+
+    def test_random_zero_durations_match_oracle(self):
+        rng = random.Random(21)
+        durs = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+        configs = [dict(stop="fixed:3"), dict(stop="no-and"),
+                   dict(stop="converged", base_m=1), dict(stop="no-and", base_m=1)]
+        for _ in range(120):
+            p = random_problem(rng, max_atoms=7, max_actions=10,
+                               mode=Mode.TEMPORAL, durs=durs)
+            opt = temporal_makespan(p)
+            for kw in configs:
+                res = plan(p, pipeline="hspa", **kw)
+                if opt == INF:
+                    assert res.outcome == "unsolvable"
+                else:
+                    assert res.outcome == "solved" and res.cost == opt
 
 
 class TestBoostingHonoursLimit:
