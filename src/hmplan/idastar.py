@@ -1,7 +1,9 @@
 """Cost-bounded iterative-deepening A* over a regression space, with a
 fixed-capacity closed-hash transposition table and footnote-style bound
 schedule: each iteration's bound is the least f-value pruned in the previous
-one, never a fixed increment.
+one, never a fixed increment.  Each iteration walks the tree with an
+explicit stack of frames, one per state on the current path, so the plan
+length is not bounded by Python's recursion limit.
 
 The search counts in the problem's integer units of 1/scale: g, h, f, the
 bounds, the upper limit and the result's cost and next bound.  `build_plan`
@@ -16,8 +18,6 @@ from fractions import Fraction
 from .htable import HeuristicTable
 from .metrics import NORMAL, Recorder
 from .model import INF, Mode, Plan, PlanStep, Units
-
-_SOLVED = object()
 
 
 class TranspositionTable:
@@ -83,105 +83,100 @@ class IdaStar:
         self.right_shift = right_shift
         self.recorder = recorder
         self.stats = SearchStats()
-        self._solution: list = []
-        self._on_path: set = set()  # the states of the current path
 
     def run(self, upper_limit: Units = INF) -> SearchResult:
         """Search to the first bound above `upper_limit` (in units)."""
         space = self.space
         root = space.root()
-        if space.is_final(root):
-            plan = build_plan(self.space, [])
-            return SearchResult("solved", 0, plan, stats=self.stats)
         root_h = space.estimate(self.table, root)
         bound = root_h
-        if self.tt is not None:
-            cached = self.tt.get(root)
-            if cached is not None and cached > bound:
-                bound = cached
-        while True:
-            if bound == INF:
-                return SearchResult("unsolvable", stats=self.stats)
-            if bound > upper_limit:
-                return SearchResult("limit", next_bound=bound, stats=self.stats)
+        while bound != INF and bound <= upper_limit:
             self.stats.iterations += 1
             if self.recorder:
                 self.recorder.bound("ida", space.problem.to_cost(bound))
-            self._solution = []
-            result = self._dfs(root, root_h, 0, bound, 0, None)
-            if result is _SOLVED:
-                edges = list(reversed(self._solution))
-                plan = build_plan(self.space, edges)
+            edges, value = self._iteration(root, root_h, bound)
+            if edges is not None:
+                plan = build_plan(space, edges)
                 return SearchResult("solved", sum(e.delta for e in edges), plan,
                                     stats=self.stats)
-            value, _clean = result
             assert value > bound
             bound = value
+        if bound == INF:
+            return SearchResult("unsolvable", stats=self.stats)
+        return SearchResult("limit", next_bound=bound, stats=self.stats)
 
-    def _dfs(self, state, h: Units, g: Units, bound: Units, depth: int, via):
-        """Returns _SOLVED or (value, clean).
+    def _iteration(self, root, root_h: Units, bound: Units):
+        """One depth-first pass under `bound`.  Returns (edges, None) with
+        the solution's edges from the root to a final state, or (None,
+        value) with the least f pruned in the pass.
 
-        via is the edge the search came to the state by (None at the root);
-        the space's right-shift rule reads it.
+        The current path is a stack of frames, one per expanded state:
+        [state, g, h, edge in, scored children, least pruned f below,
+        clean, right-shift cuts].  The edge in is the one the search came
+        to the state by (None at the root); the space's right-shift rule
+        reads it.  A state is entered with the h its parent scored it by:
+        the table is never written during the search, so evaluating it
+        again would give the same value.
 
-        h is the state's heuristic value, computed by the caller when it
-        scored the state for ordering; the table is never written during
-        the search, so evaluating it again would give the same value.
-
-        The value is the least pruned f below this node, with branches that
+        A state's value is the least pruned f below it, with branches that
         closed a cycle on the current path left out: every remaining
-        contribution exceeds the bound, so the schedule always advances, and
-        the optimal path is cycle-free so it is never the branch left out.
-        Leaving cycles out makes the value path-dependent, though, so only
-        clean values (no cycle pruned anywhere below) may be cached.
+        contribution exceeds the bound, so the schedule always advances,
+        and the optimal path is cycle-free so it is never the branch left
+        out.  Leaving cycles out makes the value path-dependent, though, so
+        only clean values (no cycle pruned anywhere below) are cached.
         """
-        space = self.space
-        if space.is_final(state):
-            if g > bound:
-                return g, True
-            return _SOLVED
-        if self.tt is not None:
-            cached = self.tt.get(state)
-            if cached is not None and cached > h:
-                h = cached
-        f = g + h
-        if f > bound:
-            return f, True
-        edges, cut_count = space.successors(state, via, self.right_shift)
-        if self.recorder:
-            self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
-                                    tuple(len(space.atoms_of(e.state)) for e in edges))
-        estimate, table = space.estimate, self.table
-        scored = sorted(
-            ((e.delta + estimate(table, e.state), e) for e in edges),
-            key=lambda it: (it[0], tuple(a.index for a in it[1].actions)),
-        )
-        subtree_min: Units = INF
-        clean = True
-        on_path = self._on_path
-        on_path.add(state)
-        for est, edge in scored:
-            if edge.state in on_path:
-                clean = False
-                continue
-            r = self._dfs(edge.state, est - edge.delta, g + edge.delta, bound,
-                          depth + 1, edge)
-            if r is _SOLVED:
-                on_path.discard(state)
-                self._solution.append(edge)
-                return _SOLVED
-            value, child_clean = r
-            clean = clean and child_clean
-            if value < subtree_min:
-                subtree_min = value
-        on_path.discard(state)
-        # Right-shift cuts make the updated cost path-dependent, so the
-        # transposition table is not fed from expansions the rule touched.
-        if self.tt is not None and cut_count == 0 and clean:
-            new_h = subtree_min - g if subtree_min != INF else INF
-            if new_h > h:
-                self.tt.put(state, new_h, depth)
-        return subtree_min, clean
+        space, table, tt, recorder = self.space, self.table, self.tt, self.recorder
+        estimate = space.estimate
+        path: list[list] = []
+        on_path: set = set()
+        state, g, h, via = root, 0, root_h, None
+        while True:
+            # Enter the state: settle it as final or pruned, or expand it.
+            if space.is_final(state):
+                if g <= bound:
+                    return ([frame[3] for frame in path] + [via])[1:], None
+                value, clean = g, True
+            else:
+                if tt is not None:
+                    cached = tt.get(state)
+                    if cached is not None and cached > h:
+                        h = cached
+                value, clean = g + h, True
+                if value <= bound:
+                    edges, cuts = space.successors(state, via, self.right_shift)
+                    if recorder:
+                        recorder.expansion(NORMAL, len(space.atoms_of(state)),
+                                           tuple(len(space.atoms_of(e.state)) for e in edges))
+                    scored = sorted(
+                        ((e.delta + estimate(table, e.state), e) for e in edges),
+                        key=lambda it: (it[0], tuple(a.index for a in it[1].actions)),
+                    )
+                    path.append([state, g, h, via, iter(scored), INF, True, cuts])
+                    on_path.add(state)
+                    value = None
+            # Fold settled values into their parents until a child is next.
+            while path:
+                frame = path[-1]
+                if value is not None:
+                    frame[5] = min(frame[5], value)
+                    frame[6] = frame[6] and clean
+                for est, edge in frame[4]:
+                    if edge.state not in on_path:
+                        break
+                    frame[6] = False
+                else:
+                    path.pop()
+                    state, g, h, _, _, value, clean, cuts = frame
+                    on_path.discard(state)
+                    # Right-shift cuts make the updated cost path-dependent,
+                    # so the table is not fed from expansions they touched.
+                    if tt is not None and cuts == 0 and clean and value - g > h:
+                        tt.put(state, value - g, len(path))
+                    continue
+                state, g, h, via = edge.state, frame[1] + edge.delta, est - edge.delta, edge
+                break
+            else:
+                return None, value
 
 
 def build_plan(space, edges) -> Plan:
@@ -202,4 +197,7 @@ def build_plan(space, edges) -> Plan:
             start = total - elapsed - problem.dur_units[a]
             steps.append(PlanStep(problem.to_cost(start), a))
         elapsed += edge.delta
+    # Steps regressed later run earlier, also at one time point.
+    steps.reverse()
+    steps.sort(key=lambda st: st.start)
     return Plan(steps, problem.to_cost(total))

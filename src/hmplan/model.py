@@ -205,13 +205,15 @@ class PlanStep:
 
 @dataclass
 class Plan:
-    """A sequential plan (start times 0,1,2,...) or a temporal schedule."""
+    """A sequential plan (start times 0,1,2,...) or a temporal schedule.
+    Steps are listed in execution order: steps with one start time run in
+    the order they are listed, which matters for zero-duration steps."""
 
     steps: list[PlanStep]
     metric: Cost
 
     def sorted_steps(self) -> list[PlanStep]:
-        return sorted(self.steps, key=lambda st: (st.start, st.action.index))
+        return sorted(self.steps, key=lambda st: st.start)
 
     def format(self, mode: Mode) -> str:
         lines = []

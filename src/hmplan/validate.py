@@ -2,7 +2,8 @@
 
 Sequential plans are checked by executing actions in order.  Temporal
 schedules are checked event by event: at each time point the effects of
-ending actions apply first, then zero-duration actions fire to a fixpoint,
+ending actions apply first, then zero-duration actions fire one at a time,
+each time the first not yet fired in plan order whose precondition holds,
 then the preconditions of starting actions are checked.  Overlapping actions
 must be pairwise compatible: neither may delete an atom the other requires
 or adds.
@@ -83,12 +84,13 @@ def _validate_temporal(problem: Problem, plan: Plan) -> ValidationResult:
             if st.action.dur > 0 and st.start + st.action.dur == t:
                 state -= st.action.delete
                 state |= st.action.add
-        # Zero-duration actions at t fire in dependency order: keep applying
-        # any whose precondition holds until all have fired or none can.
+        # Zero-duration actions at t fire one at a time: each time the first
+        # pending one in plan order whose precondition holds, until all have
+        # fired or none can.
         pending = [st for st in steps if st.action.dur == 0 and st.start == t]
         while pending:
-            ready = [st for st in pending if st.action.pre <= state]
-            if not ready:
+            ready = next((st for st in pending if st.action.pre <= state), None)
+            if ready is None:
                 for st in pending:
                     miss = st.action.pre - state
                     names = ", ".join(sorted(problem.set_names(frozenset(miss))))
@@ -96,10 +98,9 @@ def _validate_temporal(problem: Problem, plan: Plan) -> ValidationResult:
                         f"({st.action.name}) at {t}: precondition not satisfied: {names}"
                     )
                 break
-            for st in ready:
-                state -= st.action.delete
-                state |= st.action.add
-                pending.remove(st)
+            state -= ready.action.delete
+            state |= ready.action.add
+            pending.remove(ready)
         for st in steps:
             if st.action.dur > 0 and st.start == t:
                 miss = st.action.pre - state
@@ -120,7 +121,7 @@ def _validate_temporal(problem: Problem, plan: Plan) -> ValidationResult:
 def _overlap(s1: Fraction, d1: Fraction, s2: Fraction, d2: Fraction) -> bool:
     e1, e2 = s1 + d1, s2 + d2
     if d1 == 0 and d2 == 0:
-        return False  # instantaneous actions at one point are ordered by the fixpoint
+        return False  # instantaneous actions at one point fire one at a time
     if d1 == 0:
         return s2 < s1 < e2
     if d2 == 0:

@@ -60,6 +60,9 @@ def test_traced_run_checks_clean(case):
                                    tuple(float(r) for r in roots))
     assert layers["hm.sets"] > 0
     assert layers["idastar.iterations"] > 0
+    # The tracer reads IDA*'s iterations from its result's stats, the
+    # Recorder gets one "ida" bound record per iteration: the two agree.
+    assert layers["idastar.iterations"] == sum(r.phase == "ida" for r in recorder.trace)
     assert layers["idao.passes"] > 0
     # Each table's first probe finds it empty: a get that answered a miss
     # with anything but None would count every probe as a hit.

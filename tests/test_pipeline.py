@@ -154,6 +154,20 @@ class TestEdges:
             res = plan(p, pipeline=pipeline)
             assert res.outcome == "solved" and res.cost == 0
 
+    def test_empty_goal_under_negative_limit(self):
+        # The empty plan costs 0, which is above a limit of -1.
+        c = fixtures.chain(2)
+        p = Problem(c.atoms, c.actions, c.init, frozenset(), c.mode)
+        for pipeline in ("tp4", "hspa"):
+            res = plan(p, pipeline=pipeline, upper_limit=Fraction(-1))
+            assert res.outcome == "limit" and res.next_bound == 0
+
+    def test_plan_longer_than_recursion_limit(self):
+        p = fixtures.chain(5000)
+        res = plan(p, base_m=1)
+        assert res.outcome == "solved" and res.cost == 5000
+        assert validate_plan(p, res.plan).ok
+
     def test_upper_limit(self):
         p = fixtures.satellite()
         res = plan(p, upper_limit=Fraction(5))
@@ -329,6 +343,43 @@ class TestZeroCostAndCycles:
                     assert res.outcome == "unsolvable"
                 else:
                     assert res.outcome == "solved" and res.cost == opt
+
+
+class TestSameTimeSteps:
+    """Zero-duration steps at one time point are listed in the order the
+    regression chained them, which is the order they execute in."""
+
+    def test_chained_zero_duration_steps(self):
+        # a8 needs x4 and deletes x3 and x4, a7 adds x3, and a6 needs x0
+        # (from a8) and x3 and restores x4: they run a8, a7, a6, against
+        # their index order.
+        def act(k, name, pre, add, delete):
+            return GroundAction(k, name, frozenset(pre), frozenset(add),
+                                frozenset(delete), Fraction(1), Fraction(0))
+
+        p = Problem([Atom(i, f"x{i}") for i in range(5)],
+                    [act(0, "a6", [0, 3], [0, 4], [1, 3]), act(1, "a7", [], [3], []),
+                     act(2, "a8", [4], [0, 1], [3, 4])],
+                    frozenset({1, 2, 4}), frozenset({0, 4}), Mode.TEMPORAL, "chained")
+        for pipeline in ("tp4", "hspa"):
+            res = plan(p, pipeline=pipeline)
+            assert res.outcome == "solved" and res.cost == 0
+            assert [st.action.name for st in res.plan.sorted_steps()] == ["a8", "a7", "a6"]
+            assert validate_plan(p, res.plan).ok
+
+    def test_random_zero_duration_plans_validate(self):
+        rng = random.Random(7)
+        durs = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+        solved = 0
+        for _ in range(400):
+            p = random_problem(rng, max_atoms=6, max_actions=9,
+                               mode=Mode.TEMPORAL, durs=durs)
+            for pipeline in ("tp4", "hspa"):
+                res = plan(p, pipeline=pipeline)
+                if res.outcome == "solved":
+                    solved += 1
+                    assert validate_plan(p, res.plan).ok, validate_plan(p, res.plan).report()
+        assert solved > 0
 
 
 class TestBoostingHonoursLimit:

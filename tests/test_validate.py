@@ -122,6 +122,22 @@ class TestTemporal:
                      PlanStep(Fraction(0), a)], Fraction(0))
         assert validate_plan(p, plan).ok
 
+    def test_zero_duration_steps_deleting_each_others_precondition(self):
+        # Each step deletes the other's precondition, so whichever fires
+        # first disables the other: no order executes both.
+        atoms = [Atom(0, "p"), Atom(1, "s"), Atom(2, "q"), Atom(3, "r")]
+        x = GroundAction(0, "x", frozenset({1}), frozenset({2}), frozenset({0}),
+                         Fraction(1), Fraction(0))
+        z = GroundAction(1, "z", frozenset({0}), frozenset({3}), frozenset({1}),
+                         Fraction(1), Fraction(0))
+        p = Problem(atoms, [x, z], frozenset({0, 1}), frozenset({2, 3}), Mode.TEMPORAL)
+        for first, second in ((x, z), (z, x)):
+            plan = Plan([PlanStep(Fraction(0), first), PlanStep(Fraction(0), second)],
+                        Fraction(0))
+            res = validate_plan(p, plan)
+            assert not res.ok
+            assert any(f"({second.name}) at 0: precondition" in e for e in res.errors)
+
     def test_zero_duration_without_support_rejected(self):
         atoms = [Atom(0, "p"), Atom(1, "q")]
         b = GroundAction(0, "b", frozenset({0}), frozenset({1}), frozenset(),
