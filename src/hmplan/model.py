@@ -18,7 +18,7 @@ space's `evaluate`, the upper limit and printing.  `Problem.to_cost` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import floor, lcm
@@ -230,23 +230,6 @@ class Plan:
 
 def round_durations_up(problem: Problem) -> Problem:
     """Replace every duration with its ceiling (zero stays zero)."""
-    actions = [
-        GroundAction(
-            index=a.index,
-            name=a.name,
-            pre=a.pre,
-            add=a.add,
-            delete=a.delete,
-            cost=a.cost,
-            dur=Fraction(ceil_cost(a.dur)),
-        )
-        for a in problem.actions
-    ]
-    return Problem(
-        atoms=list(problem.atoms),
-        actions=actions,
-        init=problem.init,
-        goal=problem.goal,
-        mode=problem.mode,
-        name=problem.name,
-    )
+    actions = [replace(a, dur=ceil_cost(a.dur)) for a in problem.actions]
+    return Problem(list(problem.atoms), actions, problem.init, problem.goal,
+                   problem.mode, problem.name)

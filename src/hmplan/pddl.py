@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
+import re
 
 from .model import Atom, GroundAction, Mode, Problem
 
@@ -66,54 +67,31 @@ def _head(node) -> str | None:
     return None
 
 
-def tokenize(text: str, filename: str) -> list[Token]:
-    out: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            out.append(Token(text[i:j], line, col))
-            col += j - i
-            i = j
-    return out
+# Newlines, other blanks and `;` comments are matched only to be skipped.
+_LEXEME = re.compile(r"(\n)|[ \t\r]+|;[^\n]*|([()])|([^ \t\r\n();]+)")
 
 
 def parse_sexprs(text: str, filename: str) -> list:
-    tokens = tokenize(text, filename)
     stack: list[SList] = []
     top: list = []
-    for tok in tokens:
-        if tok.text == "(":
-            stack.append(SList(tok.line, tok.col))
-        elif tok.text == ")":
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        newline, paren, name = m.groups()
+        col = m.start() - line_start + 1
+        if newline:
+            line += 1
+            line_start = m.end()
+        elif paren == "(":
+            stack.append(SList(line, col))
+        elif paren:
             if not stack:
-                raise PddlError("unmatched ')'", filename, tok.line, tok.col)
+                raise PddlError("unmatched ')'", filename, line, col)
             done = stack.pop()
             (stack[-1] if stack else top).append(done)
-        else:
+        elif name:
             if not stack:
-                raise PddlError(
-                    f"expected '(' before {tok.text!r}", filename, tok.line, tok.col
-                )
-            stack[-1].append(tok)
+                raise PddlError(f"expected '(' before {name!r}", filename, line, col)
+            stack[-1].append(Token(name, line, col))
     if stack:
         raise PddlError("unclosed '('", filename, stack[-1].line, stack[-1].col)
     return top
@@ -564,7 +542,7 @@ def ground(domain: DomainAst, problem: ProblemAst,
                                 schema.line, schema.col)
         pools = []
         for v, t in schema.params:
-            if t not in by_type and t not in assignable:
+            if t not in assignable:
                 raise PddlError(f"undeclared type {t!r} in {ctx}", domain.filename,
                                 schema.line, schema.col)
             pools.append(by_type.get(t, []))
@@ -582,8 +560,6 @@ def ground(domain: DomainAst, problem: ProblemAst,
             if any(l[0] not in affected and l not in static_init for l in pre_lits):
                 continue  # a static precondition is false
             pre_lits = [l for l in pre_lits if l[0] in affected]
-            add_lits = [l for l in add_lits if l[0] in affected]
-            del_lits = [l for l in del_lits if l[0] in affected]
             if set(add_lits) & set(del_lits):
                 continue  # contradictory instance
             if not add_lits:

@@ -88,7 +88,7 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
         return PlanResult("unsolvable", table=table)
     out = None
     if config.pipeline == "hspa":
-        out = _boost(problem, space, table, config, stop, limit, recorder)
+        out = _boost(space, table, config, stop, limit, recorder)
     if out is None:
         right_shift = config.right_shift and problem.mode is not Mode.SEQUENTIAL
         search = IdaStar(space, table, use_tt=config.use_tt, tt_capacity=config.tt_size,
@@ -102,7 +102,7 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
                       to_cost(out.next_bound), table)
 
 
-def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig,
+def _boost(space, table: HeuristicTable, config: PlannerConfig,
            stop: tuple[str, int | None], limit: Units,
            recorder: Recorder | None) -> SearchResult | None:
     """Run relaxed passes for m = base_m + 1, ... until the stopping rule
@@ -113,7 +113,9 @@ def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig
     stop_kind, stop_m = stop
     prev_cost: Units | None = None
     m = config.base_m + 1
-    n_atoms = len(problem.atoms)
+    # No pass needs m above the atom count: the loop goes on only after a
+    # solved pass with no plan, which split a state of more than m atoms, and
+    # a pass at m equal to the atom count splits nothing, so it returns.
     while stop_kind != "fixed" or m <= stop_m:
         idao = IdaoSearch(space, table, m, solved_capacity=config.solved_size,
                           recorder=recorder)
@@ -128,6 +130,4 @@ def _boost(problem: Problem, space, table: HeuristicTable, config: PlannerConfig
             return None
         prev_cost = out.cost
         m += 1
-        if m > n_atoms:
-            return None
     return None

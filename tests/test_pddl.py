@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hmplan import PlannerConfig, run_pipeline
 from hmplan.model import Mode, Problem
 from hmplan.pddl import (
     PddlError,
@@ -48,6 +49,45 @@ class TestSexprs:
         with pytest.raises(PddlError) as ei:
             parse_sexprs("(a (b)", "f.pddl")
         assert "f.pddl:" in str(ei.value)
+
+
+@st.composite
+def _balanced_texts(draw):
+    """A text over the characters `() \t\r\n;ab?é`, made to parse: inside
+    one outer list, a `)` that would close it is dropped and the lists left
+    open are closed on a line of their own."""
+    depth, comment, out = 1, False, ["("]
+    for c in draw(st.text("() \t\r\n;ab?é", max_size=60)):
+        comment = (comment or c == ";") and c != "\n"
+        if not comment and c == ")":
+            if depth == 1:
+                continue
+            depth -= 1
+        elif not comment and c == "(":
+            depth += 1
+        out.append(c)
+    return "".join(out) + "\n" + ")" * depth
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_balanced_texts())
+def test_positions_point_at_the_source(text):
+    lines = text.split("\n")
+
+    def at(node, length):
+        return lines[node.line - 1][node.col - 1:node.col - 1 + length]
+
+    tokens, stack = [], parse_sexprs(text, "f")[::-1]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            assert at(node, 1) == "("
+            stack.extend(reversed(node))
+        else:
+            assert at(node, len(node.text)) == node.text
+            tokens.append(node.text)
+    words = [w for line in lines for w in re.split(r"[ \t\r()]+", line.split(";")[0]) if w]
+    assert tokens == words
 
 
 class TestDomainParsing:
@@ -166,9 +206,27 @@ _ACTION = ("(define (domain x) (:predicates (p ?a) (q ?a))\n"
     (parse_problem, "(define (problem y) (:domain x) (:goal))", "f.pddl:1:33:"),
     (parse_problem, "(foo (problem p) (:domain d) (:init) (:goal (and)))", "f.pddl:1:1:"),
     (parse_problem, "(define (problem) (:domain d))", "f.pddl:1:9:"),
+    (parse_domain, "(define (domain x)\n (:types a -))",
+     "f.pddl:2:12: missing type after '-'"),
+    (parse_domain, "(define (domain x)\n (:action))", "f.pddl:2:2: action needs a name"),
+    (parse_domain, "(define (domain x)\n (:action a :parameters))",
+     "f.pddl:2:13: missing value after :parameters"),
+    (parse_domain, "(define (domain x) (:predicates (q))\n (:durative-action a "
+                   ":parameters () :duration (= ?duration -1) :effect (at end (q))))",
+     "f.pddl:2:47: duration must be nonnegative"),
+    (parse_problem, "(define (problem y) (:domain x)\n (:init (= (f) 1)) (:goal (and)))",
+     "f.pddl:2:9: unsupported feature: numeric fluent in :init"),
+    (parse_problem, "(define (problem y) (:domain x) (:init)\n (:goal (and (= a b))))",
+     "f.pddl:2:2: equality has no place in a ground goal"),
+    (parse_domain, "(define (domain x) (:predicates (q))\n (:durative-action a "
+                   ":parameters () :duration (= ?duration 1)\n"
+                   "  :condition (and (q)) :effect (at end (q))))",
+     "f.pddl:3:20: expected (at start ..), (at end ..) or (over all ..)"),
 ], ids=["not-effect", "eq-arity", "neq-arity", "params-token", "params-twice",
         "foreign-keyword", "define", "domain-section", "goal-section",
-        "problem-define", "problem-head"])
+        "problem-define", "problem-head", "type-missing", "action-name",
+        "params-value", "negative-duration", "init-fluent", "goal-equality",
+        "unannotated-condition"])
 def test_malformed_forms_rejected_with_position(parse, text, where):
     with pytest.raises(PddlError) as ei:
         parse(text, "f.pddl")
@@ -304,7 +362,9 @@ def test_ground_errors_name_file_and_position(place, literal, message):
     ("(:types a - b b - a)", "", "d.pddl: type cycle through"),
     ("(:constants o)", "(:objects o)", "p.pddl: object 'o' declared twice"),
     ("", "(:objects o - t)", "p.pddl: object 'o' has undeclared type 't'"),
-], ids=["type-cycle", "declared-twice", "object-type"])
+    ("(:action a :parameters (?x - nosuch) :effect (q))", "",
+     "d.pddl:1:20: undeclared type 'nosuch' in action a"),
+], ids=["type-cycle", "declared-twice", "object-type", "param-type"])
 def test_ground_errors_name_file(domain, problem, message):
     d = parse_domain(f"(define (domain x) {domain} (:predicates (q)))", "d.pddl")
     p = parse_problem(f"(define (problem y) (:domain x) {problem} (:init) "
@@ -325,7 +385,39 @@ def test_unbound_constraint_variable_reported_at_action():
     assert str(ei.value) == "d.pddl:2:2: unbound variable ?y in action a"
 
 
+def _ground_small(predicates, actions, objects, goal):
+    """Ground a domain with the given predicates and actions against a
+    problem with the given objects, an empty init and the given goal."""
+    d = parse_domain(f"(define (domain x) (:predicates {predicates}) {actions})", "d.pddl")
+    p = parse_problem(f"(define (problem y) (:domain x) (:objects {objects}) "
+                      f"(:init) (:goal {goal}))", "p.pddl")
+    return ground(d, p)
+
+
 class TestGrounding:
+    @pytest.mark.parametrize("predicates, actions, objects, goal, names", [
+        ("(p ?a ?b)", "(:action a :parameters (?x ?y) :precondition (= ?x ?y) "
+         ":effect (p ?x ?y))", "o1 o2", "(and)", ["a o1 o1", "a o2 o2"]),
+        ("(p ?a)", "(:action a :parameters (?x ?y) :effect (and (p ?x) (not (p ?y))))",
+         "o1 o2", "(and)", ["a o1 o2", "a o2 o1"]),
+        ("(p)", "(:action a :parameters () :effect (not (p))) "
+         "(:action b :parameters () :effect (p))", "", "(p)", ["b"]),
+        # The first round drops b (nothing adds n), the second a (m was b's).
+        ("(m) (n) (q) (r)", "(:action a :parameters () :precondition (m) :effect (q)) "
+         "(:action b :parameters () :precondition (n) :effect (m)) "
+         "(:action c :parameters () :effect (and (r) (not (n))))", "", "(r)", ["c"]),
+    ], ids=["equality", "add-and-delete", "no-add", "two-round-prune"])
+    def test_grounded_action_names(self, predicates, actions, objects, goal, names):
+        p = _ground_small(predicates, actions, objects, goal)
+        assert [a.name for a in p.actions] == names
+
+    def test_static_goal_missing_from_init_is_unsolvable(self):
+        p = _ground_small("(p) (s)", "(:action a :parameters () :effect (p))",
+                          "", "(and (p) (s))")
+        assert [a.name for a in p.actions] == ["a"]
+        assert p.goal == p.atom_set("p", "s")
+        assert run_pipeline(p, PlannerConfig()).outcome == "unsolvable"
+
     def test_observation_counts(self, observation):
         # [DERIVED: 5*4 turn + 1 switch-on + 1 calibrate + 5 take-image]
         d, pr = observation
