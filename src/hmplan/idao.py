@@ -7,11 +7,12 @@ costs of solved nodes go into a per-pass solved table; improved lower bounds
 of OR-nodes go into the shared heuristic table as a side effect, which is the
 whole point: they raise later heuristic evaluations.
 
-Every search call returns its (cost, solved) pair, and a pass returns an
-`idastar.SearchResult` like IDA*: unsolvable, at the limit with the next
-bound, or solved with the relaxed cost.  A pass that expanded no AND node was
-a complete regression search, so its cost is exact and its result carries
-the plan.
+Every search call gives its (cost, solved) pair.  As in IDA*, a call that
+expands a node is a generator run by `idastar.drive`, and a final state, a
+solved-table hit or a state not searched again settles by a plain call.  A
+pass returns an `idastar.SearchResult`: unsolvable, at the limit with the
+next bound, or solved with the relaxed cost.  A pass that expanded no AND
+node was a complete regression search, so its result carries the plan.
 
 No transposition table and no right-shift cuts are used here.  Like IDA*,
 the search counts in the problem's integer units of 1/scale.
@@ -23,7 +24,7 @@ import itertools
 import math
 
 from .htable import HeuristicTable
-from .idastar import SearchResult, build_plan
+from .idastar import SearchResult, build_plan, drive
 from .metrics import AND, OR, Recorder
 from .model import INF, AtomSet, Units
 
@@ -59,14 +60,8 @@ class IdaoSearch:
     """One m-regression pass; the solved table lives exactly as long as the
     instance, the heuristic table is shared and only ever improves."""
 
-    def __init__(
-        self,
-        space,
-        table: HeuristicTable,
-        m: int,
-        solved_capacity: int = 1 << 16,
-        recorder: Recorder | None = None,
-    ) -> None:
+    def __init__(self, space, table: HeuristicTable, m: int,
+                 solved_capacity: int = 1 << 16, recorder: Recorder | None = None) -> None:
         self.space = space
         self.table = table
         self.m = m
@@ -90,48 +85,55 @@ class IdaoSearch:
         result is unsolvable when the relaxed problem has no solution, and
         at the limit, with the least cost above it that could not be ruled
         out, when the search did not solve it within the limit."""
-        cost, solved = self._idao_star(self.space.root(), bound, top=True)
+        search = self._idao_star(self.space.root(), bound, top=True)
+        cost, solved = search if type(search) is tuple else drive(search)
         if cost == INF:
             return SearchResult("unsolvable")
         if not solved or cost > bound:
             return SearchResult("limit", next_bound=cost)
         # A complete pass is an exact regression search, so its solution
         # path is a plan.
-        plan = None
-        if self.complete:
-            plan = build_plan(self.space, list(reversed(self._solution)))
+        plan = build_plan(self.space, self._solution[::-1]) if self.complete else None
         return SearchResult("solved", cost, plan)
 
-    def _idao_star(self, state, bound: Units, top: bool) -> tuple[Units, bool]:
+    def _idao_star(self, state, bound: Units, top: bool):
         # A state met again inside its own search, as a subset of an AND node
         # it reached, would be searched afresh, and over zero-cost edges at
         # the same bound forever.  Its cost through that node is at least its
         # own, so, like an on-path state in _expand_or, it is left out.
         if state in self._searching:
             return INF, False
-        self._searching.add(state)
-        space = self.space
-        current = space.estimate(self.table, state)
-        solved = False
+        current = self.space.estimate(self.table, state)
+        search = self._search(state, current, bound, top)
+        if type(search) is tuple:
+            return search
+        return self._deepen(state, current, bound, top, search)
+
+    def _search(self, state, current: Units, bound: Units, top: bool):
         # The bound test is inclusive: a node whose estimate equals the limit
         # still gets one search, which either solves it or proves a larger
         # cost.  A strict test can return the unimproved estimate forever.
-        while current <= bound and not solved:
-            if current == INF:
-                break
-            if current > self._value_cap:
-                current = INF
-                break
-            if top and self.recorder:
-                self.recorder.bound(f"idao:{self.m}", space.problem.to_cost(current))
-            # Each search gets its own path: an AND node's subsets start afresh.
-            new, solved = self._dfs(state, current, set())
+        if current > bound or current == INF:
+            return current, False
+        if current > self._value_cap:
+            return INF, False
+        if top and self.recorder:
+            self.recorder.bound(f"idao:{self.m}", self.space.problem.to_cost(current))
+        # Each search gets its own path: an AND node's subsets start afresh.
+        return self._dfs(state, current, set())
+
+    def _deepen(self, state, current: Units, bound: Units, top: bool, search):
+        # Search at rising bounds, from the expanding `search` on.
+        self._searching.add(state)
+        while type(search) is not tuple:
+            new, solved = yield search
             assert solved or new > current
             current = new
+            search = (new, True) if solved else self._search(state, new, bound, top)
         self._searching.discard(state)
-        return current, solved
+        return search
 
-    def _dfs(self, state, bound: Units, on_path: set) -> tuple[Units, bool]:
+    def _dfs(self, state, bound: Units, on_path: set):
         space = self.space
         if space.is_final(state):
             return 0, True
@@ -147,16 +149,16 @@ class IdaoSearch:
             return self._expand_and(atoms, bound)
         return self._expand_or(state, atoms, bound, on_path)
 
-    def _expand_and(self, atoms: AtomSet, bound: Units) -> tuple[Units, bool]:
+    def _expand_and(self, atoms: AtomSet, bound: Units):
         space = self.space
         self.complete = False
         subsets = enumerate_and_successors(atoms, self.m)
         if self.recorder:
             self.recorder.expansion(AND, len(atoms), tuple(len(s) for s in subsets))
-        worst = 0
-        all_solved = True
+        worst, all_solved = 0, True
         for sub in subsets:
-            cost, solved = self._idao_star(space.from_atoms(sub), bound, top=False)
+            search = self._idao_star(space.from_atoms(sub), bound, top=False)
+            cost, solved = search if type(search) is tuple else (yield search)
             if cost > bound:
                 # This subset alone exceeds the bound; the node's cost does too.
                 return cost, False
@@ -167,8 +169,7 @@ class IdaoSearch:
             self.solved.put(atoms, worst)
         return worst, all_solved
 
-    def _expand_or(self, state, atoms: AtomSet, bound: Units,
-                   on_path: set) -> tuple[Units, bool]:
+    def _expand_or(self, state, atoms: AtomSet, bound: Units, on_path: set):
         space = self.space
         edges, _ = space.successors(state)
         if self.recorder:
@@ -191,7 +192,8 @@ class IdaoSearch:
                     store_best = est
                 continue
             if est <= bound:
-                value, solved = self._dfs(edge.state, bound - edge.delta, on_path)
+                search = self._dfs(edge.state, bound - edge.delta, on_path)
+                value, solved = search if type(search) is tuple else (yield search)
                 r = edge.delta + value
                 if solved:
                     on_path.discard(state)

@@ -1,9 +1,14 @@
 """Cost-bounded iterative-deepening A* over a regression space, with a
 fixed-capacity closed-hash transposition table and footnote-style bound
 schedule: each iteration's bound is the least f-value pruned in the previous
-one, never a fixed increment.  Each iteration walks the tree with an
-explicit stack of frames, one per state on the current path, so the plan
-length is not bounded by Python's recursion limit.
+one, never a fixed increment.
+
+Both searches, this one and IDAO* (`idao`), are recursive code whose nested
+calls are generators (`x = yield self._child(...)`), run by `drive` on one
+list, so plan length is not bounded by Python's recursion limit.  Only a
+state that will be expanded gets a generator: final states, states whose f
+exceeds the bound after the transposition-table probe and, in IDAO*,
+solved-table hits are settled by a plain call that returns the result.
 
 The search counts in the problem's integer units of 1/scale: g, h, f, the
 bounds, the upper limit and the result's cost and next bound.  `build_plan`
@@ -18,6 +23,21 @@ from fractions import Fraction
 from .htable import HeuristicTable
 from .metrics import NORMAL, Recorder
 from .model import INF, Mode, Plan, PlanStep, Units
+
+
+def drive(call):
+    """Run a search call, a generator, to its return value.  Every call it
+    yields is pushed and run in turn, and what a call returns is sent back
+    to the call below it."""
+    stack, value = [call], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
 
 class TranspositionTable:
@@ -68,15 +88,9 @@ class SearchResult:
 
 
 class IdaStar:
-    def __init__(
-        self,
-        space,
-        table: HeuristicTable,
-        use_tt: bool = True,
-        tt_capacity: int = 1 << 16,
-        right_shift: bool = False,
-        recorder: Recorder | None = None,
-    ) -> None:
+    def __init__(self, space, table: HeuristicTable, use_tt: bool = True,
+                 tt_capacity: int = 1 << 16, right_shift: bool = False,
+                 recorder: Recorder | None = None) -> None:
         self.space = space
         self.table = table
         self.tt = TranspositionTable(tt_capacity) if use_tt else None
@@ -94,89 +108,72 @@ class IdaStar:
             self.stats.iterations += 1
             if self.recorder:
                 self.recorder.bound("ida", space.problem.to_cost(bound))
-            edges, value = self._iteration(root, root_h, bound)
-            if edges is not None:
-                plan = build_plan(space, edges)
-                return SearchResult("solved", sum(e.delta for e in edges), plan,
-                                    stats=self.stats)
+            self._on_path = set()  # the states of the current path
+            search = self._enter(root, 0, root_h, None, bound)
+            value, _, solution = search if type(search) is tuple else drive(search)
+            if solution is not None:
+                plan = build_plan(space, solution[::-1])
+                return SearchResult("solved", value, plan, stats=self.stats)
             assert value > bound
             bound = value
         if bound == INF:
             return SearchResult("unsolvable", stats=self.stats)
         return SearchResult("limit", next_bound=bound, stats=self.stats)
 
-    def _iteration(self, root, root_h: Units, bound: Units):
-        """One depth-first pass under `bound`.  Returns (edges, None) with
-        the solution's edges from the root to a final state, or (None,
-        value) with the least f pruned in the pass.
+    def _enter(self, state, g: Units, h: Units, via, bound: Units):
+        """Settle a final state, or one whose f exceeds the bound, as (value,
+        clean, solution edges last first or None); give any other state's
+        expansion.  h is the score the parent ordered it by: the table is not
+        written during the search, so a new evaluation would give the same."""
+        if self.space.is_final(state):
+            return g, True, (None if g > bound else [])
+        if self.tt is not None:
+            cached = self.tt.get(state)
+            if cached is not None and cached > h:
+                h = cached
+        if g + h > bound:
+            return g + h, True, None
+        return self._dfs(state, g, h, via, bound)
 
-        The current path is a stack of frames, one per expanded state:
-        [state, g, h, edge in, scored children, least pruned f below,
-        clean, right-shift cuts].  The edge in is the one the search came
-        to the state by (None at the root); the space's right-shift rule
-        reads it.  A state is entered with the h its parent scored it by:
-        the table is never written during the search, so evaluating it
-        again would give the same value.
-
-        A state's value is the least pruned f below it, with branches that
+    def _dfs(self, state, g: Units, h: Units, via, bound: Units):
+        """The value is the least pruned f below this node, with branches that
         closed a cycle on the current path left out: every remaining
-        contribution exceeds the bound, so the schedule always advances,
-        and the optimal path is cycle-free so it is never the branch left
-        out.  Leaving cycles out makes the value path-dependent, though, so
-        only clean values (no cycle pruned anywhere below) are cached.
-        """
-        space, table, tt, recorder = self.space, self.table, self.tt, self.recorder
-        estimate = space.estimate
-        path: list[list] = []
-        on_path: set = set()
-        state, g, h, via = root, 0, root_h, None
-        while True:
-            # Enter the state: settle it as final or pruned, or expand it.
-            if space.is_final(state):
-                if g <= bound:
-                    return ([frame[3] for frame in path] + [via])[1:], None
-                value, clean = g, True
-            else:
-                if tt is not None:
-                    cached = tt.get(state)
-                    if cached is not None and cached > h:
-                        h = cached
-                value, clean = g + h, True
-                if value <= bound:
-                    edges, cuts = space.successors(state, via, self.right_shift)
-                    if recorder:
-                        recorder.expansion(NORMAL, len(space.atoms_of(state)),
-                                           tuple(len(space.atoms_of(e.state)) for e in edges))
-                    scored = sorted(
-                        ((e.delta + estimate(table, e.state), e) for e in edges),
-                        key=lambda it: (it[0], tuple(a.index for a in it[1].actions)),
-                    )
-                    path.append([state, g, h, via, iter(scored), INF, True, cuts])
-                    on_path.add(state)
-                    value = None
-            # Fold settled values into their parents until a child is next.
-            while path:
-                frame = path[-1]
-                if value is not None:
-                    frame[5] = min(frame[5], value)
-                    frame[6] = frame[6] and clean
-                for est, edge in frame[4]:
-                    if edge.state not in on_path:
-                        break
-                    frame[6] = False
-                else:
-                    path.pop()
-                    state, g, h, _, _, value, clean, cuts = frame
-                    on_path.discard(state)
-                    # Right-shift cuts make the updated cost path-dependent,
-                    # so the table is not fed from expansions they touched.
-                    if tt is not None and cuts == 0 and clean and value - g > h:
-                        tt.put(state, value - g, len(path))
-                    continue
-                state, g, h, via = edge.state, frame[1] + edge.delta, est - edge.delta, edge
-                break
-            else:
-                return None, value
+        contribution exceeds the bound, so the schedule always advances, and
+        the optimal path is cycle-free so it is never the branch left out.
+        Leaving cycles out makes the value path-dependent, though, so only
+        clean values (no cycle pruned anywhere below) are cached."""
+        space = self.space
+        edges, cuts = space.successors(state, via, self.right_shift)
+        if self.recorder:
+            self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
+                                    tuple(len(space.atoms_of(e.state)) for e in edges))
+        estimate, table = space.estimate, self.table
+        scored = sorted(
+            ((e.delta + estimate(table, e.state), e) for e in edges),
+            key=lambda it: (it[0], tuple(a.index for a in it[1].actions)),
+        )
+        least, clean = INF, True
+        on_path = self._on_path
+        on_path.add(state)
+        for est, edge in scored:
+            if edge.state in on_path:
+                clean = False
+                continue
+            child = self._enter(edge.state, g + edge.delta, est - edge.delta, edge, bound)
+            value, child_clean, solution = child if type(child) is tuple else (yield child)
+            if solution is not None:
+                solution.append(edge)
+                return value, clean, solution
+            clean = clean and child_clean
+            if value < least:
+                least = value
+        on_path.discard(state)
+        # Right-shift cuts make the updated cost path-dependent, so the
+        # transposition table is not fed from expansions they touched.  The
+        # path now holds the state's ancestors: their number is its depth.
+        if self.tt is not None and cuts == 0 and clean and least - g > h:
+            self.tt.put(state, least - g, len(on_path))
+        return least, clean, None
 
 
 def build_plan(space, edges) -> Plan:

@@ -11,6 +11,8 @@ or adds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,27 +69,38 @@ def _validate_temporal(problem: Problem, plan: Plan) -> ValidationResult:
     makespan = max((st.start + st.action.dur for st in steps), default=Fraction(0))
 
     # Any two actions whose execution intervals properly overlap must not
-    # interfere.  Meeting end to start is ordinary sequencing and is allowed.
+    # interfere.  Meeting end to start is ordinary sequencing and is allowed,
+    # and instantaneous actions at one point fire one at a time.  So, in
+    # start order, the steps that overlap a step after it are those that
+    # start before it ends, except instantaneous ones at its own start.
+    starts = [st.start for st in steps]
     for i, a in enumerate(steps):
-        for b in steps[i + 1:]:
-            if _overlap(a.start, a.action.dur, b.start, b.action.dur):
-                if not compatible(a.action, b.action):
-                    errors.append(
-                        f"incompatible overlap: ({a.action.name}) at {a.start} "
-                        f"and ({b.action.name}) at {b.start}"
-                    )
+        for b in steps[i + 1:bisect_left(starts, a.start + a.action.dur, i + 1)]:
+            overlap = b.action.dur > 0 or b.start > a.start
+            if overlap and not compatible(a.action, b.action):
+                errors.append(
+                    f"incompatible overlap: ({a.action.name}) at {a.start} "
+                    f"and ({b.action.name}) at {b.start}"
+                )
 
+    # The steps that end, fire (zero duration) and start at each time point,
+    # each in plan order.
+    events: dict[Fraction, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
+    for st in steps:
+        if st.action.dur > 0:
+            events[st.start + st.action.dur][0].append(st)
+            events[st.start][2].append(st)
+        else:
+            events[st.start][1].append(st)
     state = set(problem.init)
-    times = sorted({st.start for st in steps} | {st.start + st.action.dur for st in steps})
-    for t in times:
-        for st in steps:
-            if st.action.dur > 0 and st.start + st.action.dur == t:
-                state -= st.action.delete
-                state |= st.action.add
+    for t in sorted(events):
+        ending, pending, starting = events[t]
+        for st in ending:
+            state -= st.action.delete
+            state |= st.action.add
         # Zero-duration actions at t fire one at a time: each time the first
         # pending one in plan order whose precondition holds, until all have
         # fired or none can.
-        pending = [st for st in steps if st.action.dur == 0 and st.start == t]
         while pending:
             ready = next((st for st in pending if st.action.pre <= state), None)
             if ready is None:
@@ -101,14 +114,13 @@ def _validate_temporal(problem: Problem, plan: Plan) -> ValidationResult:
             state -= ready.action.delete
             state |= ready.action.add
             pending.remove(ready)
-        for st in steps:
-            if st.action.dur > 0 and st.start == t:
-                miss = st.action.pre - state
-                if miss:
-                    names = ", ".join(sorted(problem.set_names(frozenset(miss))))
-                    errors.append(
-                        f"({st.action.name}) at {t}: precondition not satisfied: {names}"
-                    )
+        for st in starting:
+            miss = st.action.pre - state
+            if miss:
+                names = ", ".join(sorted(problem.set_names(frozenset(miss))))
+                errors.append(
+                    f"({st.action.name}) at {t}: precondition not satisfied: {names}"
+                )
     missing = problem.goal - state
     if missing:
         names = ", ".join(sorted(problem.set_names(frozenset(missing))))
@@ -116,14 +128,3 @@ def _validate_temporal(problem: Problem, plan: Plan) -> ValidationResult:
     if plan.metric != makespan:
         errors.append(f"plan metric {plan.metric} differs from makespan {makespan}")
     return ValidationResult(not errors, makespan, errors)
-
-
-def _overlap(s1: Fraction, d1: Fraction, s2: Fraction, d2: Fraction) -> bool:
-    e1, e2 = s1 + d1, s2 + d2
-    if d1 == 0 and d2 == 0:
-        return False  # instantaneous actions at one point fire one at a time
-    if d1 == 0:
-        return s2 < s1 < e2
-    if d2 == 0:
-        return s1 < s2 < e1
-    return s1 < e2 and s2 < e1

@@ -8,7 +8,8 @@ graph.  Its transitions come from `successors_product`, the plain product
 enumeration of establisher choices that `successors_temporal` must match;
 the two share only `compatible` and the state and edge types.  Sequential
 regression is stated here by `applicable_seq` and `regress_seq`, the full
-scan over every action that `successors_seq` must match.
+scan over every action that `successors_seq` must match, and temporal plan
+validation by `validate_temporal_oracle`, which `validate_plan` must match.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 
 import pytest
 
-from hmplan.model import INF, ZERO, Atom, AtomSet, GroundAction, Mode, Problem
+from hmplan.model import INF, ZERO, Atom, AtomSet, GroundAction, Mode, Plan, Problem
 from hmplan.temporal import FEntry, TempEdge, TempState, compatible, final_temporal
+from hmplan.validate import ValidationResult
 
 
 def forward_dijkstra(problem: Problem) -> dict[AtomSet, Fraction]:
@@ -237,6 +239,79 @@ def applicable_seq(action: GroundAction, s: AtomSet) -> bool:
 def regress_seq(s: AtomSet, action: GroundAction) -> AtomSet:
     assert applicable_seq(action, s)
     return (s - action.add) | action.pre
+
+
+def validate_temporal_oracle(problem: Problem, plan: Plan) -> ValidationResult:
+    """`validate_plan` for temporal and parallel plans by brute force: every
+    pair of steps is tested for overlap, and every step at every time point."""
+    errors: list[str] = []
+    steps = plan.sorted_steps()
+    for i, st in enumerate(steps):
+        if st.start < 0:
+            errors.append(f"step {i} ({st.action.name}): negative start time {st.start}")
+    makespan = max((st.start + st.action.dur for st in steps), default=Fraction(0))
+
+    # Any two actions whose execution intervals properly overlap must not
+    # interfere.  Meeting end to start is ordinary sequencing and is allowed.
+    for i, a in enumerate(steps):
+        for b in steps[i + 1:]:
+            if _overlap(a.start, a.action.dur, b.start, b.action.dur):
+                if not compatible(a.action, b.action):
+                    errors.append(
+                        f"incompatible overlap: ({a.action.name}) at {a.start} "
+                        f"and ({b.action.name}) at {b.start}"
+                    )
+
+    state = set(problem.init)
+    times = sorted({st.start for st in steps} | {st.start + st.action.dur for st in steps})
+    for t in times:
+        for st in steps:
+            if st.action.dur > 0 and st.start + st.action.dur == t:
+                state -= st.action.delete
+                state |= st.action.add
+        # Zero-duration actions at t fire one at a time: each time the first
+        # pending one in plan order whose precondition holds, until all have
+        # fired or none can.
+        pending = [st for st in steps if st.action.dur == 0 and st.start == t]
+        while pending:
+            ready = next((st for st in pending if st.action.pre <= state), None)
+            if ready is None:
+                for st in pending:
+                    miss = st.action.pre - state
+                    names = ", ".join(sorted(problem.set_names(frozenset(miss))))
+                    errors.append(
+                        f"({st.action.name}) at {t}: precondition not satisfied: {names}"
+                    )
+                break
+            state -= ready.action.delete
+            state |= ready.action.add
+            pending.remove(ready)
+        for st in steps:
+            if st.action.dur > 0 and st.start == t:
+                miss = st.action.pre - state
+                if miss:
+                    names = ", ".join(sorted(problem.set_names(frozenset(miss))))
+                    errors.append(
+                        f"({st.action.name}) at {t}: precondition not satisfied: {names}"
+                    )
+    missing = problem.goal - state
+    if missing:
+        names = ", ".join(sorted(problem.set_names(frozenset(missing))))
+        errors.append(f"goal not satisfied at makespan: {names}")
+    if plan.metric != makespan:
+        errors.append(f"plan metric {plan.metric} differs from makespan {makespan}")
+    return ValidationResult(not errors, makespan, errors)
+
+
+def _overlap(s1: Fraction, d1: Fraction, s2: Fraction, d2: Fraction) -> bool:
+    e1, e2 = s1 + d1, s2 + d2
+    if d1 == 0 and d2 == 0:
+        return False  # instantaneous actions at one point fire one at a time
+    if d1 == 0:
+        return s2 < s1 < e2
+    if d2 == 0:
+        return s1 < s2 < e1
+    return s1 < e2 and s2 < e1
 
 
 def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:

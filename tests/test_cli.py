@@ -57,6 +57,30 @@ class TestSolve:
         code, out, _ = run(capsys, *OBS, "--mode", "par", "--no-right-shift")
         assert code == 0 and out.splitlines()[0] == "; makespan 6"
 
+    def test_hspa_plan_longer_than_recursion_limit(self, tmp_path, capsys):
+        # A two-digit counter in base k + 1: b counts up to bk, then a steps
+        # up and b starts again at b0, so the plan has k * k + 2 * k steps.
+        # Every state is a pair of atoms, on which h^2 is exact.
+        k = 32
+        dom, prob = tmp_path / "d.pddl", tmp_path / "p.pddl"
+        dom.write_text(
+            "(define (domain counter) (:predicates "
+            + " ".join(f"(a{i}) (b{i})" for i in range(k + 1)) + ")"
+            + "".join(f" (:action inc-b{j} :parameters () :precondition (b{j})"
+                      f" :effect (and (b{j + 1}) (not (b{j}))))" for j in range(k))
+            + "".join(f" (:action inc-a{i} :parameters () :precondition (and (a{i}) (b{k}))"
+                      f" :effect (and (a{i + 1}) (b0) (not (a{i})) (not (b{k}))))"
+                      for i in range(k))
+            + ")"
+        )
+        prob.write_text(f"(define (problem c) (:domain counter) (:init (a0) (b0))"
+                        f" (:goal (and (a{k}) (b{k}))))")
+        code, out, _ = run(capsys, str(dom), str(prob), "--pipeline", "hspa", "--validate")
+        assert code == 0
+        n = k * k + 2 * k
+        assert n > 1000 and out.splitlines()[0] == f"; cost {n}"
+        assert len(out.splitlines()) == n + 1
+
 
 class TestNonZeroExits:
     def test_upper_limit_exhausted(self, capsys):

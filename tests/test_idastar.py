@@ -193,3 +193,38 @@ class TestEvaluationCount:
         assert recorded(p, m=2)[1].expansions == 7
         _, mix = recorded(fixtures.temporal_mix(), m=1, right_shift=True)
         assert mix.expansions == 3
+
+
+class TestProbeOrder:
+    """Transposition-table probes and hits, expansions and the bounds of
+    each iteration, pinned: the search must enter the same states in the
+    same order, with and without the table."""
+
+    FOUR = ("d2", "d3", "d4", "d5")
+
+    # [DERIVED: counts of the search that walked an explicit frame stack]
+    @pytest.mark.parametrize("goals, mode, m, use_tt, counts, bounds", [
+        (("d4", "d5"), Mode.SEQUENTIAL, 1, True, (7866, 4054, 1288), [3, 4, 5, 6, 7]),
+        (("d4", "d5"), Mode.SEQUENTIAL, 1, False, (0, 0, 3663), [3, 4, 5, 6, 7]),
+        (("d4", "d5"), Mode.TEMPORAL, 2, True, (6, 0, 6), [6]),
+        (("d4", "d5"), Mode.TEMPORAL, 2, False, (0, 0, 6), [6]),
+        (FOUR, Mode.TEMPORAL, 2, True, (1648, 3, 172), [6, 7, 8, 9]),
+        (FOUR, Mode.TEMPORAL, 2, False, (0, 0, 172), [6, 7, 8, 9]),
+        (("d5",), Mode.TEMPORAL, 1, True, (1060, 301, 128), [3, 4]),
+        (("d5",), Mode.TEMPORAL, 1, False, (0, 0, 192), [3, 4]),
+    ], ids=["seq-tt", "seq", "temp-tt", "temp", "temp4-tt", "temp4", "temp1-tt", "temp1"])
+    def test_satellite(self, monkeypatch, goals, mode, m, use_tt, counts, bounds):
+        hits = []
+        get = TranspositionTable.get
+
+        def counted_get(tt, key):
+            value = get(tt, key)
+            hits.append(value is not None)
+            return value
+
+        monkeypatch.setattr(TranspositionTable, "get", counted_get)
+        # Right shift is on in temporal mode.
+        _, rec = recorded(fixtures.satellite(goals, mode), m, use_tt=use_tt,
+                          right_shift=mode is Mode.TEMPORAL)
+        assert (len(hits), sum(hits), rec.expansions) == counts
+        assert [r.bound for r in rec.trace if r.phase == "ida"] == bounds

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import parallel_makespan, random_problem, seq_optimal, temporal_makespan
 from conftest import MIXED_COSTS, MIXED_DURS
@@ -70,6 +71,44 @@ class TestAgreement:
             else:
                 assert res.cost == opt
                 assert validate_plan(p, res.plan).ok
+
+
+def optimum(p):
+    """The oracles' optimum.  A schedule exists exactly when a sequential
+    plan does (compatible overlapping steps also run one after another), so
+    the temporal oracle, a blind search, is not asked to exhaust the
+    regression graph of an unsolvable problem."""
+    if p.mode is Mode.SEQUENTIAL:
+        return seq_optimal(p)
+    if seq_optimal(Problem(p.atoms, p.actions, p.init, p.goal, Mode.SEQUENTIAL)) == INF:
+        return INF
+    return parallel_makespan(p) if p.mode is Mode.PARALLEL else temporal_makespan(p)
+
+
+CONFIGS = [dict(pipeline=pipeline, stop=stop, use_tt=use_tt, right_shift=right_shift)
+           for pipeline in ("tp4", "hspa") for stop in ("fixed:3", "no-and", "converged")
+           for use_tt in (True, False) for right_shift in (True, False)]
+
+
+class TestEveryConfiguration:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(Mode), st.sampled_from([1, 2]),
+           st.sampled_from([INF, Fraction(0), Fraction(1, 2), Fraction(2)]))
+    def test_random_problems_match_oracles(self, seed, mode, base_m, limit):
+        p = random_problem(random.Random(seed), max_atoms=6, max_actions=7, mode=mode,
+                           durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+        assume(not p.goal <= p.init)
+        opt = optimum(p)
+        for kw in CONFIGS:
+            res = plan(p, base_m=base_m, upper_limit=limit, **kw)
+            if opt != INF and opt <= limit:
+                assert res.outcome == "solved" and res.cost == opt, kw
+                assert validate_plan(p, res.plan).ok, kw
+            elif res.outcome == "limit":
+                assert limit < res.next_bound <= opt, kw
+            else:
+                # Past the limit, only an unsolvable problem may be proven so.
+                assert res.outcome == "unsolvable" and opt == INF, kw
 
 
 class TestHspaStopping:
@@ -162,9 +201,13 @@ class TestEdges:
             res = plan(p, pipeline=pipeline, upper_limit=Fraction(-1))
             assert res.outcome == "limit" and res.next_bound == 0
 
-    def test_plan_longer_than_recursion_limit(self):
-        p = fixtures.chain(5000)
-        res = plan(p, base_m=1)
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("pipeline", ["tp4", "hspa"])
+    def test_plan_longer_than_recursion_limit(self, pipeline, mode):
+        # Neither search recurses on Python's stack, and the validator of
+        # concurrent plans is not quadratic in their length.
+        p = fixtures.chain(5000, mode)
+        res = plan(p, pipeline=pipeline, base_m=1, stop="fixed:2")
         assert res.outcome == "solved" and res.cost == 5000
         assert validate_plan(p, res.plan).ok
 

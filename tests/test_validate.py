@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import MIXED_DURS, random_problem, validate_temporal_oracle
 from hmplan import fixtures
 from hmplan.model import Atom, GroundAction, Mode, Plan, PlanStep, Problem
+from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.validate import validate_plan
 
 
@@ -155,3 +158,51 @@ class TestTemporal:
         res = validate_plan(p, plan)
         assert not res.ok
         assert any("(box) at 2" in e for e in res.errors)
+
+
+def solved_plans():
+    """Plans tp4 finds for the temporal fixtures and for the random problems
+    of the pipeline tests: temporal ones with unlike-denominator and with
+    zero durations, and parallel ones."""
+    four = ("d2", "d3", "d4", "d5")
+    problems = [fixtures.temporal_mix(), fixtures.satellite(four, Mode.TEMPORAL),
+                fixtures.satellite(four, Mode.PARALLEL)]
+    zero = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+    for seed, n, max_actions, mode, durs in [
+            (59, 15, 8, Mode.TEMPORAL, MIXED_DURS), (61, 15, 8, Mode.TEMPORAL, MIXED_DURS),
+            (7, 400, 9, Mode.TEMPORAL, zero), (43, 10, 8, Mode.PARALLEL, None)]:
+        rng = random.Random(seed)
+        problems += [random_problem(rng, max_atoms=6, max_actions=max_actions,
+                                    mode=mode, durs=durs) for _ in range(n)]
+    for p in problems:
+        res = run_pipeline(p, PlannerConfig(pipeline="tp4"))
+        if res.outcome == "solved" and res.plan.steps:
+            yield p, res.plan
+
+
+def mutants(plan):
+    """The plan, and copies with one step dropped or moved, or all moved."""
+    yield plan
+    steps = plan.steps
+    for k, st in enumerate(steps):
+        yield Plan(steps[:k] + steps[k + 1:], plan.metric)
+        for shift in (Fraction(-1, 2), Fraction(1, 3), Fraction(1), -st.start):
+            moved = PlanStep(st.start + shift, st.action)
+            yield Plan(steps[:k] + [moved] + steps[k + 1:], plan.metric)
+    for shift in (Fraction(-1), Fraction(1, 2)):
+        yield Plan([PlanStep(st.start + shift, st.action) for st in steps],
+                   plan.metric + shift)
+
+
+class TestAgainstOracle:
+    def test_verdicts_and_messages_match(self):
+        checked = invalid = overlaps = 0
+        for p, plan in solved_plans():
+            for q in mutants(plan):
+                got, want = validate_plan(p, q), validate_temporal_oracle(p, q)
+                assert (got.ok, got.metric, got.errors) == (want.ok, want.metric, want.errors)
+                checked += 1
+                invalid += not want.ok
+                overlaps += any("overlap" in e for e in want.errors)
+        # Both verdicts occur, and overlap errors among the rejections.
+        assert checked > 1000 and 0 < overlaps < invalid < checked
