@@ -17,6 +17,11 @@ a, a row holding the pairs {a, b} with b > a, where _ABSENT marks a set never
 stored.  Evaluation takes its max over them with C-level max/map calls.
 Larger sets, which only relaxed search and h^m for m >= 3 store, live in a
 trie keyed by the whole id string, consulted only once one exists.
+
+The searches ask for the same sets again and again, so `eval` keeps a memo
+from set to result.  A `store` that raises a value clears it, and so does
+reaching _MEMO_CAP entries; a store that raises nothing, or a growth that
+adds only _ABSENT slots, leaves it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .model import AtomSet, Units
 
 # Marks a set never stored; below every stored value, which is at least 0.
 _ABSENT = -1
+
+# Entries the eval memo holds before it starts afresh.
+_MEMO_CAP = 1 << 16
 
 
 def dense_max(single: list, pairs: list, ids: list[int]):
@@ -51,6 +59,7 @@ class HeuristicTable:
         # Trie of the sets of size >= 3: atom -> [value, children], where
         # entries that only route to larger sets keep _ABSENT.
         self._big: dict[int, list] = {}
+        self._memo: dict[AtomSet, Units] = {}  # set -> eval(set) since the last raise
 
     def _grow(self, n: int) -> None:
         extra = [_ABSENT] * (n - len(self._single))
@@ -80,9 +89,13 @@ class HeuristicTable:
                 children = box[1]
         if v > box[key]:
             box[key] = v
+            self._memo.clear()
 
     def eval(self, s: AtomSet) -> Units:
         """Max value over all stored subsets of s; 0 if none are stored."""
+        best = self._memo.get(s)
+        if best is not None:
+            return best
         ids = sorted(s)
         single = self._single
         if ids and ids[-1] >= len(single):
@@ -97,7 +110,10 @@ class HeuristicTable:
                 v = self._eval_big(ids)
                 if v > best:
                     best = v
-        return best if best >= 0 else 0
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.clear()
+        self._memo[s] = best = max(best, 0)
+        return best
 
     def _eval_big(self, ids: list[int]):
         """Max over the trie's sets that are subsets of the sorted ids."""

@@ -7,6 +7,9 @@ costs of solved nodes go into a per-pass solved table; improved lower bounds
 of OR-nodes go into the shared heuristic table as a side effect, which is the
 whole point: they raise later heuristic evaluations.
 
+A subset of an AND node is looked up in the solved table before it is
+estimated: a hit settles it at its exact cost, with no estimate at all.
+
 Every search call gives its (cost, solved) pair.  As in IDA*, a call that
 expands a node is a generator run by `idastar.drive`, and a final state, a
 solved-table hit or a state not searched again settles by a plain call.  A
@@ -103,13 +106,20 @@ class IdaoSearch:
         # own, so, like an on-path state in _expand_or, it is left out.
         if state in self._searching:
             return INF, False
+        # A solved subset of an AND node settles at its exact cost, with no
+        # estimate; after a miss here the first search does not ask again.
+        ask = not top and not self.space.is_final(state)
+        if ask:
+            hit = self._solved_cost(state, self.space.atoms_of(state))
+            if hit is not None:
+                return hit, True
         current = self.space.estimate(self.table, state)
-        search = self._search(state, current, bound, top)
+        search = self._search(state, current, bound, top, probe=not ask)
         if type(search) is tuple:
             return search
         return self._deepen(state, current, bound, top, search)
 
-    def _search(self, state, current: Units, bound: Units, top: bool):
+    def _search(self, state, current: Units, bound: Units, top: bool, probe: bool = True):
         # The bound test is inclusive: a node whose estimate equals the limit
         # still gets one search, which either solves it or proves a larger
         # cost.  A strict test can return the unimproved estimate forever.
@@ -120,7 +130,7 @@ class IdaoSearch:
         if top and self.recorder:
             self.recorder.bound(f"idao:{self.m}", self.space.problem.to_cost(current))
         # Each search gets its own path: an AND node's subsets start afresh.
-        return self._dfs(state, current, set())
+        return self._dfs(state, current, set(), probe)
 
     def _deepen(self, state, current: Units, bound: Units, top: bool, search):
         # Search at rising bounds, from the expanding `search` on.
@@ -133,19 +143,23 @@ class IdaoSearch:
         self._searching.discard(state)
         return search
 
-    def _dfs(self, state, bound: Units, on_path: set):
+    def _solved_cost(self, state, atoms: AtomSet) -> Units | None:
+        # AND nodes are solved by their atoms, OR nodes by the state itself.
+        hit = self.solved.get(atoms if len(atoms) > self.m else state)
+        if self.recorder:
+            self.recorder.solved_table(hit is not None)
+        return hit
+
+    def _dfs(self, state, bound: Units, on_path: set, probe: bool = True):
         space = self.space
         if space.is_final(state):
             return 0, True
-        # AND nodes are solved by their atoms, OR nodes by the state itself.
         atoms = space.atoms_of(state)
-        is_and = len(atoms) > self.m
-        hit = self.solved.get(atoms if is_and else state)
-        if self.recorder:
-            self.recorder.solved_table(hit is not None)
-        if hit is not None:
-            return hit, True
-        if is_and:
+        if probe:
+            hit = self._solved_cost(state, atoms)
+            if hit is not None:
+                return hit, True
+        if len(atoms) > self.m:
             return self._expand_and(atoms, bound)
         return self._expand_or(state, atoms, bound, on_path)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from hmplan.htable import HeuristicTable
+from hmplan.htable import _MEMO_CAP, HeuristicTable
 from hmplan.model import INF, ZERO, Atom, GroundAction, Problem
 
 sets = st.frozensets(st.integers(0, 7), max_size=5)
@@ -74,6 +74,48 @@ class TestAgainstDictOracle:
         small = frozenset({0, 1, 2})
         large = frozenset({0, 1, 2, 3, 4})
         assert t.eval(small) <= t.eval(large)
+
+    @given(st.data())
+    def test_interleaved_stores_and_evals(self, data):
+        # eval answers from a memo: a store between two evals of one set
+        # must show in the second.  Queries come from a small pool, so the
+        # same set is asked again and again.
+        pool = data.draw(st.lists(sets, min_size=1, max_size=4))
+        store = st.tuples(st.one_of(sets, st.sampled_from(pool)), values)
+        ops = data.draw(st.lists(st.one_of(store, st.sampled_from(pool)), max_size=40))
+        t = HeuristicTable()
+        oracle: dict[frozenset, object] = {}
+        for op in ops:
+            if type(op) is tuple:
+                s, v = op
+                t.store(s, v)
+                if v > oracle.get(s, ZERO):
+                    oracle[s] = v
+            else:
+                expected = max((v for s, v in oracle.items() if s <= op), default=ZERO)
+                assert t.eval(op) == expected
+
+
+class TestMemo:
+    def test_only_a_raise_clears(self):
+        t = HeuristicTable()
+        q = frozenset({0, 1, 9})
+        t.store(frozenset({0}), 4)
+        assert t.eval(q) == 4 and q in t._memo
+        t.store(frozenset({0}), 2)  # raises nothing
+        assert q in t._memo
+        t.store(frozenset({30}), 1)  # grows the lists, and raises {30}
+        assert not t._memo
+        assert t.eval(q) == 4
+        t.store(frozenset({1, 9}), 6)
+        assert not t._memo and t.eval(q) == 6
+
+    def test_memo_never_exceeds_cap(self):
+        t = HeuristicTable()
+        t.store(frozenset({0}), 3)
+        for a in range(1, _MEMO_CAP + 10):
+            assert t.eval(frozenset({0, a})) == 3
+            assert len(t._memo) <= _MEMO_CAP
 
 
 

@@ -11,6 +11,8 @@ from hmplan.cli import _build_parser
 from hmplan.metrics import AND, NORMAL, OR, Recorder, collect_metrics
 from hmplan.model import INF, Atom, GroundAction, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
+from hmplan.sequential import SequentialSpace
+from hmplan.temporal import TemporalSpace
 from hmplan.validate import validate_plan
 
 
@@ -236,17 +238,27 @@ class TestPhaseCounts:
     """Each phase's work as the Recorder counts it: expansions by space,
     solved-table hits and misses, and the final search's bounds."""
 
-    @pytest.mark.parametrize("mode, kw, events, solved, ida", [
+    @pytest.mark.parametrize("mode, kw, events, solved, ida, estimates", [
         (Mode.SEQUENTIAL, dict(stop="fixed:3"),
-         {OR: 11, AND: 1, NORMAL: 7}, (3, 12), [7]),
+         {OR: 11, AND: 1, NORMAL: 7}, (3, 12), [7], 85),
         (Mode.SEQUENTIAL, dict(base_m=1, stop="fixed:2"),
-         {OR: 88, AND: 16, NORMAL: 7}, (17, 104), [7]),
+         {OR: 88, AND: 16, NORMAL: 7}, (17, 104), [7], 534),
         (Mode.TEMPORAL, dict(stop="fixed:3"),
-         {OR: 10, AND: 1, NORMAL: 6}, (3, 11), [6]),
+         {OR: 10, AND: 1, NORMAL: 6}, (3, 11), [6], 125),
     ], ids=["fixed3", "base1-fixed2", "temporal-fixed3"])
-    def test_satellite(self, mode, kw, events, solved, ida):
+    def test_satellite(self, monkeypatch, mode, kw, events, solved, ida, estimates):
+        # `estimates` counts space.estimate calls.  A subset of an AND node
+        # found in the solved table is not estimated; estimating it first
+        # made 85, 545 and 125 calls, with the same hits and misses.
+        calls = []
+        for space in (SequentialSpace, TemporalSpace):
+            def counted(self, table, s, estimate=space.estimate):
+                calls.append(s)
+                return estimate(self, table, s)
+            monkeypatch.setattr(space, "estimate", counted)
         res, rec = recorded(fixtures.satellite(mode=mode), pipeline="hspa", **kw)
         assert res.outcome == "solved" and res.cost == ida[-1]
+        assert len(calls) == estimates
         assert {sp: expansions(rec, sp) for sp in (OR, AND, NORMAL)} == events
         assert rec.expansions == sum(events.values())
         assert (rec.solved_hits, rec.solved_misses) == solved
