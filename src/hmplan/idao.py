@@ -7,13 +7,23 @@ costs of solved nodes go into a per-pass solved table; improved lower bounds
 of OR-nodes go into the shared heuristic table as a side effect, which is the
 whole point: they raise later heuristic evaluations.
 
-A subset of an AND node is looked up in the solved table before it is
-estimated: a hit settles it at its exact cost, with no estimate at all.
+A node is entered as in IDA*: one settle step gives a final state cost 0,
+and a state found in the solved table its exact cost, by a plain call.  A
+subset of an AND node settles before it is estimated; a child of an OR node
+is estimated first, for the bound test, and settles before it is expanded.
+A search root is never looked up: a pass starts with an empty solved table,
+and a subset is searched again only after an iteration that did not solve
+it.  Every other node is expanded by a generator, run by `idastar.drive`;
+either way a call gives a (cost, solved) pair.
 
-Every search call gives its (cost, solved) pair.  As in IDA*, a call that
-expands a node is a generator run by `idastar.drive`, and a final state, a
-solved-table hit or a state not searched again settles by a plain call.  A
-pass returns an `idastar.SearchResult`: unsolvable, at the limit with the
+Each node carries down the estimate it was entered with, h.  An OR node
+writes the heuristic table once, when it returns, and only a value above h:
+its exact cost if solved, else the least bound over its children.  A value
+at most h changes no evaluation, as the table only rises.  That holds for a
+temporal state too: `storage_value` stores at its relaxed atoms less its
+largest offset, and h is at most that offset plus their value.
+
+A pass returns an `idastar.SearchResult`: unsolvable, at the limit with the
 next bound, or solved with the relaxed cost.  A pass that expanded no AND
 node was a complete regression search, so its result carries the plan.
 
@@ -88,7 +98,9 @@ class IdaoSearch:
         result is unsolvable when the relaxed problem has no solution, and
         at the limit, with the least cost above it that could not be ruled
         out, when the search did not solve it within the limit."""
-        search = self._idao_star(self.space.root(), bound, top=True)
+        root = self.space.root()
+        # The solved table is empty yet, so only a final root settles.
+        search = (0, True) if self.space.is_final(root) else self._idao_star(root, bound, top=True)
         cost, solved = search if type(search) is tuple else drive(search)
         if cost == INF:
             return SearchResult("unsolvable")
@@ -99,27 +111,35 @@ class IdaoSearch:
         plan = build_plan(self.space, self._solution[::-1]) if self.complete else None
         return SearchResult("solved", cost, plan)
 
-    def _idao_star(self, state, bound: Units, top: bool):
+    def _settle(self, state):
+        """(0, True) for a final state, (cost, True) for a solved one, None
+        for a state that must be searched."""
+        if self.space.is_final(state):
+            return 0, True
+        atoms = self.space.atoms_of(state)
+        # AND nodes are solved by their atoms, OR nodes by the state itself.
+        hit = self.solved.get(atoms if len(atoms) > self.m else state)
+        if self.recorder:
+            self.recorder.solved_table(hit is not None)
+        return None if hit is None else (hit, True)
+
+    def _idao_star(self, state, bound: Units, top: bool = False):
         # A state met again inside its own search, as a subset of an AND node
         # it reached, would be searched afresh, and over zero-cost edges at
         # the same bound forever.  Its cost through that node is at least its
         # own, so, like an on-path state in _expand_or, it is left out.
         if state in self._searching:
             return INF, False
-        # A solved subset of an AND node settles at its exact cost, with no
-        # estimate; after a miss here the first search does not ask again.
-        ask = not top and not self.space.is_final(state)
-        if ask:
-            hit = self._solved_cost(state, self.space.atoms_of(state))
-            if hit is not None:
-                return hit, True
-        current = self.space.estimate(self.table, state)
-        search = self._search(state, current, bound, top, probe=not ask)
+        search = None if top else self._settle(state)
+        if search is not None:
+            return search
+        h = self.space.estimate(self.table, state)
+        search = self._search(state, h, h, bound, top)
         if type(search) is tuple:
             return search
-        return self._deepen(state, current, bound, top, search)
+        return self._deepen(state, h, bound, top, search)
 
-    def _search(self, state, current: Units, bound: Units, top: bool, probe: bool = True):
+    def _search(self, state, h: Units, current: Units, bound: Units, top: bool):
         # The bound test is inclusive: a node whose estimate equals the limit
         # still gets one search, which either solves it or proves a larger
         # cost.  A strict test can return the unimproved estimate forever.
@@ -130,38 +150,25 @@ class IdaoSearch:
         if top and self.recorder:
             self.recorder.bound(f"idao:{self.m}", self.space.problem.to_cost(current))
         # Each search gets its own path: an AND node's subsets start afresh.
-        return self._dfs(state, current, set(), probe)
+        return self._expand(state, h, current, set())
 
-    def _deepen(self, state, current: Units, bound: Units, top: bool, search):
+    def _deepen(self, state, h: Units, bound: Units, top: bool, search):
         # Search at rising bounds, from the expanding `search` on.
         self._searching.add(state)
+        current = h
         while type(search) is not tuple:
             new, solved = yield search
             assert solved or new > current
             current = new
-            search = (new, True) if solved else self._search(state, new, bound, top)
+            search = (new, True) if solved else self._search(state, h, new, bound, top)
         self._searching.discard(state)
         return search
 
-    def _solved_cost(self, state, atoms: AtomSet) -> Units | None:
-        # AND nodes are solved by their atoms, OR nodes by the state itself.
-        hit = self.solved.get(atoms if len(atoms) > self.m else state)
-        if self.recorder:
-            self.recorder.solved_table(hit is not None)
-        return hit
-
-    def _dfs(self, state, bound: Units, on_path: set, probe: bool = True):
-        space = self.space
-        if space.is_final(state):
-            return 0, True
-        atoms = space.atoms_of(state)
-        if probe:
-            hit = self._solved_cost(state, atoms)
-            if hit is not None:
-                return hit, True
+    def _expand(self, state, h: Units, bound: Units, on_path: set):
+        atoms = self.space.atoms_of(state)
         if len(atoms) > self.m:
             return self._expand_and(atoms, bound)
-        return self._expand_or(state, atoms, bound, on_path)
+        return self._expand_or(state, atoms, h, bound, on_path)
 
     def _expand_and(self, atoms: AtomSet, bound: Units):
         space = self.space
@@ -171,7 +178,7 @@ class IdaoSearch:
             self.recorder.expansion(AND, len(atoms), tuple(len(s) for s in subsets))
         worst, all_solved = 0, True
         for sub in subsets:
-            search = self._idao_star(space.from_atoms(sub), bound, top=False)
+            search = self._idao_star(space.from_atoms(sub), bound)
             cost, solved = search if type(search) is tuple else (yield search)
             if cost > bound:
                 # This subset alone exceeds the bound; the node's cost does too.
@@ -183,7 +190,7 @@ class IdaoSearch:
             self.solved.put(atoms, worst)
         return worst, all_solved
 
-    def _expand_or(self, state, atoms: AtomSet, bound: Units, on_path: set):
+    def _expand_or(self, state, atoms: AtomSet, h: Units, bound: Units, on_path: set):
         space = self.space
         edges, _ = space.successors(state)
         if self.recorder:
@@ -193,40 +200,42 @@ class IdaoSearch:
         # contribution exceeds the current bound, so iteration always makes
         # progress.  Branches closing a cycle on the current path are left out
         # of it (the optimal path is cycle-free, so nothing is lost).
-        # store_best: sound lower bound for the table, rebuilt from post-search
-        # child evaluations so it stays valid on every path, cycles included.
+        # store_best: the least bound over all children, cycles included, each
+        # the child's estimate after its search: valid on every path, so the
+        # node writes it to the table when it exceeds h.
         best: Units = INF
         store_best: Units = INF
         estimate, table = space.estimate, self.table
         on_path.add(state)
         for edge in edges:
-            est = edge.delta + estimate(table, edge.state)
-            if edge.state in on_path:
+            child = edge.state
+            est = edge.delta + estimate(table, child)
+            if child in on_path:
                 if est < store_best:
                     store_best = est
                 continue
             if est <= bound:
-                search = self._dfs(edge.state, bound - edge.delta, on_path)
+                search = (self._settle(child)
+                          or self._expand(child, est - edge.delta, bound - edge.delta, on_path))
                 value, solved = search if type(search) is tuple else (yield search)
                 r = edge.delta + value
                 if solved:
                     on_path.discard(state)
                     self.solved.put(state, r)
-                    space.store_value(self.table, state, r)
+                    if r > h:
+                        space.store_value(table, state, r)
                     if self.complete:
                         self._solution.append(edge)
                     return r, True
-                if r < best:
-                    best = r
                 # Re-evaluate: the child search may have improved the table.
-                post = edge.delta + estimate(table, edge.state)
-                if post < store_best:
-                    store_best = post
+                post = edge.delta + estimate(table, child)
             else:
-                if est < best:
-                    best = est
-                if est < store_best:
-                    store_best = est
+                r = post = est
+            if r < best:
+                best = r
+            if post < store_best:
+                store_best = post
         on_path.discard(state)
-        space.store_value(self.table, state, store_best)
+        if store_best > h:
+            space.store_value(table, state, store_best)
         return best, False

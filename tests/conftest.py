@@ -205,19 +205,24 @@ def successors_product(
     return edges, cut_count
 
 
-def temporal_makespan(problem: Problem, cap: int = 200_000):
+def temporal_makespan(problem: Problem, cap: int = 200_000, at_least=INF):
     """Blind Dijkstra over the temporal regression graph (no heuristic,
     no right-shift, no transposition table).  The graph's time advances
-    count units of 1/problem.scale; the makespan returned is a Fraction."""
+    count units of 1/problem.scale; the makespan returned is a Fraction.
+    A search that reaches `at_least` stops there and returns the distance
+    reached: a lower bound on the makespan, and at least `at_least`."""
     root = TempState(problem.goal)
     dist: dict[TempState, int] = {root: 0}
     heap: list[tuple[int, int, TempState]] = [(0, 0, root)]
     tick = itertools.count(1)
     popped = 0
+    enough = at_least * problem.scale
     while heap:
         d, _, s = heapq.heappop(heap)
         if d > dist.get(s, INF):
             continue
+        if d >= enough:
+            return Fraction(d, problem.scale)
         popped += 1
         assert popped <= cap, "temporal oracle exceeded its search cap"
         if final_temporal(s, problem.init):

@@ -1,17 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_problem, seq_optimal
+from conftest import MIXED_DURS, random_problem, seq_optimal, temporal_makespan
 from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.idao import IdaoSearch, SolvedTable, enumerate_and_successors
 from hmplan.metrics import AND, Recorder
-from hmplan.model import INF, Mode
+from hmplan.model import INF, Mode, Problem
+from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.sequential import SequentialSpace
-from hmplan.temporal import TemporalSpace
+from hmplan.temporal import TempState, TemporalSpace
 from hmplan.validate import validate_plan
 
 
@@ -167,9 +169,84 @@ class TestTableSideEffects:
             for s in regression_states(p, cap=20_000):
                 assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
 
+    @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
+    def test_temporal_values_stay_admissible(self, mode):
+        # After boosting, no goal of at most three atoms evaluates above the
+        # makespan of reaching it.  A goal's makespan is at least any of its
+        # subsets', so the oracle runs only where those do not decide it.
+        # (Seed 37 draws a goal on which the blind oracle takes seconds.)
+        rng = random.Random(3)
+        durs = MIXED_DURS if mode is Mode.TEMPORAL else None
+        checked = raised = 0
+        for _ in range(40):
+            p = random_problem(rng, max_atoms=6, max_actions=9, mode=mode, durs=durs)
+            space = TemporalSpace(p)
+            t = HeuristicTable(p.scale)
+            compute_base_heuristic(p, t, 1)
+            sets = [frozenset(c) for k in (1, 2, 3)
+                    for c in itertools.combinations(range(len(p.atoms)), k)]
+            base = {s: space.evaluate(t, TempState(s)) for s in sets}
+            # The passes of hspa from h^1 under fixed:3.
+            for m in (2, 3):
+                IdaoSearch(space, t, m).run()
+            makespan = {}  # goal -> a lower bound on its makespan
+            for s in sets:
+                v = space.evaluate(t, TempState(s))
+                makespan[s] = max((makespan[s - {a}] for a in s if len(s) > 1),
+                                  default=0)
+                if v > makespan[s]:
+                    goal = Problem(list(p.atoms), list(p.actions), p.init, s, mode)
+                    makespan[s] = temporal_makespan(goal, at_least=v)
+                    checked += 1
+                assert v <= makespan[s], (p.name, sorted(s))
+                raised += v > base[s]
+        assert checked >= 80 and raised >= 15
+
     def test_solved_table_reused_within_pass(self):
         p = fixtures.satellite()
         rec = Recorder()
         out = search(p, 2, recorder=rec).run()
         assert out.outcome == "solved" and out.cost == 7
         assert rec.solved_hits > 0
+
+
+class TestSearchRoots:
+    """No search root is ever in the solved table, so none is looked up: a
+    pass starts with the table empty, and a subset of an AND node is
+    searched again only after an iteration that did not solve it."""
+
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        """Checks every root as its iteration starts; one entry per root,
+        True when the iteration is a deepened one."""
+        deepened = []
+        search = IdaoSearch._search
+
+        def checked(self, state, h, current, *rest):
+            assert self._settle(state) is None
+            deepened.append(current > h)
+            return search(self, state, h, current, *rest)
+        monkeypatch.setattr(IdaoSearch, "_search", checked)
+        return deepened
+
+    STOPS = ("fixed:3", "fixed:4", "no-and", "converged")
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_satellite(self, roots, mode):
+        for base_m in (1, 2):
+            for stop in self.STOPS:
+                res = run_pipeline(fixtures.satellite(mode=mode),
+                                   PlannerConfig(pipeline="hspa", base_m=base_m, stop=stop))
+                assert res.outcome == "solved"
+        assert sum(roots) >= 10
+
+    def test_random_problems(self, roots):
+        rng = random.Random(61)
+        for i in range(100):
+            mode = list(Mode)[i % 3]
+            p = random_problem(rng, max_atoms=10, max_actions=14, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            for base_m in (1, 2):
+                for stop in self.STOPS:
+                    run_pipeline(p, PlannerConfig(pipeline="hspa", base_m=base_m, stop=stop))
+        assert len(roots) >= 800 and sum(roots) >= 150

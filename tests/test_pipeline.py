@@ -238,27 +238,40 @@ class TestPhaseCounts:
     """Each phase's work as the Recorder counts it: expansions by space,
     solved-table hits and misses, and the final search's bounds."""
 
-    @pytest.mark.parametrize("mode, kw, events, solved, ida, estimates", [
+    @pytest.mark.parametrize("mode, kw, events, solved, ida, estimates, stores", [
         (Mode.SEQUENTIAL, dict(stop="fixed:3"),
-         {OR: 11, AND: 1, NORMAL: 7}, (3, 12), [7], 85),
+         {OR: 11, AND: 1, NORMAL: 7}, (3, 11), [7], 85, 0),
         (Mode.SEQUENTIAL, dict(base_m=1, stop="fixed:2"),
-         {OR: 88, AND: 16, NORMAL: 7}, (17, 104), [7], 534),
+         {OR: 88, AND: 16, NORMAL: 7}, (17, 88), [7], 534, 80),
         (Mode.TEMPORAL, dict(stop="fixed:3"),
-         {OR: 10, AND: 1, NORMAL: 6}, (3, 11), [6], 125),
+         {OR: 10, AND: 1, NORMAL: 6}, (3, 10), [6], 125, 0),
     ], ids=["fixed3", "base1-fixed2", "temporal-fixed3"])
-    def test_satellite(self, monkeypatch, mode, kw, events, solved, ida, estimates):
+    def test_satellite(self, monkeypatch, mode, kw, events, solved, ida, estimates,
+                       stores):
         # `estimates` counts space.estimate calls.  A subset of an AND node
         # found in the solved table is not estimated; estimating it first
         # made 85, 545 and 125 calls, with the same hits and misses.
-        calls = []
+        # `stores` counts IDAO*'s heuristic-table writes (space.store_value,
+        # one HeuristicTable.store each).  An OR node writes only a value
+        # above the estimate it was entered with; writing every value made
+        # 11, 88 and 10.  A search root is not looked up in the solved table:
+        # probing the root of each pass and of each deepened search made 12,
+        # 104 and 11 misses, with the same hits.
+        calls, writes = [], []
         for space in (SequentialSpace, TemporalSpace):
             def counted(self, table, s, estimate=space.estimate):
                 calls.append(s)
                 return estimate(self, table, s)
+
+            def written(self, table, s, cost, store_value=space.store_value):
+                writes.append(s)
+                store_value(self, table, s, cost)
             monkeypatch.setattr(space, "estimate", counted)
+            monkeypatch.setattr(space, "store_value", written)
         res, rec = recorded(fixtures.satellite(mode=mode), pipeline="hspa", **kw)
         assert res.outcome == "solved" and res.cost == ida[-1]
         assert len(calls) == estimates
+        assert len(writes) == stores
         assert {sp: expansions(rec, sp) for sp in (OR, AND, NORMAL)} == events
         assert rec.expansions == sum(events.values())
         assert (rec.solved_hits, rec.solved_misses) == solved
