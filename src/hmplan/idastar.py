@@ -1,7 +1,8 @@
 """Cost-bounded iterative-deepening A* over a regression space, with a
 fixed-capacity closed-hash transposition table and footnote-style bound
 schedule: each iteration's bound is the least f-value pruned in the previous
-one, never a fixed increment.
+one, never a fixed increment.  The space alone orders a node's children:
+IDAO* takes them as listed, and IDA* sorts them stably by f.
 
 Both searches, this one and IDAO* (`idao`), are recursive code whose nested
 calls are generators (`x = yield self._child(...)`), run by `drive` on one
@@ -136,7 +137,8 @@ class IdaStar:
         return self._dfs(state, g, h, via, bound)
 
     def _dfs(self, state, g: Units, h: Units, via, bound: Units):
-        """The value is the least pruned f below this node, with branches that
+        """Enter the children by f, those of equal f in the space's order.
+        The value is the least pruned f below this node, with branches that
         closed a cycle on the current path left out: every remaining
         contribution exceeds the bound, so the schedule always advances, and
         the optimal path is cycle-free so it is never the branch left out.
@@ -148,10 +150,8 @@ class IdaStar:
             self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
                                     tuple(len(space.atoms_of(e.state)) for e in edges))
         estimate, table = space.estimate, self.table
-        scored = sorted(
-            ((e.delta + estimate(table, e.state), e) for e in edges),
-            key=lambda it: (it[0], tuple(a.index for a in it[1].actions)),
-        )
+        scored = sorted([(e.delta + estimate(table, e.state), e) for e in edges],
+                        key=lambda it: it[0])
         least, clean = INF, True
         on_path = self._on_path
         on_path.add(state)
@@ -165,8 +165,7 @@ class IdaStar:
                 solution.append(edge)
                 return value, clean, solution
             clean = clean and child_clean
-            if value < least:
-                least = value
+            least = min(least, value)
         on_path.discard(state)
         # Right-shift cuts make the updated cost path-dependent, so the
         # transposition table is not fed from expansions they touched.  The

@@ -15,6 +15,7 @@ cost and next bound become Fractions again on exit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .hm import compute_base_heuristic
@@ -72,10 +73,9 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
     pipeline name, stopping rule or table size before any work is done."""
     if config.pipeline not in ("tp4", "hspa"):
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
-    if config.tt_size < 1:
-        raise ValueError("transposition table size must be at least 1")
-    if config.solved_size < 1:
-        raise ValueError("solved table size must be at least 1")
+    for name, size in (("transposition", config.tt_size), ("solved", config.solved_size)):
+        if not 1 <= size <= sys.maxsize:
+            raise ValueError(f"{name} table size must be between 1 and {sys.maxsize}")
     stop = _parse_stop(config.stop)
     limit = problem.to_units(config.upper_limit)
     table = HeuristicTable(problem.scale)

@@ -139,8 +139,9 @@ def successors_temporal(
     Order contract: the edges are those of the product of the establisher
     choices per goal atom (atoms in id order; the no-op first, then the
     adders in action index order), in product order, each signature (chosen
-    actions, no-op'd atoms) at its first occurrence.  IDA* sorts edges
-    stably, so this order decides its expansions.
+    actions, no-op'd atoms) at its first occurrence.  IDAO* takes the edges
+    in this order and IDA* sorts them stably by f alone, so this order
+    decides the expansions of both searches.
 
     The choices are made atom by atom over the problem's conflict and delete
     masks, and a partial choice is cut as soon as it conflicts with F, with

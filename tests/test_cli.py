@@ -136,9 +136,10 @@ class TestNonZeroExits:
     def test_table_size_below_one(self, capsys, monkeypatch, pipeline, option):
         # Rejected before any search: the GBF never runs.
         monkeypatch.setattr("hmplan.pipeline.compute_base_heuristic", None)
-        code, out, err = run(capsys, *OBS, "--pipeline", pipeline, option, "0")
-        assert code == 2 and out == ""
-        assert "size must be at least 1" in err and "Traceback" not in err
+        for value in ("0", "100000000000000000000"):
+            code, out, err = run(capsys, *OBS, "--pipeline", pipeline, option, value)
+            assert code == 2 and out == ""
+            assert "size must be between 1 and" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("option", ["--trace", "--metrics"])
     def test_unwritable_artifact_path(self, tmp_path, capsys, monkeypatch, option):

@@ -90,6 +90,10 @@ def optimum(p):
 CONFIGS = [dict(pipeline=pipeline, stop=stop, use_tt=use_tt, right_shift=right_shift)
            for pipeline in ("tp4", "hspa") for stop in ("fixed:3", "no-and", "converged")
            for use_tt in (True, False) for right_shift in (True, False)]
+# One slot per table, so stores collide, wherever a run has a table: the
+# transposition table under use_tt, IDAO*'s solved table under hspa.
+CONFIGS += [dict(c, tt_size=1, solved_size=1) for c in CONFIGS
+            if c["use_tt"] or c["pipeline"] == "hspa"]
 
 
 class TestEveryConfiguration:
@@ -173,9 +177,10 @@ class TestHspaStopping:
     @pytest.mark.parametrize("size", ["tt_size", "solved_size"])
     def test_table_sizes_below_one_rejected_before_work(self, kw, size):
         # Checked before the GBF, also where the run never builds the table.
-        for value in (0, -1):
+        # A size above sys.maxsize could not even be allocated as a list.
+        for value in (0, -1, 10 ** 20):
             rec = Recorder()
-            with pytest.raises(ValueError, match="at least 1"):
+            with pytest.raises(ValueError, match="between 1 and"):
                 run_pipeline(fixtures.satellite(), PlannerConfig(**kw, **{size: value}), rec)
             assert rec.trace == [] and rec.expansions == 0
 
