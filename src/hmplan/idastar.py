@@ -4,6 +4,13 @@ schedule: each iteration's bound is the least f-value pruned in the previous
 one, never a fixed increment.  The space alone orders a node's children:
 IDAO* takes them as listed, and IDA* sorts them stably by f.
 
+Every expansion that proves more than the state's score stores it in the
+table, whether or not a cycle was pruned or right shift cut below it (after
+Reinefeld and Marsland, "Enhanced Iterative-Deepening Search", 1994).  The
+value is a lower bound on the search below the state given the actions
+right shift forbade there, and the entry carries that set as a mask: it is
+used wherever a superset is forbidden, where the state has fewer children.
+
 Both searches, this one and IDAO* (`idao`), are recursive code whose nested
 calls are generators (`x = yield self._child(...)`), run by `drive` on one
 list, so plan length is not bounded by Python's recursion limit.  Only a
@@ -24,6 +31,7 @@ from fractions import Fraction
 from .htable import HeuristicTable
 from .metrics import NORMAL, Recorder
 from .model import INF, Mode, Plan, PlanStep, Units
+from .temporal import forbidden_mask
 
 
 def drive(call):
@@ -43,33 +51,39 @@ def drive(call):
 
 class TranspositionTable:
     """Closed hash table of updated lower bounds for expanded, unsolved
-    states.  Lookup is a single probe plus a full state equality check; on
-    collision the entry closer to the root is kept."""
+    states.  A slot is (state, value, depth, mask): the value bounds the
+    search below the state when the actions in `mask` are forbidden there
+    by right shift, and so whenever a superset of them is.  Lookup is a
+    single probe plus a full state equality check.  The same state under
+    the same mask keeps the larger value and the smaller depth, under
+    another mask the new entry replaces it; on collision the entry closer
+    to the root is kept."""
 
     def __init__(self, capacity: int = 1 << 16) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots: list[tuple[object, Units, int] | None] = [None] * capacity
+        self._slots: list[tuple[object, Units, int, int] | None] = [None] * capacity
 
     def _index(self, key) -> int:
         return hash(key) % self.capacity
 
-    def get(self, key) -> Units | None:
+    def get(self, key) -> tuple[Units, int] | None:
+        """(value, mask) of the key's entry, or None."""
         slot = self._slots[self._index(key)]
         if slot is not None and slot[0] == key:
-            return slot[1]
+            return slot[1], slot[3]
         return None
 
-    def put(self, key, value: Units, depth: int) -> None:
+    def put(self, key, value: Units, depth: int, mask: int = 0) -> None:
         i = self._index(key)
         slot = self._slots[i]
-        if slot is None:
-            self._slots[i] = (key, value, depth)
+        if slot is None or (slot[0] == key and slot[3] != mask):
+            self._slots[i] = (key, value, depth, mask)
         elif slot[0] == key:
-            self._slots[i] = (key, max(slot[1], value), min(slot[2], depth))
+            self._slots[i] = (key, max(slot[1], value), min(slot[2], depth), mask)
         elif depth < slot[2]:
-            self._slots[i] = (key, value, depth)
+            self._slots[i] = (key, value, depth, mask)
 
 
 @dataclass
@@ -124,14 +138,16 @@ class IdaStar:
     def _enter(self, state, g: Units, h: Units, via, bound: Units):
         """Settle a final state, or one whose f exceeds the bound, as (value,
         clean, solution edges last first or None); give any other state's
-        expansion.  h is the score the parent ordered it by: the table is not
-        written during the search, so a new evaluation would give the same."""
+        expansion.  h is the score the parent ordered it by, raised by a
+        table entry whose forbidden set lies within the one `via` imposes."""
         if self.space.is_final(state):
             return g, True, (None if g > bound else [])
         if self.tt is not None:
             cached = self.tt.get(state)
-            if cached is not None and cached > h:
-                h = cached
+            if cached is not None and cached[0] > h:
+                value, mask = cached
+                if not mask or not mask & ~forbidden_mask(self.space.problem, via):
+                    h = value
         if g + h > bound:
             return g + h, True, None
         return self._dfs(state, g, h, via, bound)
@@ -142,8 +158,11 @@ class IdaStar:
         closed a cycle on the current path left out: every remaining
         contribution exceeds the bound, so the schedule always advances, and
         the optimal path is cycle-free so it is never the branch left out.
-        Leaving cycles out makes the value path-dependent, though, so only
-        clean values (no cycle pruned anywhere below) are cached."""
+        Leaving cycles out makes the value path-dependent, so it is clean
+        only if no cycle was pruned anywhere below.  The table is given
+        `sound` instead, clean or not: the least over all children, those on
+        the path included, of the child's value if clean and its entry f
+        otherwise.  Each term bounds every path through its child."""
         space = self.space
         edges, cuts = space.successors(state, via, self.right_shift)
         if self.recorder:
@@ -152,12 +171,14 @@ class IdaStar:
         estimate, table = space.estimate, self.table
         scored = sorted([(e.delta + estimate(table, e.state), e) for e in edges],
                         key=lambda it: it[0])
-        least, clean = INF, True
+        least = sound = INF
+        clean = True
         on_path = self._on_path
         on_path.add(state)
         for est, edge in scored:
             if edge.state in on_path:
                 clean = False
+                sound = min(sound, g + est)
                 continue
             child = self._enter(edge.state, g + edge.delta, est - edge.delta, edge, bound)
             value, child_clean, solution = child if type(child) is tuple else (yield child)
@@ -166,12 +187,14 @@ class IdaStar:
                 return value, clean, solution
             clean = clean and child_clean
             least = min(least, value)
+            sound = min(sound, value if child_clean else g + est)
         on_path.discard(state)
-        # Right-shift cuts make the updated cost path-dependent, so the
-        # transposition table is not fed from expansions they touched.  The
+        # The children depend on `via` only through the actions right shift
+        # forbade here, so the entry holds under any superset of them.  The
         # path now holds the state's ancestors: their number is its depth.
-        if self.tt is not None and cuts == 0 and clean and least - g > h:
-            self.tt.put(state, least - g, len(on_path))
+        if self.tt is not None and sound - g > h:
+            mask = forbidden_mask(space.problem, via) if cuts else 0
+            self.tt.put(state, sound - g, len(on_path), mask)
         return least, clean, None
 
 

@@ -121,6 +121,22 @@ def right_shift_forbids(problem: Problem, via: TempEdge | None,
     return not problem.conflict_masks[a.index] & there
 
 
+def forbidden_mask(problem: Problem, via: TempEdge | None) -> int:
+    """The set F of actions that `right_shift_forbids` removes at via.state,
+    as a bitmask over action indices (0 at the root).  A forbidden action
+    adds an atom of via.state carried by a no-op, so only the adders of
+    via.carried are tested.  Below via.state the search depends on `via`
+    only through F."""
+    if via is None:
+        return 0
+    mask = 0
+    for p in via.carried:
+        for a in problem.adders[p]:
+            if not mask >> a.index & 1 and right_shift_forbids(problem, via, a):
+                mask |= 1 << a.index
+    return mask
+
+
 def successors_temporal(
     problem: Problem,
     s: TempState,
@@ -133,8 +149,9 @@ def successors_temporal(
     Chosen actions must be pairwise compatible, compatible with everything in
     F, and nothing (chosen or in F) may delete a no-op'd atom.  Returns the
     edge list and the number of (atom, adder) pairs removed by the
-    right-shift rule (0 unless use_right_shift), which reads `via`, the edge
-    the search came to s by (None at the root).
+    right-shift rule (0 unless use_right_shift): an adder is removed when it
+    is in `forbidden_mask(problem, via)`, where `via` is the edge the search
+    came to s by (None at the root).
 
     Order contract: the edges are those of the product of the establisher
     choices per goal atom (atoms in id order; the no-op first, then the
@@ -156,6 +173,7 @@ def successors_temporal(
     for a, _ in s.in_progress:
         f_mask |= 1 << a.index
         f_del |= deletes[a.index]
+    forbidden = forbidden_mask(problem, via) if use_right_shift else 0
     cut_count = 0
 
     # Partial choices in product order: (chosen actions, no-op'd atoms) as
@@ -165,7 +183,7 @@ def successors_temporal(
     for p in goal_ids:
         cands = []
         for a in problem.adders[p]:
-            if use_right_shift and right_shift_forbids(problem, via, a):
+            if forbidden >> a.index & 1:
                 cut_count += 1
             elif not conflict[a.index] & f_mask:
                 cands.append((1 << a.index, conflict[a.index], deletes[a.index]))

@@ -116,6 +116,12 @@ def _right_shift_forbids(via: TempEdge | None, a: GroundAction) -> bool:
     return all(compatible(a, c) for c in via.actions)
 
 
+def forbidden_set(problem: Problem, via: TempEdge | None) -> int:
+    """The actions `_right_shift_forbids` removes below `via`, as a bitmask
+    over action indices."""
+    return sum(1 << a.index for a in problem.actions if _right_shift_forbids(via, a))
+
+
 def successors_product(
     problem: Problem,
     s: TempState,
@@ -234,6 +240,18 @@ def temporal_makespan(problem: Problem, cap: int = 200_000, at_least=INF):
                 dist[e.state] = nd
                 heapq.heappush(heap, (nd, next(tick), e.state))
     return INF
+
+
+def optimum(p: Problem):
+    """The oracles' optimum.  A schedule exists exactly when a sequential
+    plan does (compatible overlapping steps also run one after another), so
+    the temporal oracle, a blind search, is not asked to exhaust the
+    regression graph of an unsolvable problem."""
+    if p.mode is Mode.SEQUENTIAL:
+        return seq_optimal(p)
+    if seq_optimal(Problem(p.atoms, p.actions, p.init, p.goal, Mode.SEQUENTIAL)) == INF:
+        return INF
+    return parallel_makespan(p) if p.mode is Mode.PARALLEL else temporal_makespan(p)
 
 
 def applicable_seq(action: GroundAction, s: AtomSet) -> bool:

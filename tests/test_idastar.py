@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MIXED_DURS, random_problem, seq_optimal
+from conftest import (MIXED_DURS, achieve_cost, forbidden_set, forward_dijkstra, optimum,
+                      random_problem, seq_optimal, temporal_makespan)
 from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
@@ -36,23 +37,41 @@ class TestTranspositionTable:
     def test_put_get(self):
         tt = TranspositionTable(8)
         tt.put("k", Fraction(3), depth=2)
-        assert tt.get("k") == 3
+        assert tt.get("k") == (3, 0)
         assert tt.get("other") is None
 
     def test_same_key_keeps_max_value_min_depth(self):
+        # Under one mask the larger value and the smaller depth are kept;
+        # under another mask the new entry replaces the old one whole.
         tt = TranspositionTable(8)
         tt.put("k", Fraction(3), depth=5)
         tt.put("k", Fraction(2), depth=1)
-        assert tt.get("k") == 3
-        assert tt._slots[tt._index("k")] == ("k", 3, 1)
+        assert tt.get("k") == (3, 0)
+        assert tt._slots[tt._index("k")] == ("k", 3, 1, 0)
+        tt.put("k", Fraction(2), depth=4, mask=0b110)
+        assert tt._slots[tt._index("k")] == ("k", 2, 4, 0b110)
+        tt.put("k", Fraction(5), depth=6, mask=0b110)
+        tt.put("k", Fraction(4), depth=2, mask=0b110)
+        assert tt._slots[tt._index("k")] == ("k", 5, 2, 0b110)
+
+    def test_entry_keeps_its_forbidden_set(self):
+        # A value found where more actions were forbidden may exceed what
+        # the state's search gives with fewer forbidden: it is returned with
+        # its own mask only, never merged into an entry under another mask.
+        tt = TranspositionTable(8)
+        tt.put("k", Fraction(9), depth=1, mask=0b11)
+        tt.put("k", Fraction(4), depth=1, mask=0b01)
+        assert tt.get("k") == (4, 0b01)
+        tt.put("k", Fraction(6), depth=1)
+        assert tt.get("k") == (6, 0)
 
     def test_collision_prefers_shallower_entry(self):
         tt = TranspositionTable(1)
         tt.put("a", Fraction(4), depth=3)
-        tt.put("b", Fraction(9), depth=5)
-        assert tt.get("a") == 4 and tt.get("b") is None
-        tt.put("c", Fraction(1), depth=0)
-        assert tt.get("c") == 1 and tt.get("a") is None
+        tt.put("b", Fraction(9), depth=5, mask=0b1)
+        assert tt.get("a") == (4, 0) and tt.get("b") is None
+        tt.put("c", Fraction(1), depth=0, mask=0b1)
+        assert tt.get("c") == (1, 0b1) and tt.get("a") is None
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -188,9 +207,10 @@ class TestEvaluationCount:
         assert calls["evaluate"] == 1 + calls["edges"]
 
     def test_expansions_unchanged_by_reuse(self):
-        # [DERIVED: counts of the search that evaluated every child twice]
+        # [DERIVED: counts of the search that evaluated every child twice;
+        # m = 1 of the search that stores a bound under pruned cycles]
         p = fixtures.satellite()
-        assert recorded(p, m=1)[1].expansions == 1288
+        assert recorded(p, m=1)[1].expansions == 337
         assert recorded(p, m=2)[1].expansions == 7
         _, mix = recorded(fixtures.temporal_mix(), m=1, right_shift=True)
         assert mix.expansions == 3
@@ -255,15 +275,17 @@ class TestProbeOrder:
     FOUR = ("d2", "d3", "d4", "d5")
 
     # [DERIVED: counts of the search that walked an explicit frame stack; the
-    # last four rows' counts of the search that sorts children by f alone]
+    # last four rows' counts of the search that sorts children by f alone;
+    # the -tt rows' counts of the search that stores under pruned cycles
+    # and under right-shift cuts]
     @pytest.mark.parametrize("goals, mode, m, use_tt, counts, bounds", [
-        (("d4", "d5"), Mode.SEQUENTIAL, 1, True, (7866, 4054, 1288), [3, 4, 5, 6, 7]),
+        (("d4", "d5"), Mode.SEQUENTIAL, 1, True, (2138, 1509, 337), [3, 4, 5, 6, 7]),
         (("d4", "d5"), Mode.SEQUENTIAL, 1, False, (0, 0, 3663), [3, 4, 5, 6, 7]),
         (("d4", "d5"), Mode.TEMPORAL, 2, True, (6, 0, 6), [6]),
         (("d4", "d5"), Mode.TEMPORAL, 2, False, (0, 0, 6), [6]),
-        (FOUR, Mode.TEMPORAL, 2, True, (1145, 3, 108), [6, 7, 8, 9]),
+        (FOUR, Mode.TEMPORAL, 2, True, (729, 116, 75), [6, 7, 8, 9]),
         (FOUR, Mode.TEMPORAL, 2, False, (0, 0, 108), [6, 7, 8, 9]),
-        (("d5",), Mode.TEMPORAL, 1, True, (1068, 280, 134), [3, 4]),
+        (("d5",), Mode.TEMPORAL, 1, True, (565, 420, 61), [3, 4]),
         (("d5",), Mode.TEMPORAL, 1, False, (0, 0, 189), [3, 4]),
     ], ids=["seq-tt", "seq", "temp-tt", "temp", "temp4-tt", "temp4", "temp1-tt", "temp1"])
     def test_satellite(self, monkeypatch, goals, mode, m, use_tt, counts, bounds):
@@ -281,3 +303,146 @@ class TestProbeOrder:
                           right_shift=mode is Mode.TEMPORAL)
         assert (len(hits), sum(hits), rec.expansions) == counts
         assert [r.bound for r in rec.trace if r.phase == "ida"] == bounds
+
+
+class TestForbiddenContext:
+    """An entry stored where right shift forbade the actions F bounds the
+    search below its state whenever a superset of F is forbidden, since
+    fewer children can only raise the value.  The search uses it exactly
+    there."""
+
+    @staticmethod
+    def probes(problem, m):
+        """(entry, forbidden set, h before, h after) per probe that found
+        an entry above the state's score."""
+        ida = searcher(problem, m, right_shift=True)
+        found, entered, out = [], [], []
+        get = ida.tt.get
+        enter, dfs = ida._enter, ida._dfs
+
+        def recording_get(key):
+            found.append(get(key))
+            return found[-1]
+
+        def recording_dfs(state, g, h, via, bound):
+            entered.append(h)
+            return dfs(state, g, h, via, bound)
+
+        def recording_enter(state, g, h, via, bound):
+            n, e = len(found), len(entered)
+            result = enter(state, g, h, via, bound)
+            if len(found) > n and found[-1] is not None and found[-1][0] > h:
+                after = entered[-1] if len(entered) > e else result[0] - g
+                out.append((found[-1], forbidden_set(problem, via), h, after))
+            return result
+
+        ida.tt.get, ida._enter, ida._dfs = recording_get, recording_enter, recording_dfs
+        res = ida.run()
+        assert res.outcome == "solved"
+        assert validate_plan(problem, res.plan).ok
+        return out
+
+    @pytest.mark.parametrize("goals, m", [(("d2", "d3", "d4", "d5"), 2), (("d5",), 1)])
+    def test_satellite(self, goals, m):
+        used = wider = refused = 0
+        for (value, mask), forbidden, h, after in self.probes(
+                fixtures.satellite(goals, Mode.TEMPORAL), m):
+            if mask & ~forbidden:
+                assert after == h
+                refused += 1
+            else:
+                assert after == value
+                used += bool(mask)
+                wider += bool(mask) and forbidden != mask
+        assert wider > 0 and refused > 0
+
+
+class TestStoredBoundsAdmissible:
+    """After a search, every value left in the transposition table is at
+    most the optimal cost of achieving its state from the initial state."""
+
+    @staticmethod
+    def entries(p, m, **kw):
+        ida = searcher(p, m, **kw)
+        assert ida.run().outcome == "solved"
+        return [slot for slot in ida.tt._slots if slot is not None]
+
+    def test_sequential(self):
+        rng = random.Random(19)
+        checked = 0
+        for _ in range(600):
+            p = random_problem(rng)
+            dist = forward_dijkstra(p)
+            if achieve_cost(dist, p.goal) == INF:
+                continue
+            for state, value, _, mask in self.entries(p, 1):
+                assert mask == 0
+                assert value <= achieve_cost(dist, state) * p.scale
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
+    def test_temporal(self, mode):
+        # Only an entry stored where right shift cut nothing bounds the
+        # state's makespan itself; one with in-progress actions bounds a
+        # state no plain goal set stands for.  A schedule exists exactly
+        # when a sequential plan does, so the blind oracle is asked only
+        # about reachable goals, and only up to the stored value.
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(500):
+            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            dist = forward_dijkstra(p)
+            if achieve_cost(dist, p.goal) == INF:
+                continue
+            for state, value, _, mask in self.entries(p, 1, right_shift=True):
+                if mask or state.in_progress:
+                    continue
+                checked += 1
+                if achieve_cost(dist, state.goals) == INF:
+                    continue
+                q = Problem(p.atoms, p.actions, p.init, state.goals, p.mode)
+                at_least = Fraction(value, p.scale)
+                assert value <= temporal_makespan(q, at_least=at_least) * p.scale
+        assert checked > 30
+
+
+class TestOneSlotTable:
+    """With one slot nearly every probe finds an entry, most of them another
+    state's.  A table that answered for the wrong state, or gave one state
+    another's value, would prune the optimal path.  Each search runs only up
+    to the oracle's optimum, so such a table makes it answer `limit`; on an
+    unsolvable problem nothing bounds it, so those are left out."""
+
+    FIXTURES = [
+        fixtures.satellite(),
+        fixtures.satellite(mode=Mode.PARALLEL),
+        fixtures.satellite(mode=Mode.TEMPORAL),
+        fixtures.satellite(TestProbeOrder.FOUR, Mode.SEQUENTIAL),
+        fixtures.satellite(TestProbeOrder.FOUR, Mode.PARALLEL),
+        fixtures.chain(6),
+        fixtures.chain(4, Mode.TEMPORAL, durs=[Fraction(1, 2), 2, 0, Fraction(3, 2)]),
+        fixtures.growing(2, 3),
+        fixtures.temporal_mix(),
+    ]
+
+    @staticmethod
+    def solves(p, m, opt):
+        res = searcher(p, m, tt_capacity=1, right_shift=True).run(upper_limit=opt * p.scale)
+        assert res.outcome == "solved" and res.cost == opt * p.scale
+        assert validate_plan(p, res.plan).ok
+
+    @pytest.mark.parametrize("p", FIXTURES, ids=lambda p: f"{p.name}-{p.mode.value}")
+    def test_fixtures(self, p):
+        self.solves(p, 2, optimum(p))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_random_problems(self, mode):
+        rng = random.Random(31)
+        for _ in range(60):
+            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            opt = optimum(p)
+            if opt != INF and not p.goal <= p.init:
+                self.solves(p, 1, opt)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import parallel_makespan, random_problem, seq_optimal, temporal_makespan
+from conftest import optimum, parallel_makespan, random_problem, seq_optimal, temporal_makespan
 from conftest import MIXED_COSTS, MIXED_DURS
 from hmplan import fixtures
 from hmplan.cli import _build_parser
@@ -73,18 +73,6 @@ class TestAgreement:
             else:
                 assert res.cost == opt
                 assert validate_plan(p, res.plan).ok
-
-
-def optimum(p):
-    """The oracles' optimum.  A schedule exists exactly when a sequential
-    plan does (compatible overlapping steps also run one after another), so
-    the temporal oracle, a blind search, is not asked to exhaust the
-    regression graph of an unsolvable problem."""
-    if p.mode is Mode.SEQUENTIAL:
-        return seq_optimal(p)
-    if seq_optimal(Problem(p.atoms, p.actions, p.init, p.goal, Mode.SEQUENTIAL)) == INF:
-        return INF
-    return parallel_makespan(p) if p.mode is Mode.PARALLEL else temporal_makespan(p)
 
 
 CONFIGS = [dict(pipeline=pipeline, stop=stop, use_tt=use_tt, right_shift=right_shift)

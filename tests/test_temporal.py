@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MIXED_DURS, random_problem, successors_product
+from conftest import MIXED_DURS, forbidden_set, random_problem, successors_product
 from hmplan import fixtures, pddl
 from hmplan.htable import HeuristicTable
 from hmplan.model import ZERO, Atom, GroundAction, Mode, Problem
@@ -14,6 +14,7 @@ from hmplan.temporal import (
     TemporalSpace,
     compatible,
     final_temporal,
+    forbidden_mask,
     relax_state,
     relaxed_atoms,
     right_shift_forbids,
@@ -338,7 +339,8 @@ def _walk(problem, rng, depth=4, width=3):
 class TestAgainstProduct:
     """`successors_temporal` against the product enumeration it replaced:
     the same edges in the same order (state, delta, actions, carried atoms
-    and source all compared), the same cuts."""
+    and source all compared), the same cuts, and `forbidden_mask` the
+    actions the product's rule forbids."""
 
     @staticmethod
     def same(problem, via, s, right_shift):
@@ -346,6 +348,7 @@ class TestAgainstProduct:
         want, want_cuts = successors_product(problem, s, via, right_shift)
         assert got_cuts == want_cuts
         assert got == want
+        assert forbidden_mask(problem, via) == forbidden_set(problem, via)
         return len(got), got_cuts
 
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
