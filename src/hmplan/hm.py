@@ -3,40 +3,59 @@
 `compute_base_heuristic` is the one entry point.  It takes the recursion
 from the problem's mode: sequential regression for sequential problems, the
 relaxed view of temporal regression (right-shift cuts never applied) for
-parallel and temporal ones.  An edge of a set of size <= m is worth delta +
+parallel and temporal ones.  An edge into a node is worth delta +
 max(offset + value of a regressed component), an oversized component being
 worth the max over its size <= m subsets; as deltas and offsets are >= 0,
 that is never below a value it reads.  So Knuth's generalization of
-Dijkstra's algorithm (Knuth 1977; Haslum 2009, "h^m(P) = h^1(P^m)") finds
-the least fixpoint: a heap settles each set once, in order of value, and an
-edge fires once, when the last set it reads is settled.  The result is
-written into the shared heuristic table.
+Dijkstra's algorithm (Knuth 1977) finds the least fixpoint: a heap settles
+each node once, in order of value, and an edge fires once, when the last
+node it reads is settled.  The result is written into the shared heuristic
+table.
 
-The engine runs on integers: the successor functions give every delta and
-offset in the problem's units of 1/scale, and so does the table.
+Sequential problems are read as Haslum's P^m (Haslum 2009, "h^m(P) =
+h^1(P^m)"): besides the atom sets of size <= m, every action a is a node.
+Its label is L(a) = cost(a) + the max over the size <= m subsets of pre(a),
+reached by one edge that reads those subsets (cost(a) outright if pre(a) is
+empty).  When L(a) settles, a
+builds one edge into each target T of size <= m that meets add(a), is
+disjoint from delete(a) and has not settled yet.  With C = T - add(a) -
+pre(a), the edge reads L(a) alone if C is empty; otherwise it is worth
+max(L(a), cost(a) + the max over the size <= m subsets of pre(a) | C that
+meet C), and those subsets are all it reads besides L(a).  That is
+cost(a) + the value of (T - add(a)) | pre(a), the regression of T through
+a, since h^m never falls from a set to its subsets.  An action whose
+precondition is never reached settles never and builds nothing.  Parallel
+and temporal problems build one edge per regression of each set, all before
+the first set settles.
+
+A firing is one evaluation of an edge, counted in `GbfStats.rounds`: an
+edge whose reads have all settled when it is built fires at once, so every
+action-centred edge that reads L(a) alone counts as a firing.
+
+The engine runs on integers: the costs and the successor functions give
+every delta and offset in the problem's units of 1/scale, and so does the
+table.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, combinations
 
 from .htable import HeuristicTable
 from .model import INF, AtomSet, Mode, Problem
-from .sequential import successors_seq
 from .temporal import TempState, relax_state, successors_temporal
-
-# An edge is (delta, components), worth delta + max over its components of
-# offset + the value of the atom set (0 if empty), in units of 1/scale.
-Component = tuple[AtomSet, int]
-Edge = tuple[int, tuple[Component, ...]]
 
 
 @dataclass
 class GbfStats:
     sets: int  # atom sets of size <= m
-    rounds: int  # edge firings; each edge fires at most once
+    # Edge firings, the action nodes' included; each edge fires at most once,
+    # and one whose reads have all settled when it is built fires then.
+    rounds: int
+    edges: int  # edges built: up front, or as their action's label settled
 
 
 def _subsets_upto(atoms, m: int):
@@ -46,27 +65,33 @@ def _subsets_upto(atoms, m: int):
     return map(frozenset, chain.from_iterable(combinations(ids, k) for k in sizes))
 
 
-def _edges(problem: Problem, s: AtomSet) -> list[Edge]:
-    if problem.mode is Mode.SEQUENTIAL:
-        return [(e.delta, ((e.state, 0),)) for e in successors_seq(problem, s)]
-    edges, _ = successors_temporal(problem, TempState(s))
-    return [(e.delta, tuple(relax_state(e.state))) for e in edges]
-
-
-def _label_setting(problem: Problem, m: int, sets: list[AtomSet]) -> tuple[list, int]:
-    """The least fixpoint's value of each of the sets, in their order, and
-    the number of edge firings."""
+def _label_setting(problem: Problem, m: int, sets: list[AtomSet]) -> tuple[list, int, int]:
+    """The least fixpoint's value of each of the sets, in their order, the
+    number of edge firings and the number of edges built."""
     n = len(problem.atoms)
     # Set ids: a for {a} and n + a*n + b for {a, b} with a < b, as htable
-    # lays them out; the sets of size >= 3 that m >= 3 needs follow.
+    # lays them out; the sets of size >= 3 that m >= 3 needs follow, and in
+    # sequential mode one id per action after those.
     big = {tuple(sorted(s)): n + n * n + i
            for i, s in enumerate(s for s in sets if len(s) >= 3)}
+    first_action = n + n * n + len(big) if m >= 2 else n
+    actions = problem.actions if problem.mode is Mode.SEQUENTIAL else ()
 
-    def ident(ids: list[int]) -> int:
-        """The id of the set of the sorted atom ids, of size 1 to m."""
+    def ident(ids) -> int:
+        """The id of the set of the atom ids, of size 1 to m, in any order."""
         if len(ids) == 1:
             return ids[0]
-        return n + ids[0] * n + ids[1] if len(ids) == 2 else big[tuple(ids)]
+        if len(ids) == 2:
+            a, b = ids
+            return n + a * n + b if a < b else n + b * n + a
+        return big[tuple(sorted(ids))]
+
+    def subsets(ids: list[int]) -> list[int]:
+        """Ids of the nonempty size <= m subsets of the sorted atom ids."""
+        found = ids + [n + a * n + b for a, b in combinations(ids, 2)] if m >= 2 else ids
+        for k in range(3, min(m, len(ids)) + 1):
+            found += map(big.__getitem__, combinations(ids, k))
+        return found
 
     def reads(atoms: AtomSet) -> list[int]:
         """Ids of the sets whose values give the atom set's value: none if it
@@ -74,57 +99,127 @@ def _label_setting(problem: Problem, m: int, sets: list[AtomSet]) -> tuple[list,
         ids = sorted(atoms)
         if len(ids) <= m:
             return [ident(ids)] if ids else []
-        found = ids + [n + a * n + b for a, b in combinations(ids, 2)] if m >= 2 else ids
-        for k in range(3, m + 1):
-            found += map(big.__getitem__, combinations(ids, k))
-        return found
+        return subsets(ids)
 
-    label = [INF] * (n + n * n + len(big) if m >= 2 else n)
-    keys = [ident(sorted(s)) for s in sets]
-    readers: dict[int, list[int]] = {key: [] for key in keys}  # edges reading a set
+    label = [INF] * (first_action + len(actions))
+    settled = bytearray(len(label))
+    readers: defaultdict[int, list[int]] = defaultdict(list)  # edges reading a node
     heap: list[tuple[int, int]] = []
-    # Per edge: its target's id, its delta, its components as (offset, ids
-    # read) and its count of distinct unsettled sets read.
-    target, delta, comps, waiting = [], [], [], []
-    fired = 0
+    # An edge (delta, components) is worth delta + max over its components
+    # (offset, ids read) of offset + the max of the labels read (0 if none).
+    # Per waiting edge: (its target's id, its delta, its components) and its
+    # count of distinct unsettled nodes read.
+    edges: list[tuple] = []
+    waiting: list[int] = []
+    fired = built = 0
 
-    def fire(e: int) -> None:
+    def fire(t: int, d: int, cs) -> None:
+        """Evaluate the edge (d, cs) into t, whose reads have all settled."""
         nonlocal fired
         fired += 1
-        v = delta[e] + max(offset + max(map(label.__getitem__, ids), default=0)
-                           for offset, ids in comps[e])
-        if v < label[target[e]]:
-            label[target[e]] = v
-            heappush(heap, (v, target[e]))
+        v = d + max(offset + max(map(label.__getitem__, ids), default=0) for offset, ids in cs)
+        if v < label[t]:
+            label[t] = v
+            heappush(heap, (v, t))
 
+    def add_edges(ts, d: int, cs, wait) -> None:
+        """One edge (d, cs) into each target; it fires now if it waits for no
+        node, and else when the last of the nodes in wait settles."""
+        nonlocal built
+        built += len(ts)
+        for t in ts:
+            if not wait:
+                fire(t, d, cs)
+                continue
+            e = len(edges)
+            for i in wait:
+                readers[i].append(e)
+            edges.append((t, d, cs))
+            waiting.append(len(wait))
+
+    # rows[q][r] is the id of {q, r} (q itself at r = q), so a list of atoms
+    # maps in bulk to the pairs they make with q.
+    rows = [[*range(n + q, n + q + q * n, n), q, *range(n + q * n + q + 1, n + q * n + n)]
+            for q in range(n)] if m >= 2 else []
+
+    def regress_through(a) -> None:
+        """Build the target edges of action a, whose label has just settled:
+        one into each unsettled T = A | B, with A a nonempty subset of
+        add(a) - delete(a) and B one of the atoms a neither adds nor deletes.
+        Besides L(a), T's edge reads the subsets D | R of size <= m, with D
+        a nonempty subset of C = B - pre(a) and R one of pre(a): what it
+        reads depends on B alone, so the edges of one B share their reads."""
+        node = first_action + a.index
+        cost = problem.cost_units[a]
+
+        def connect(ts: list[int], ids: list[int]) -> None:
+            """Edges into the targets reading L(a) and, at cost(a), the ids."""
+            cs = ((0, (node,)), (cost, ids)) if ids else ((0, (node,)),)
+            add_edges(ts, 0, cs, [i for i in ids if not settled[i]])
+
+        adds = sorted(a.add - a.delete)
+        pre = sorted(a.pre)
+        others = [q for q in range(n) if q not in a.add and q not in a.delete]
+        heads = [h for j in range(1, m + 1) for h in combinations(adds, j)]
+        connect([t for t in map(ident, heads) if not settled[t]], [])  # B empty
+        if m == 1:
+            return
+        # B = {q}, in bulk through q's row, with the larger heads and the
+        # pairs and up of pre(a) that only m >= 3 has.
+        big_heads = [h for h in heads if 1 < len(h) < m]
+        tails = [r for j in range(2, m) for r in combinations(pre, j)]
+        for q in others:
+            row = rows[q]
+            ts = [t for t in map(row.__getitem__, adds) if not settled[t]]
+            if big_heads:
+                ts += [t for t in (ident(h + (q,)) for h in big_heads) if not settled[t]]
+            if not ts:
+                continue
+            if q in a.pre:
+                connect(ts, [])
+                continue
+            ids = [q, *map(row.__getitem__, pre)]
+            if tails:
+                ids += [ident(r + (q,)) for r in tails]
+            connect(ts, ids)
+        for k in range(2, m):
+            for b in combinations(others, k):
+                ts = [t for t in (ident(h + b) for h in heads if len(h) + k <= m)
+                      if not settled[t]]
+                if ts:
+                    c = [q for q in b if q not in a.pre]
+                    connect(ts, [ident(d + r) for i in range(1, len(c) + 1)
+                                 for d in combinations(c, i)
+                                 for j in range(min(m - i, len(pre)) + 1)
+                                 for r in combinations(pre, j)])
+
+    keys = [ident(tuple(s)) for s in sets]
     for s, key in zip(sets, keys):
         if s <= problem.init:
             label[key] = 0
             heappush(heap, (0, key))
-            continue
-        for d, cs in _edges(problem, s):
-            e = len(target)
-            cs = [(offset, reads(atoms)) for atoms, offset in cs]
-            wait = cs[0][1] if len(cs) == 1 else set(chain.from_iterable(ids for _, ids in cs))
-            for i in wait:
-                readers[i].append(e)
-            target.append(key)
-            delta.append(d)
-            comps.append(cs)
-            waiting.append(len(wait))
-            if not wait:
-                fire(e)
-    settled = bytearray(len(label))
+        elif not actions:
+            for e in successors_temporal(problem, TempState(s))[0]:
+                cs = [(offset, reads(atoms)) for atoms, offset in relax_state(e.state)]
+                wait = cs[0][1] if len(cs) == 1 else set(chain.from_iterable(ids for _, ids in cs))
+                add_edges((key,), e.delta, cs, wait)
+    for a in actions:
+        ids = subsets(sorted(a.pre))
+        add_edges((first_action + a.index,), problem.cost_units[a], ((0, ids),), ids)
     while heap:
         _, i = heappop(heap)
         if settled[i]:
             continue
         settled[i] = 1
-        for e in readers[i]:
+        for e in readers.get(i, ()):
             waiting[e] -= 1
-            if not waiting[e] and not settled[target[e]]:
-                fire(e)
-    return [label[key] for key in keys], fired
+            if not waiting[e]:
+                t, d, cs = edges[e]
+                if not settled[t]:
+                    fire(t, d, cs)
+        if i >= first_action:
+            regress_through(actions[i - first_action])
+    return [label[key] for key in keys], fired, built
 
 
 def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> GbfStats:
@@ -134,7 +229,7 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
     if table.scale != problem.scale:
         raise ValueError(f"table counts 1/{table.scale}, problem 1/{problem.scale}")
     sets = list(_subsets_upto(range(len(problem.atoms)), m))
-    values, fired = _label_setting(problem, m, sets)
+    values, fired, built = _label_setting(problem, m, sets)
     for s, v in zip(sets, values):
         table.store(s, v)
-    return GbfStats(len(sets), fired)
+    return GbfStats(len(sets), fired, built)

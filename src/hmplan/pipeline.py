@@ -15,6 +15,8 @@ cost and next bound become Fractions again on exit.
 
 from __future__ import annotations
 
+import os
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -55,6 +57,16 @@ def _make_space(problem: Problem):
     return TemporalSpace(problem)
 
 
+def _fits_in_memory(slots: int) -> bool:
+    """Whether a table of that many slots, a pointer each, fits in the
+    machine's physical memory; True where the platform does not say."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return True
+    return slots * struct.calcsize("P") <= memory
+
+
 def _parse_stop(stop: str) -> tuple[str, int | None]:
     if stop in ("no-and", "converged"):
         return stop, None
@@ -69,13 +81,20 @@ def _parse_stop(stop: str) -> tuple[str, int | None]:
 def run_pipeline(problem: Problem, config: PlannerConfig,
                  recorder: Recorder | None = None) -> PlanResult:
     """Solve the problem optimally, or prove it unsolvable, or report the
-    next bound above `config.upper_limit`; raises ValueError on a bad
-    pipeline name, stopping rule or table size before any work is done."""
+    next bound above `config.upper_limit`.  Before any work is done, raises
+    ValueError on a bad pipeline name, stopping rule or table size, and
+    MemoryError on a table the run would build that memory cannot hold."""
     if config.pipeline not in ("tp4", "hspa"):
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
     for name, size in (("transposition", config.tt_size), ("solved", config.solved_size)):
         if not 1 <= size <= sys.maxsize:
             raise ValueError(f"{name} table size must be between 1 and {sys.maxsize}")
+    tables = [("transposition", config.tt_size)] if config.use_tt else []
+    if config.pipeline == "hspa":
+        tables.append(("solved", config.solved_size))
+    for name, size in tables:
+        if not _fits_in_memory(size):
+            raise MemoryError(f"a {name} table of {size} slots does not fit in memory")
     stop = _parse_stop(config.stop)
     limit = problem.to_units(config.upper_limit)
     table = HeuristicTable(problem.scale)

@@ -356,25 +356,39 @@ def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:
 def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, int | float]:
     """Reference schedule for the GBF h^m fixpoint: relax every set of size
     <= m round-robin (by size, lexical within) until a whole sweep changes
-    nothing.  It takes only the edges from `hm._edges` and keeps its own
-    labels and relaxation step, so it checks the label-setting engine of
-    `compute_base_heuristic`, and returns every set's value in units of
-    1/problem.scale."""
-    from hmplan.hm import _edges, _subsets_upto
+    nothing.  Each set has one edge per regression of it: by an action from
+    `successors_seq` in sequential mode, and otherwise by a relaxed temporal
+    regression from `successors_temporal` and `relax_state`.  It keeps its own
+    sets, labels and relaxation step and no action nodes, so it checks the
+    label-setting engine of `compute_base_heuristic`, and returns every set's
+    value in units of 1/problem.scale."""
+    from hmplan.sequential import successors_seq
+    from hmplan.temporal import relax_state, successors_temporal
 
-    value = {s: 0 if s <= problem.init else INF
-             for s in _subsets_upto(range(len(problem.atoms)), m)}
-    edges = {s: _edges(problem, s) for s in value if not s <= problem.init}
+    def edges(s: AtomSet):
+        """(delta, ((atoms, offset), ...)) per regression of s."""
+        if problem.mode is Mode.SEQUENTIAL:
+            return [(e.delta, ((e.state, 0),)) for e in successors_seq(problem, s)]
+        return [(e.delta, relax_state(e.state))
+                for e in successors_temporal(problem, TempState(s))[0]]
+
+    def subsets(atoms):
+        ids = sorted(atoms)
+        return [frozenset(c) for k in range(1, min(m, len(ids)) + 1)
+                for c in itertools.combinations(ids, k)]
+
+    value = {s: 0 if s <= problem.init else INF for s in subsets(range(len(problem.atoms)))}
+    regressions = {s: edges(s) for s in value if not s <= problem.init}
 
     def atoms_value(atoms: AtomSet):
         if 0 < len(atoms) <= m:
             return value[atoms]
-        return max(map(value.__getitem__, _subsets_upto(atoms, m)), default=0)
+        return max(map(value.__getitem__, subsets(atoms)), default=0)
 
     changed = True
     while changed:
         changed = False
-        for s, es in edges.items():
+        for s, es in regressions.items():
             new = min((delta + max(offset + atoms_value(atoms) for atoms, offset in comps)
                        for delta, comps in es), default=INF)
             if new < value[s]:

@@ -1,4 +1,5 @@
 import csv
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,14 @@ class TestNonZeroExits:
             code, out, err = run(capsys, *OBS, "--pipeline", pipeline, option, value)
             assert code == 2 and out == ""
             assert "size must be between 1 and" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--tt-size", "--solved-size"])
+    def test_table_size_beyond_memory(self, capsys, monkeypatch, option):
+        # Out of resources before any search: the GBF never runs.
+        monkeypatch.setattr("hmplan.pipeline.compute_base_heuristic", None)
+        code, out, err = run(capsys, *OBS, "--pipeline", "hspa", option, str(sys.maxsize))
+        assert code == 3 and out == ""
+        assert "out of resources: MemoryError" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("option", ["--trace", "--metrics"])
     def test_unwritable_artifact_path(self, tmp_path, capsys, monkeypatch, option):

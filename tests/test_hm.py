@@ -6,7 +6,7 @@ import pytest
 from conftest import achieve_cost, forward_dijkstra, gbf_sweep, random_problem
 from conftest import MIXED_COSTS, MIXED_DURS, regression_states
 from hmplan import fixtures
-from hmplan.hm import _edges, _subsets_upto, compute_base_heuristic
+from hmplan.hm import _subsets_upto, compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
@@ -98,8 +98,68 @@ class TestTemporalValues:
         assert t.eval(p.atom_set("cal")) == 2
 
 
+def unchecked_action(index, name, pre, add, delete, cost):
+    """A GroundAction built without its checks, which reject an add that
+    meets the delete and a cost of 0.  The engine's equations for an action
+    node hold there too, so it must still agree with the sweep."""
+    action = object.__new__(GroundAction)
+    fields = dict(index=index, name=name, pre=frozenset(pre), add=frozenset(add),
+                  delete=frozenset(delete), cost=Fraction(cost), dur=Fraction(1))
+    for field, v in fields.items():
+        object.__setattr__(action, field, v)
+    return action
+
+
+def hand_built(*specs, init="r"):
+    """A sequential problem over p, q, r, s (ids 0 to 3) whose actions are
+    (pre, add, delete, cost) specs of atom names."""
+    ids = {"p": 0, "q": 1, "r": 2, "s": 3}
+    atoms = [Atom(i, name) for name, i in ids.items()]
+    actions = [unchecked_action(k, f"a{k}", *(map(ids.__getitem__, x) for x in sets), cost)
+               for k, (*sets, cost) in enumerate(specs)]
+    return Problem(atoms, actions, frozenset(map(ids.__getitem__, init)), frozenset({0, 1}))
+
+
+# Per corner of the action-centred edges: a problem, a set and its h^2 value.
+EDGE_CASES = {
+    # a0 adds and deletes q, so it regresses neither {q} nor {p, q}.
+    # [DERIVED: {p} by a0 costs 1, then {q} and {p, q} by a1 cost 2]
+    "add meets delete": (hand_built(("r", "pq", "q", 1), ("p", "q", "", 1)), "pq", 2),
+    # a0 needs nothing and deletes r; {p, r} needs a2 after a0.
+    # [DERIVED: {p, r} costs 2 (a0 then a2), so {q} by a1 costs 3]
+    "empty precondition": (hand_built(("", "p", "r", 1), ("pr", "q", "", 1),
+                                      ("", "r", "", 1)), "q", 3),
+    # a0 and a2 cost 0 and a2 closes a cycle p -> q -> p.
+    # [DERIVED: p is free, q costs a1's 1, and so does {p, q}]
+    "zero-cost action": (hand_built(("r", "p", "", 0), ("p", "q", "", 1),
+                                    ("q", "p", "", 0)), "pq", 1),
+    # {p, q} through a0 regresses to pre(a0) = {q}: it reads L(a0) alone.
+    # [DERIVED: q costs 2, p and {p, q} cost 3]
+    "pair partly in the precondition": (hand_built(("q", "p", "", 1), ("r", "q", "", 2)),
+                                        "pq", 3),
+    # a0 adds both atoms of {p, q}; the way through a1 and a2 costs 4.
+    # [DERIVED: a0's 3 is the least]
+    "pair wholly added": (hand_built(("r", "pq", "", 3), ("r", "p", "", 1),
+                                     ("p", "q", "", 3)), "pq", 3),
+    # {p, q} through a3 reads {q}, {q, r} and {q, s}, all cheap and settled
+    # before L(a3), which holds the dear pair {r, s} of pre(a3); a4 makes p
+    # cheap but deletes q.
+    # [DERIVED: r and s together only by a2's 5, then a3's 1]
+    "dear precondition pair": (hand_built(("", "r", "s", 1), ("", "s", "r", 1),
+                                          ("", "rs", "", 5), ("rs", "p", "", 1),
+                                          ("", "p", "q", 1), init="q"), "pq", 6),
+}
+
+
 class TestStrategiesAgree:
     """The label-setting engine equals the round-robin sweep in conftest."""
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_worklist_matches_sweep_on_edge_cases(self, case):
+        p, names, h2 = EDGE_CASES[case]
+        assert stored_sets(p, 2)[p.atom_set(*names)] == h2
+        for m in (1, 2, 3):
+            assert stored_sets(p, m) == gbf_sweep(p, m)
 
     def test_worklist_matches_sweep_on_fixtures(self, sat1):
         for m in (1, 2, 3):
@@ -111,6 +171,14 @@ class TestStrategiesAgree:
             # Every other problem draws its costs from MIXED_COSTS.
             costs = MIXED_COSTS if k % 2 else None
             p = random_problem(rng, max_atoms=7, max_actions=10, costs=costs)
+            for m in (1, 2, 3):
+                assert stored_sets(p, m) == gbf_sweep(p, m)
+
+    def test_worklist_matches_sweep_random_larger(self):
+        rng = random.Random(23)
+        for k in range(30):
+            costs = MIXED_COSTS if k % 2 else None
+            p = random_problem(rng, max_atoms=10, max_actions=15, costs=costs)
             for m in (1, 2, 3):
                 assert stored_sets(p, m) == gbf_sweep(p, m)
 
@@ -152,10 +220,22 @@ class TestLabelSetting:
 
     def test_each_edge_fires_at_most_once(self, sat1):
         stats = compute_base_heuristic(sat1, HeuristicTable(), 2)
-        built = sum(len(_edges(sat1, s)) for s in _subsets_upto(range(len(sat1.atoms)), 2)
-                    if not s <= sat1.init)
-        assert stats.rounds == 72  # pinned: the engine's firings here
-        assert stats.rounds <= built
+        # Pinned: the engine's firings here, counting the action nodes' edges
+        # and every edge that fired as its action's label settled.
+        assert stats.rounds == 84
+        assert stats.rounds <= stats.edges
+
+    def test_unreached_action_builds_no_target_edges(self, sat1):
+        # An action needing an atom nothing adds builds only its own edge.
+        atoms = list(sat1.atoms) + [Atom(len(sat1.atoms), "never")]
+        dead = GroundAction(len(sat1.actions), "dead", frozenset({atoms[-1].id}),
+                            sat1.atom_set("cal"), frozenset())
+        without = Problem(atoms, sat1.actions, sat1.init, sat1.goal)
+        with_dead = Problem(atoms, list(sat1.actions) + [dead], sat1.init, sat1.goal)
+        base = compute_base_heuristic(without, HeuristicTable(), 2)
+        more = compute_base_heuristic(with_dead, HeuristicTable(), 2)
+        assert more.edges == base.edges + 1
+        assert more.rounds == base.rounds
 
 
 class TestAdmissibility:

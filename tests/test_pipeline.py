@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,25 @@ class TestHspaStopping:
             with pytest.raises(ValueError, match="between 1 and"):
                 run_pipeline(fixtures.satellite(), PlannerConfig(**kw, **{size: value}), rec)
             assert rec.trace == [] and rec.expansions == 0
+
+    @pytest.mark.parametrize("size, kw", [
+        ("tt_size", dict(pipeline="tp4")),
+        ("tt_size", dict(pipeline="hspa", stop="fixed:3")),
+        ("solved_size", dict(pipeline="hspa", stop="fixed:3")),
+    ], ids=["tt-tp4", "tt-hspa", "solved-hspa"])
+    def test_table_beyond_memory_rejected_before_gbf(self, size, kw, monkeypatch):
+        def no_gbf(*args):
+            raise AssertionError("the GBF ran")
+
+        monkeypatch.setattr("hmplan.pipeline.compute_base_heuristic", no_gbf)
+        with pytest.raises(MemoryError, match="does not fit in memory"):
+            run_pipeline(fixtures.satellite(), PlannerConfig(**kw, **{size: sys.maxsize}))
+
+    def test_unbuilt_table_may_exceed_memory(self):
+        # tp4 builds no solved table, and use_tt=False no transposition table.
+        p = fixtures.satellite()
+        assert plan(p, pipeline="tp4", solved_size=sys.maxsize).cost == 7
+        assert plan(p, pipeline="tp4", use_tt=False, tt_size=sys.maxsize).cost == 7
 
 
 class TestEdges:
