@@ -31,7 +31,6 @@ from fractions import Fraction
 from .htable import HeuristicTable
 from .metrics import NORMAL, Recorder
 from .model import INF, Mode, Plan, PlanStep, Units
-from .temporal import forbidden_mask
 
 
 def drive(call):
@@ -139,20 +138,25 @@ class IdaStar:
         """Settle a final state, or one whose f exceeds the bound, as (value,
         clean, solution edges last first or None); give any other state's
         expansion.  h is the score the parent ordered it by, raised by a
-        table entry whose forbidden set lies within the one `via` imposes."""
+        table entry whose forbidden set lies within the one `via` imposes.
+        That set, F, is computed at most once per entered state: here when
+        an entry carries a mask, else by `_dfs`."""
         if self.space.is_final(state):
             return g, True, (None if g > bound else [])
+        forbidden = None  # the actions right shift forbids here, when known
         if self.tt is not None:
             cached = self.tt.get(state)
             if cached is not None and cached[0] > h:
                 value, mask = cached
-                if not mask or not mask & ~forbidden_mask(self.space.problem, via):
+                if mask:
+                    forbidden = self.space.forbidden(via)
+                if not mask or not mask & ~forbidden:
                     h = value
         if g + h > bound:
             return g + h, True, None
-        return self._dfs(state, g, h, via, bound)
+        return self._dfs(state, g, h, via, forbidden, bound)
 
-    def _dfs(self, state, g: Units, h: Units, via, bound: Units):
+    def _dfs(self, state, g: Units, h: Units, via, forbidden: int | None, bound: Units):
         """Enter the children by f, those of equal f in the space's order.
         The value is the least pruned f below this node, with branches that
         closed a cycle on the current path left out: every remaining
@@ -164,7 +168,9 @@ class IdaStar:
         the path included, of the child's value if clean and its entry f
         otherwise.  Each term bounds every path through its child."""
         space = self.space
-        edges, cuts = space.successors(state, via, self.right_shift)
+        if forbidden is None and self.right_shift:
+            forbidden = space.forbidden(via)
+        edges, cuts = space.successors(state, via, self.right_shift, forbidden)
         if self.recorder:
             self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
                                     tuple(len(space.atoms_of(e.state)) for e in edges))
@@ -193,8 +199,7 @@ class IdaStar:
         # forbade here, so the entry holds under any superset of them.  The
         # path now holds the state's ancestors: their number is its depth.
         if self.tt is not None and sound - g > h:
-            mask = forbidden_mask(space.problem, via) if cuts else 0
-            self.tt.put(state, sound - g, len(on_path), mask)
+            self.tt.put(state, sound - g, len(on_path), forbidden if cuts else 0)
         return least, clean, None
 
 

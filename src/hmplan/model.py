@@ -172,6 +172,11 @@ class Problem:
             masks[a.index] = sum(1 << p for p in a.delete)
         return tuple(masks)
 
+    @cached_property
+    def pre_masks(self) -> tuple[int, ...]:
+        """Per action index, its preconditions as a bitmask."""
+        return tuple(sum(1 << p for p in a.pre) for a in self.actions)
+
     def to_cost(self, units: Units) -> Cost:
         """A count of 1/scale as a rational cost; INF stays INF."""
         return units if units == INF else Fraction(units, self.scale)

@@ -48,9 +48,12 @@ class SequentialSpace:
     def is_final(self, s: AtomSet) -> bool:
         return final_seq(s, self.problem.init)
 
-    def successors(self, s: AtomSet, via=None, right_shift: bool = False):
+    def successors(self, s: AtomSet, via=None, right_shift: bool = False, forbidden=None):
         """Returns (edges, cut_count); sequential search has no cut rule."""
         return successors_seq(self.problem, s), 0
+
+    def forbidden(self, via) -> int:
+        return 0
 
     def estimate(self, table: HeuristicTable, s: AtomSet) -> Units:
         return table.eval(s)

@@ -137,11 +137,22 @@ def forbidden_mask(problem: Problem, via: TempEdge | None) -> int:
     return mask
 
 
+def _atoms(mask: int) -> AtomSet:
+    """The atom set of a bitmask over atom ids."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(ids)
+
+
 def successors_temporal(
     problem: Problem,
     s: TempState,
     via: TempEdge | None = None,
     use_right_shift: bool = False,
+    forbidden: int | None = None,
 ) -> tuple[list[TempEdge], int]:
     """All successor states, advancing time to the next action start.
 
@@ -151,7 +162,8 @@ def successors_temporal(
     edge list and the number of (atom, adder) pairs removed by the
     right-shift rule (0 unless use_right_shift): an adder is removed when it
     is in `forbidden_mask(problem, via)`, where `via` is the edge the search
-    came to s by (None at the root).
+    came to s by (None at the root).  A caller that has that mask already
+    passes it as `forbidden`.
 
     Order contract: the edges are those of the product of the establisher
     choices per goal atom (atoms in id order; the no-op first, then the
@@ -166,6 +178,12 @@ def successors_temporal(
     with the same signature have the same completions, so only the first of
     them in product order is kept; every completion of the others repeats a
     signature that occurred earlier.
+
+    Many signatures share their chosen actions, and many edges lead to equal
+    states, so the edges are built from per-call memos: each distinct set of
+    chosen actions is decoded once into its actions, time advance, released
+    atoms and new F, and equal child states and equal carried sets are one
+    shared object each.
     """
     conflict = problem.conflict_masks
     deletes = problem.delete_masks
@@ -173,14 +191,16 @@ def successors_temporal(
     for a, _ in s.in_progress:
         f_mask |= 1 << a.index
         f_del |= deletes[a.index]
-    forbidden = forbidden_mask(problem, via) if use_right_shift else 0
+    if not use_right_shift:
+        forbidden = 0
+    elif forbidden is None:
+        forbidden = forbidden_mask(problem, via)
     cut_count = 0
 
     # Partial choices in product order: (chosen actions, no-op'd atoms) as
     # bitmasks, mapped to the atoms the chosen actions delete.
-    goal_ids = sorted(s.goals)
     frontier = {(0, 0): 0}
-    for p in goal_ids:
+    for p in sorted(s.goals):
         cands = []
         for a in problem.adders[p]:
             if forbidden >> a.index & 1:
@@ -202,48 +222,84 @@ def successors_temporal(
                     extended.setdefault((chosen | abit, noops), dels | adel)
         frontier = extended
 
-    actions = problem.actions
-    dur = problem.dur_units
     in_progress = s.in_progress
+    # Per-call memos, by bitmask: the decoding of each set of chosen actions,
+    # the atom set of each set of no-op'd atoms, one child state per goal
+    # mask under each new F, and one carried set per atom mask.
+    decoded: dict[int, tuple] = {}
+    noop_sets: dict[int, AtomSet] = {}
+    by_f: dict[tuple[FEntry, ...], dict[int, TempState]] = {}
+    carried_sets: dict[int, AtomSet] = {}
+    make = tuple.__new__
     edges: list[TempEdge] = []
     for chosen, noops in frontier:
         if not chosen and not in_progress:
             continue  # pure stutter
-        picked = []
-        while chosen:
-            low = chosen & -chosen
-            picked.append(actions[low.bit_length() - 1])
-            chosen ^= low
-        acts = tuple(picked)
-        noop_set = frozenset(p for p in goal_ids if noops >> p & 1)
-
-        # Offsets: F plus the durations of chosen positive-duration actions;
-        # a zero-duration action needs its preconditions at once.
-        offsets = list(in_progress)
-        released: AtomSet = EMPTY
-        for a in acts:
-            if dur[a] > 0:
-                offsets.append((a, dur[a]))
-            else:
-                released = released | a.pre
-        if not offsets:
-            advance = 0
-            new_f: tuple[FEntry, ...] = ()
-        else:
-            advance = min(d for _, d in offsets)
-            remaining = []
-            for a, d in offsets:
-                if d == advance:
-                    released = released | a.pre
-                else:
-                    remaining.append((a, d - advance))
-            new_f = tuple(sorted(remaining, key=lambda e: (e[0].index, e[1])))
+        d = decoded.get(chosen)
+        if d is None:
+            d = decoded[chosen] = _decode(problem, in_progress, chosen, by_f)
+        acts, advance, released, released_mask, states, new_f = d
+        goals = noops | released_mask
         # An atom counts as no-op-carried only if persistence is its sole
         # reason for being a goal; atoms also required as preconditions stay
         # required no matter how the carried copy came about.
-        edges.append(TempEdge(TempState(noop_set | released, new_f), advance, acts,
-                              noop_set - released, s))
+        kept = noops & ~released_mask
+        state = states.get(goals)
+        carried = carried_sets.get(kept)
+        if state is None or carried is None:
+            noop_set = noop_sets.get(noops)
+            if noop_set is None:
+                noop_set = noop_sets[noops] = _atoms(noops)
+            if state is None:
+                state = states[goals] = make(TempState, (noop_set | released, new_f))
+            if carried is None:
+                carried = carried_sets[kept] = noop_set - released
+        edges.append(make(TempEdge, (state, advance, acts, carried, s)))
     return edges, cut_count
+
+
+def _decode(problem: Problem, in_progress: tuple[FEntry, ...], chosen: int,
+            by_f: dict) -> tuple:
+    """(actions, advance, released atoms as a set and as a mask, the child
+    states of the new F by goal mask, new F) of the actions in the bitmask
+    `chosen`, started at the current point on top of F."""
+    actions = problem.actions
+    dur = problem.dur_units
+    pre = problem.pre_masks
+    acts = []
+    # Offsets: F plus the durations of chosen positive-duration actions; a
+    # zero-duration action needs its preconditions at once.
+    offsets = list(in_progress)
+    released: AtomSet = EMPTY
+    released_mask = 0
+    while chosen:
+        low = chosen & -chosen
+        i = low.bit_length() - 1
+        a = actions[i]
+        acts.append(a)
+        chosen ^= low
+        d = dur[a]
+        if d:
+            offsets.append((a, d))
+        else:
+            released |= a.pre
+            released_mask |= pre[i]
+    advance = min([d for _, d in offsets]) if offsets else 0
+    remaining = []
+    for a, d in offsets:
+        if d == advance:
+            released |= a.pre
+            released_mask |= pre[a.index]
+        else:
+            remaining.append((a, d - advance))
+    # The chosen actions come in index order; only F's entries need merging.
+    if in_progress and len(remaining) > 1:
+        remaining.sort(key=lambda e: (e[0].index, e[1]))
+    new_f = tuple(remaining)
+    states = by_f.get(new_f)
+    if states is None:
+        states = by_f[new_f] = {}
+    return tuple(acts), advance, released, released_mask, states, new_f
 
 
 class TemporalSpace:
@@ -260,10 +316,15 @@ class TemporalSpace:
         return final_temporal(s, self.problem.init)
 
     def successors(self, s: TempState, via: TempEdge | None = None,
-                   right_shift: bool = False):
-        return successors_temporal(self.problem, s, via, right_shift)
+                   right_shift: bool = False, forbidden: int | None = None):
+        return successors_temporal(self.problem, s, via, right_shift, forbidden)
+
+    def forbidden(self, via: TempEdge | None) -> int:
+        return forbidden_mask(self.problem, via)
 
     def estimate(self, table: HeuristicTable, s: TempState) -> Units:
+        if not s.in_progress:
+            return table.eval(s.goals)
         best = 0
         for comp, offset in relax_state(s):
             v = offset + table.eval(comp)

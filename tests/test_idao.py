@@ -121,6 +121,34 @@ class TestExactness:
         assert out.outcome == "solved" and out.cost == 6
 
 
+class TestComputesHm:
+    """The source paper's identity: h^m is the optimal cost in the relaxed
+    m-regression space, so a solved pass at m over the table at a lower
+    base returns exactly the root's complete h^m value, and an unsolvable
+    pass means that value is INF.  A wrong solved-table hit or a dropped
+    subset would leave the pass short of it, also with a one-slot table."""
+
+    @pytest.mark.parametrize("solved_capacity", [1 << 16, 1])
+    def test_random_problems(self, solved_capacity):
+        rng = random.Random(5)
+        modes = list(Mode)
+        equal = unsolvable = 0
+        for draw in range(90):
+            p = random_problem(rng, max_atoms=8, max_actions=12, mode=modes[draw % 3])
+            for base_m, m in ((1, 2), (1, 3), (2, 3)):
+                complete = HeuristicTable(p.scale)
+                compute_base_heuristic(p, complete, m)
+                want = complete.eval(p.goal)
+                out = search(p, m, base_m, solved_capacity=solved_capacity).run()
+                if out.outcome == "solved":
+                    assert out.cost == want
+                    equal += 1
+                else:
+                    assert out.outcome == "unsolvable" and want == INF
+                    unsolvable += 1
+        assert equal > 0 and unsolvable > 0
+
+
 class TestPassPlans:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_plans_are_plans(self, mode):

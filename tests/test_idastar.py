@@ -324,9 +324,9 @@ class TestForbiddenContext:
             found.append(get(key))
             return found[-1]
 
-        def recording_dfs(state, g, h, via, bound):
+        def recording_dfs(state, g, h, *rest):
             entered.append(h)
-            return dfs(state, g, h, via, bound)
+            return dfs(state, g, h, *rest)
 
         def recording_enter(state, g, h, via, bound):
             n, e = len(found), len(entered)

@@ -10,6 +10,7 @@ from hmplan.htable import HeuristicTable
 from hmplan.model import ZERO, Atom, GroundAction, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.temporal import (
+    TempEdge,
     TempState,
     TemporalSpace,
     compatible,
@@ -340,7 +341,10 @@ class TestAgainstProduct:
     """`successors_temporal` against the product enumeration it replaced:
     the same edges in the same order (state, delta, actions, carried atoms
     and source all compared), the same cuts, and `forbidden_mask` the
-    actions the product's rule forbids."""
+    actions the product's rule forbids.  The edges are `TempEdge`s over
+    `TempState`s, not tuples that merely compare equal, the result is the
+    same when the caller passes F, and within one call equal child states
+    and equal carried sets are one object each."""
 
     @staticmethod
     def same(problem, via, s, right_shift):
@@ -349,6 +353,13 @@ class TestAgainstProduct:
         assert got_cuts == want_cuts
         assert got == want
         assert forbidden_mask(problem, via) == forbidden_set(problem, via)
+        assert successors_temporal(problem, s, via, right_shift,
+                                   forbidden_set(problem, via)) == (got, got_cuts)
+        states, carried = {}, {}
+        for e in got:
+            assert type(e) is TempEdge and type(e.state) is TempState
+            assert states.setdefault(e.state, e.state) is e.state
+            assert carried.setdefault(e.carried, e.carried) is e.carried
         return len(got), got_cuts
 
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
