@@ -5,7 +5,9 @@ states are AND-nodes, expanded into all their size-m subsets, each solved by
 a nested iterative-deepening search bounded by the parent's bound.  Exact
 costs of solved nodes go into a per-pass solved table; improved lower bounds
 of OR-nodes go into the shared heuristic table as a side effect, which is the
-whole point: they raise later heuristic evaluations.
+whole point: they raise later heuristic evaluations.  In temporal mode a pass
+may raise a set above its complete h^m, soundly: a pass searches a state
+(E, F) exactly, while the GBF relaxes it by `relax_state`.
 
 A node is entered as in IDA*: one settle step gives a final state cost 0,
 and a state found in the solved table its exact cost, by a plain call.  A

@@ -7,9 +7,10 @@ IDAO* takes them as listed, and IDA* sorts them stably by f.
 Every expansion that proves more than the state's score stores it in the
 table, whether or not a cycle was pruned or right shift cut below it (after
 Reinefeld and Marsland, "Enhanced Iterative-Deepening Search", 1994).  The
-value is a lower bound on the search below the state given the actions
-right shift forbade there, and the entry carries that set as a mask: it is
-used wherever a superset is forbidden, where the state has fewer children.
+value bounds the search below the state given F, the actions the space's
+`forbidden` says right shift forbids there (0 where the space applies none),
+and the entry carries F as a mask: it is used wherever a superset is
+forbidden, where the state has fewer children.
 
 Both searches, this one and IDAO* (`idao`), are recursive code whose nested
 calls are generators (`x = yield self._child(...)`), run by `drive` on one
@@ -103,12 +104,10 @@ class SearchResult:
 
 class IdaStar:
     def __init__(self, space, table: HeuristicTable, use_tt: bool = True,
-                 tt_capacity: int = 1 << 16, right_shift: bool = False,
-                 recorder: Recorder | None = None) -> None:
+                 tt_capacity: int = 1 << 16, recorder: Recorder | None = None) -> None:
         self.space = space
         self.table = table
         self.tt = TranspositionTable(tt_capacity) if use_tt else None
-        self.right_shift = right_shift
         self.recorder = recorder
         self.stats = SearchStats()
 
@@ -168,9 +167,9 @@ class IdaStar:
         the path included, of the child's value if clean and its entry f
         otherwise.  Each term bounds every path through its child."""
         space = self.space
-        if forbidden is None and self.right_shift:
+        if forbidden is None:
             forbidden = space.forbidden(via)
-        edges, cuts = space.successors(state, via, self.right_shift, forbidden)
+        edges, _ = space.successors(state, forbidden)
         if self.recorder:
             self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
                                     tuple(len(space.atoms_of(e.state)) for e in edges))
@@ -199,7 +198,7 @@ class IdaStar:
         # forbade here, so the entry holds under any superset of them.  The
         # path now holds the state's ancestors: their number is its depth.
         if self.tt is not None and sound - g > h:
-            self.tt.put(state, sound - g, len(on_path), forbidden if cuts else 0)
+            self.tt.put(state, sound - g, len(on_path), forbidden)
         return least, clean, None
 
 

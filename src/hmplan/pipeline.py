@@ -35,7 +35,7 @@ class PlannerConfig:
     pipeline: str = "tp4"  # tp4 | hspa
     base_m: int = 2
     stop: str = "fixed:3"  # fixed:<M> | no-and | converged
-    right_shift: bool = True  # temporal and parallel modes only
+    right_shift: bool = True  # TemporalSpace's cut; IDA* applies it, IDAO* does not
     use_tt: bool = True
     tt_size: int = 1 << 16
     solved_size: int = 1 << 16
@@ -51,10 +51,10 @@ class PlanResult:
     table: HeuristicTable | None = None
 
 
-def _make_space(problem: Problem):
+def _make_space(problem: Problem, right_shift: bool):
     if problem.mode is Mode.SEQUENTIAL:
         return SequentialSpace(problem)
-    return TemporalSpace(problem)
+    return TemporalSpace(problem, right_shift)
 
 
 def _fits_in_memory(slots: int) -> bool:
@@ -99,7 +99,7 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
     limit = problem.to_units(config.upper_limit)
     table = HeuristicTable(problem.scale)
     compute_base_heuristic(problem, table, config.base_m)
-    space = _make_space(problem)
+    space = _make_space(problem, config.right_shift)
     root_h = space.estimate(table, space.root())
     if recorder:
         recorder.bound("gbf", problem.to_cost(root_h))
@@ -109,9 +109,8 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
     if config.pipeline == "hspa":
         out = _boost(space, table, config, stop, limit, recorder)
     if out is None:
-        right_shift = config.right_shift and problem.mode is not Mode.SEQUENTIAL
         search = IdaStar(space, table, use_tt=config.use_tt, tt_capacity=config.tt_size,
-                         right_shift=right_shift, recorder=recorder)
+                         recorder=recorder)
         out = search.run(limit)
 
     def to_cost(units: Units | None) -> Cost | None:

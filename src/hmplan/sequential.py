@@ -48,7 +48,7 @@ class SequentialSpace:
     def is_final(self, s: AtomSet) -> bool:
         return final_seq(s, self.problem.init)
 
-    def successors(self, s: AtomSet, via=None, right_shift: bool = False, forbidden=None):
+    def successors(self, s: AtomSet, forbidden: int = 0):
         """Returns (edges, cut_count); sequential search has no cut rule."""
         return successors_seq(self.problem, s), 0
 

@@ -97,42 +97,30 @@ def storage_value(s: TempState, found_cost: Units) -> tuple[AtomSet, Units]:
     return relaxed_atoms(s), max(found_cost - max_d, 0)
 
 
-def right_shift_forbids(problem: Problem, via: TempEdge | None,
-                        a: GroundAction) -> bool:
-    """True iff a must not establish anything at via.state: every atom of its
-    E that a adds was carried from via.source by a no-op, so a could have
-    been scheduled later, ending at the source's time point instead.
-
-    The cut is only sound when that later scheduling is actually available:
-    a must not delete any of the source's goals, and must be compatible with
-    its in-progress actions and with the establishers chosen there."""
-    if via is None:
-        return False
-    added = a.add & via.state.goals
-    if not added or not added <= via.carried:
-        return False
-    if a.delete & via.source.goals:
-        return False
+def forbidden_mask(problem: Problem, via: TempEdge | None) -> int:
+    """The set F of actions the right-shift rule forbids at via.state, as a
+    bitmask over action indices (0 at the root).  An action a is forbidden
+    iff every atom of via.state's E that it adds was carried from via.source
+    by a no-op, so a could have been scheduled later, ending at the source's
+    time point instead.  That later scheduling must be available: a must not
+    delete any of the source's goals, and must be compatible with its
+    in-progress actions and with the establishers chosen there.  Only the
+    adders of via.carried are tested.  Below via.state the search depends on
+    `via` only through F."""
+    if via is None or not via.carried:
+        return 0
+    goals, carried, source_goals = via.state.goals, via.carried, via.source.goals
+    conflict = problem.conflict_masks
     there = 0
     for b, _ in via.source.in_progress:
         there |= 1 << b.index
     for c in via.actions:
         there |= 1 << c.index
-    return not problem.conflict_masks[a.index] & there
-
-
-def forbidden_mask(problem: Problem, via: TempEdge | None) -> int:
-    """The set F of actions that `right_shift_forbids` removes at via.state,
-    as a bitmask over action indices (0 at the root).  A forbidden action
-    adds an atom of via.state carried by a no-op, so only the adders of
-    via.carried are tested.  Below via.state the search depends on `via`
-    only through F."""
-    if via is None:
-        return 0
     mask = 0
-    for p in via.carried:
+    for p in carried:
         for a in problem.adders[p]:
-            if not mask >> a.index & 1 and right_shift_forbids(problem, via, a):
+            if ((a.add & goals) <= carried and not a.delete & source_goals
+                    and not conflict[a.index] & there):
                 mask |= 1 << a.index
     return mask
 
@@ -147,23 +135,16 @@ def _atoms(mask: int) -> AtomSet:
     return frozenset(ids)
 
 
-def successors_temporal(
-    problem: Problem,
-    s: TempState,
-    via: TempEdge | None = None,
-    use_right_shift: bool = False,
-    forbidden: int | None = None,
-) -> tuple[list[TempEdge], int]:
+def successors_temporal(problem: Problem, s: TempState,
+                        forbidden: int = 0) -> tuple[list[TempEdge], int]:
     """All successor states, advancing time to the next action start.
 
     Each atom of E gets an establisher: a real action adding it, or a no-op.
     Chosen actions must be pairwise compatible, compatible with everything in
-    F, and nothing (chosen or in F) may delete a no-op'd atom.  Returns the
-    edge list and the number of (atom, adder) pairs removed by the
-    right-shift rule (0 unless use_right_shift): an adder is removed when it
-    is in `forbidden_mask(problem, via)`, where `via` is the edge the search
-    came to s by (None at the root).  A caller that has that mask already
-    passes it as `forbidden`.
+    F, and nothing (chosen or in F) may delete a no-op'd atom.  No action in
+    the bitmask `forbidden` (the right-shift set of `forbidden_mask`) is
+    chosen.  Returns the edge list and the number of (atom, adder) pairs so
+    removed.
 
     Order contract: the edges are those of the product of the establisher
     choices per goal atom (atoms in id order; the no-op first, then the
@@ -191,10 +172,6 @@ def successors_temporal(
     for a, _ in s.in_progress:
         f_mask |= 1 << a.index
         f_del |= deletes[a.index]
-    if not use_right_shift:
-        forbidden = 0
-    elif forbidden is None:
-        forbidden = forbidden_mask(problem, via)
     cut_count = 0
 
     # Partial choices in product order: (chosen actions, no-op'd atoms) as
@@ -304,10 +281,12 @@ def _decode(problem: Problem, in_progress: tuple[FEntry, ...], chosen: int,
 
 class TemporalSpace:
     """Search-space interface over temporal regression (also covers parallel
-    planning, where every duration is 1)."""
+    planning, where every duration is 1); right shift forbids actions only
+    in a space built with `right_shift` set."""
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, right_shift: bool = False):
         self.problem = problem
+        self.right_shift = right_shift
 
     def root(self) -> TempState:
         return TempState(self.problem.goal)
@@ -315,12 +294,11 @@ class TemporalSpace:
     def is_final(self, s: TempState) -> bool:
         return final_temporal(s, self.problem.init)
 
-    def successors(self, s: TempState, via: TempEdge | None = None,
-                   right_shift: bool = False, forbidden: int | None = None):
-        return successors_temporal(self.problem, s, via, right_shift, forbidden)
+    def successors(self, s: TempState, forbidden: int = 0):
+        return successors_temporal(self.problem, s, forbidden)
 
     def forbidden(self, via: TempEdge | None) -> int:
-        return forbidden_mask(self.problem, via)
+        return forbidden_mask(self.problem, via) if self.right_shift else 0
 
     def estimate(self, table: HeuristicTable, s: TempState) -> Units:
         if not s.in_progress:

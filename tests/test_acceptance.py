@@ -216,7 +216,7 @@ class TestCriteria:
                 t = HeuristicTable(p.scale)
                 compute_base_heuristic(p, t, 2)
                 rec = Recorder()
-                res = IdaStar(TemporalSpace(p), t, right_shift=rs,
+                res = IdaStar(TemporalSpace(p, right_shift=rs), t,
                               use_tt=False, recorder=rec).run()
                 return res, rec.expansions
 
@@ -326,7 +326,7 @@ class TestCriteria:
                 if s in seen:
                     continue
                 seen.add(s)
-                for edge in sp.successors(s, None, False)[0]:
+                for edge in sp.successors(s)[0]:
                     if sp.estimate(t, s) > edge.delta + sp.estimate(t, edge.state):
                         temp_violations += 1
                     frontier.append(edge.state)

@@ -2,9 +2,9 @@
 
 `bench/tracing.py` wraps public entry points of each layer and reads some of
 their results (`compute_base_heuristic(...).sets`/`.rounds`,
-`IdaStar.run().stats.iterations`, `TranspositionTable.get` and
-`SolvedTable.get` returning None on a miss), and `bench/worker.py` reads the
-Recorder's bound trace.  These tests run the benchmark's own tracer, counter
+`IdaStar.run().stats.iterations`, the cut count `TemporalSpace.successors`
+returns, `TranspositionTable.get` and `SolvedTable.get` returning None on a
+miss), and `bench/worker.py` reads the Recorder's bound trace.  These tests run the benchmark's own tracer, counter
 and checks on a few small problems, so a change that breaks one of those
 hooks fails here rather than only in a benchmark run.
 """
@@ -68,6 +68,12 @@ def test_traced_run_checks_clean(case):
     # with anything but None would count every probe as a hit.
     assert layers["idastar.tt_hits"] < layers["idastar.tt_probes"]
     assert layers["idao.solved_hits"] < layers["idao.solved_probes"]
+    # The cut count reaches the benchmark only through the tracer's hook on
+    # `TemporalSpace.successors`: nothing in the planner reads it.
+    if case == "temporal":
+        assert layers["temporal.right_shift_cuts"] > 0
+    else:
+        assert layers["temporal.right_shift_cuts"] == 0
     if case == "pddl":
         assert layers["pddl.atoms"] == len(problem.atoms)
 

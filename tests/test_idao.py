@@ -126,7 +126,34 @@ class TestComputesHm:
     m-regression space, so a solved pass at m over the table at a lower
     base returns exactly the root's complete h^m value, and an unsolvable
     pass means that value is INF.  A wrong solved-table hit or a dropped
-    subset would leave the pass short of it, also with a one-slot table."""
+    subset would leave the pass short of it, also with a one-slot table.
+
+    A pass from the complete h^(m-1) also leaves no set of size at most m
+    above its complete h^m in sequential and parallel mode.  In temporal
+    mode it may, where actions stay in progress (see `idao`), but never
+    above the set's makespan."""
+
+    @staticmethod
+    def run_pass(p, base_m, m, solved_capacity):
+        """(the pass's result, the root's complete h^m, the number of sets
+        of size at most m the pass left above their complete h^m).  Sets
+        are checked only after a pass from the complete h^(m-1)."""
+        complete = HeuristicTable(p.scale)
+        compute_base_heuristic(p, complete, m)
+        idao = search(p, m, base_m, solved_capacity=solved_capacity)
+        out = idao.run()
+        above = 0
+        for k in range(1, m + 1) if base_m == m - 1 else ():
+            for atoms in map(frozenset, itertools.combinations(range(len(p.atoms)), k)):
+                value = idao.table.eval(atoms)
+                if value <= complete.eval(atoms):
+                    continue
+                assert p.mode is Mode.TEMPORAL, (p.name, sorted(atoms))
+                goal = Problem(list(p.atoms), list(p.actions), p.init, atoms, p.mode)
+                makespan = temporal_makespan(goal, at_least=p.to_cost(value))
+                assert value <= makespan * p.scale, (p.name, sorted(atoms))
+                above += 1
+        return out, complete.eval(p.goal), above
 
     @pytest.mark.parametrize("solved_capacity", [1 << 16, 1])
     def test_random_problems(self, solved_capacity):
@@ -136,10 +163,7 @@ class TestComputesHm:
         for draw in range(90):
             p = random_problem(rng, max_atoms=8, max_actions=12, mode=modes[draw % 3])
             for base_m, m in ((1, 2), (1, 3), (2, 3)):
-                complete = HeuristicTable(p.scale)
-                compute_base_heuristic(p, complete, m)
-                want = complete.eval(p.goal)
-                out = search(p, m, base_m, solved_capacity=solved_capacity).run()
+                out, want, _ = self.run_pass(p, base_m, m, solved_capacity)
                 if out.outcome == "solved":
                     assert out.cost == want
                     equal += 1
@@ -147,6 +171,15 @@ class TestComputesHm:
                     assert out.outcome == "unsolvable" and want == INF
                     unsolvable += 1
         assert equal > 0 and unsolvable > 0
+        # [DERIVED: draw 158 of these leaves two sets above h^3]
+        rng = random.Random(11)
+        above = 0
+        for _ in range(160):
+            p = random_problem(rng, max_atoms=8, max_actions=12, mode=Mode.TEMPORAL,
+                               durs=MIXED_DURS)
+            for base_m, m in ((1, 2), (2, 3)):
+                above += self.run_pass(p, base_m, m, solved_capacity)[2]
+        assert above > 0
 
 
 class TestPassPlans:

@@ -16,13 +16,13 @@ from hmplan.temporal import TemporalSpace
 from hmplan.validate import validate_plan
 
 
-def searcher(problem, m=2, **kw):
+def searcher(problem, m=2, right_shift=False, **kw):
     t = HeuristicTable(problem.scale)
     compute_base_heuristic(problem, t, m)
     space = (
         SequentialSpace(problem)
         if problem.mode is Mode.SEQUENTIAL
-        else TemporalSpace(problem)
+        else TemporalSpace(problem, right_shift=right_shift)
     )
     return IdaStar(space, t, **kw)
 
@@ -195,8 +195,8 @@ class TestEvaluationCount:
             calls["evaluate"] += 1
             return estimate(table, s)
 
-        def counted_successors(*args):
-            edges, cuts = successors(*args)
+        def counted_successors(s, forbidden=0):
+            edges, cuts = successors(s, forbidden)
             calls["edges"] += len(edges)
             return edges, cuts
 
@@ -227,8 +227,8 @@ class TestChildOrder:
         entered = []  # per expansion, (f, position) of each child entered
         successors, enter = ida.space.successors, ida._enter
 
-        def recording_successors(*args):
-            edges, cuts = successors(*args)
+        def recording_successors(s, forbidden=0):
+            edges, cuts = successors(s, forbidden)
             for i, e in enumerate(edges):
                 listed[id(e)] = (len(entered), i)
             entered.append([])

@@ -81,8 +81,9 @@ class TestSpaceInterface:
 
     def test_no_cut_rule(self, sat1):
         sp = SequentialSpace(sat1)
-        edges, cuts = sp.successors(sat1.goal, None, True)
+        edges, cuts = sp.successors(sat1.goal)
         assert cuts == 0 and edges
+        assert sp.forbidden(SeqEdge(sat1.goal, 1, (sat1.actions[0],))) == 0
 
 
 class TestAgainstFullScan:

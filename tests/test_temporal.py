@@ -18,7 +18,6 @@ from hmplan.temporal import (
     forbidden_mask,
     relax_state,
     relaxed_atoms,
-    right_shift_forbids,
     storage_value,
     successors_temporal,
 )
@@ -202,6 +201,11 @@ class TestSuccessors:
         )
 
 
+def forbids(problem, via, a):
+    """Whether `forbidden_mask` has a's bit set below `via`."""
+    return bool(forbidden_mask(problem, via) >> a.index & 1)
+
+
 class TestRightShift:
     def test_cut_when_only_persistence_needed(self, sat1):
         take5 = by_name(sat1, "take-image d5")
@@ -209,11 +213,12 @@ class TestRightShift:
         edges, _ = successors_temporal(sat1, TempState(sat1.goal))
         via = next(e for e in edges if e.actions == (take5,))
         assert via.carried == sat1.atom_set("img d4")
-        assert right_shift_forbids(sat1, via, take4)
+        assert forbids(sat1, via, take4)
+        # take-image d4 is the only adder of the carried (img d4)
+        assert forbidden_mask(sat1, via) == 1 << take4.index
 
     def test_no_cut_without_predecessor(self, sat1):
-        take4 = by_name(sat1, "take-image d4")
-        assert not right_shift_forbids(sat1, None, take4)
+        assert forbidden_mask(sat1, None) == 0
 
     def test_no_cut_when_incompatible_with_chosen(self, sat1):
         # turn d4 d5 deletes (point d4): take-image d4 cannot shift across it
@@ -226,7 +231,7 @@ class TestRightShift:
         via = next(e for e in successors_temporal(sat1, s1)[0]
                    if e.actions == (turn,))
         assert sat1.atom_id("img d4") in via.carried
-        assert not right_shift_forbids(sat1, via, take4)
+        assert not forbids(sat1, via, take4)
 
     def test_no_cut_when_atom_also_released_precondition(self, sat1):
         # (point d4) is no-op'd and simultaneously pre of the chosen take-image
@@ -236,16 +241,16 @@ class TestRightShift:
         via = next(e for e in successors_temporal(sat1, s2)[0]
                    if e.actions == (take4,))
         assert sat1.atom_id("point d4") not in via.carried
-        assert not right_shift_forbids(sat1, via, turn24)
+        assert not forbids(sat1, via, turn24)
 
     def test_cut_counting(self, sat1):
         take5 = by_name(sat1, "take-image d5")
         root = TempState(sat1.goal)
         via = next(e for e in successors_temporal(sat1, root)[0]
                    if e.actions == (take5,))
-        _, cuts = successors_temporal(sat1, via.state, via, use_right_shift=True)
+        _, cuts = successors_temporal(sat1, via.state, forbidden_mask(sat1, via))
         assert cuts >= 1
-        _, no_cuts = successors_temporal(sat1, via.state, via, use_right_shift=False)
+        _, no_cuts = successors_temporal(sat1, via.state)
         assert no_cuts == 0
 
 
@@ -340,21 +345,27 @@ def _walk(problem, rng, depth=4, width=3):
 class TestAgainstProduct:
     """`successors_temporal` against the product enumeration it replaced:
     the same edges in the same order (state, delta, actions, carried atoms
-    and source all compared), the same cuts, and `forbidden_mask` the
-    actions the product's rule forbids.  The edges are `TempEdge`s over
-    `TempState`s, not tuples that merely compare equal, the result is the
-    same when the caller passes F, and within one call equal child states
-    and equal carried sets are one object each."""
+    and source all compared) and the same cuts, given the actions the
+    product's rule forbids; `forbidden_mask` gives those actions, and so
+    does a `TemporalSpace` built with right shift.  Right shift cuts at a
+    state exactly when it forbids an action there: IDA* stores that set with
+    its table entries without asking the cut count.  The edges are
+    `TempEdge`s over `TempState`s, not tuples that merely compare equal, and
+    within one call equal child states and equal carried sets are one object
+    each."""
 
     @staticmethod
     def same(problem, via, s, right_shift):
-        got, got_cuts = successors_temporal(problem, s, via, right_shift)
+        forbidden = forbidden_set(problem, via)
+        assert forbidden_mask(problem, via) == forbidden
+        space = TemporalSpace(problem, right_shift=right_shift)
+        assert space.forbidden(via) == (forbidden if right_shift else 0)
+        got, got_cuts = space.successors(s, space.forbidden(via))
         want, want_cuts = successors_product(problem, s, via, right_shift)
         assert got_cuts == want_cuts
         assert got == want
-        assert forbidden_mask(problem, via) == forbidden_set(problem, via)
-        assert successors_temporal(problem, s, via, right_shift,
-                                   forbidden_set(problem, via)) == (got, got_cuts)
+        if right_shift:
+            assert (got_cuts > 0) == (forbidden != 0)
         states, carried = {}, {}
         for e in got:
             assert type(e) is TempEdge and type(e.state) is TempState
