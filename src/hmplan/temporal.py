@@ -164,7 +164,8 @@ def successors_temporal(problem: Problem, s: TempState,
     states, so the edges are built from per-call memos: each distinct set of
     chosen actions is decoded once into its actions, time advance, released
     atoms and new F, and equal child states and equal carried sets are one
-    shared object each.
+    shared object each.  This function keeps nothing between calls; the
+    memo of whole answers by (state, F) lives in `TemporalSpace`.
     """
     conflict = problem.conflict_masks
     deletes = problem.delete_masks
@@ -279,14 +280,27 @@ def _decode(problem: Problem, in_progress: tuple[FEntry, ...], chosen: int,
     return tuple(acts), advance, released, released_mask, states, new_f
 
 
+# Edges the successor memo of a TemporalSpace holds before it starts afresh.
+_MEMO_CAP = 1 << 14
+
+
 class TemporalSpace:
     """Search-space interface over temporal regression (also covers parallel
     planning, where every duration is 1); right shift forbids actions only
-    in a space built with `right_shift` set."""
+    in a space built with `right_shift` set.
+
+    IDA*'s iterations and IDAO*'s passes expand the same states again, so
+    `successors` keeps a memo from (state, F) to the (edges, cuts) of
+    `successors_temporal`, for the life of the space: the answer depends on
+    the problem, the state and F alone.  Callers must not mutate the edge
+    list.  The memo counts the edges it holds and clears on reaching
+    _MEMO_CAP of them."""
 
     def __init__(self, problem: Problem, right_shift: bool = False):
         self.problem = problem
         self.right_shift = right_shift
+        self._memo: dict[tuple[TempState, int], tuple[list[TempEdge], int]] = {}
+        self._memo_edges = 0
 
     def root(self) -> TempState:
         return TempState(self.problem.goal)
@@ -295,7 +309,16 @@ class TemporalSpace:
         return final_temporal(s, self.problem.init)
 
     def successors(self, s: TempState, forbidden: int = 0):
-        return successors_temporal(self.problem, s, forbidden)
+        key = (s, forbidden)
+        found = self._memo.get(key)
+        if found is None:
+            found = successors_temporal(self.problem, s, forbidden)
+            if self._memo_edges >= _MEMO_CAP:
+                self._memo.clear()
+                self._memo_edges = 0
+            self._memo[key] = found
+            self._memo_edges += len(found[0])
+        return found
 
     def forbidden(self, via: TempEdge | None) -> int:
         return forbidden_mask(self.problem, via) if self.right_shift else 0

@@ -81,11 +81,15 @@ def test_traced_run_checks_clean(case):
 @pytest.mark.parametrize("case", list(CASES))
 def test_counted_expansions_match_recorder(case):
     # The benchmark counts expansions at the calls into the search spaces;
-    # the Recorder counts them where the searches expand a node.
+    # the Recorder counts them where the searches expand a node.  On h^1,
+    # IDA*'s iterations expand the temporal case's states again (4,090
+    # expansions of 421 distinct (state, F)), which the temporal space
+    # answers from its memo: a call all the same, so counted all the same.
     build, _ = CASES[case]
     problem = build()
-    counting = tracing.Counting()
-    recorder = Recorder()
-    with counting.installed():
-        pipeline.run_pipeline(problem, HSPA, recorder)
-    assert counting.expansions == recorder.expansions > 0
+    for config in (HSPA, PlannerConfig(pipeline="tp4", base_m=1)):
+        counting = tracing.Counting()
+        recorder = Recorder()
+        with counting.installed():
+            pipeline.run_pipeline(problem, config, recorder)
+        assert counting.expansions == recorder.expansions > 0, config.pipeline

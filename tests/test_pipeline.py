@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import optimum, parallel_makespan, random_problem, seq_optimal, temporal_makespan
 from conftest import MIXED_COSTS, MIXED_DURS
-from hmplan import fixtures
+from hmplan import fixtures, temporal
 from hmplan.cli import _build_parser
 from hmplan.metrics import AND, NORMAL, OR, Recorder, collect_metrics
 from hmplan.model import INF, Atom, GroundAction, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.sequential import SequentialSpace
-from hmplan.temporal import TemporalSpace
+from hmplan.temporal import TemporalSpace, successors_temporal
 from hmplan.validate import validate_plan
 
 
@@ -104,6 +104,47 @@ class TestEveryConfiguration:
             else:
                 # Past the limit, only an unsolvable problem may be proven so.
                 assert res.outcome == "unsolvable" and opt == INF, kw
+
+
+class TestSuccessorMemo:
+    """The temporal space's successor memo changes no result and no count:
+    every run equals the run whose space builds the successors afresh at
+    each call, in costs, plans, expansions and bound traces."""
+
+    @staticmethod
+    def runs(problems, kw):
+        out = []
+        for p, limit in problems:
+            res, rec = recorded(p, base_m=1, upper_limit=limit, right_shift=True, **kw)
+            out.append((res.outcome, res.cost, res.next_bound, res.plan, rec.expansions,
+                        [(r.phase, r.bound, r.expansions) for r in rec.trace]))
+        return out
+
+    @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
+    @pytest.mark.parametrize("kw", [dict(pipeline="tp4"), dict(pipeline="hspa", stop="fixed:3")],
+                             ids=["tp4", "hspa"])
+    def test_runs_equal_unmemoised(self, monkeypatch, mode, kw):
+        rng = random.Random(31)
+        # Random draws may be unsolvable, so their runs stop past 4.
+        problems = [(fixtures.satellite(mode=mode), INF), (fixtures.temporal_mix(), INF)] + [
+            (random_problem(rng, max_atoms=8, max_actions=10, mode=mode,
+                            durs=MIXED_DURS if mode is Mode.TEMPORAL else None), Fraction(4))
+            for _ in range(40)]
+        built = []
+
+        def counted(problem, s, forbidden=0):
+            built.append(s)
+            return successors_temporal(problem, s, forbidden)
+
+        monkeypatch.setattr(temporal, "successors_temporal", counted)
+        shipped, memoised = self.runs(problems, kw), len(built)
+        built.clear()
+        monkeypatch.setattr(TemporalSpace, "successors",
+                            lambda space, s, forbidden=0: counted(space.problem, s, forbidden))
+        assert self.runs(problems, kw) == shipped
+        assert shipped[0][0] == shipped[1][0] == "solved"
+        # The memo answered some calls, so the shipped runs built fewer.
+        assert memoised < len(built)
 
 
 class TestHspaStopping:

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from conftest import MIXED_DURS, forbidden_set, random_problem, successors_product
-from hmplan import fixtures, pddl
+from hmplan import fixtures, pddl, temporal
+from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
+from hmplan.idastar import IdaStar
 from hmplan.model import ZERO, Atom, GroundAction, Mode, Problem
 from hmplan.pipeline import PlannerConfig, run_pipeline
 from hmplan.temporal import (
@@ -274,6 +276,92 @@ class TestSpaceInterface:
         s = TempState(p.atom_set("p"), ((a, 2),))
         sp.store_value(t, s, 5)
         assert t.eval(p.atom_set("p", "q")) == 3
+
+
+def _expanded(p, space):
+    """The (state, F) pairs a right-shift IDA* over `space` asks it to expand,
+    in order; an h^1 table and a limit of 4 time units keep the iterations
+    many and the search short, solvable or not."""
+    table = HeuristicTable(p.scale)
+    compute_base_heuristic(p, table, 1)
+    asked = []
+    successors = space.successors
+
+    def recording(s, forbidden=0):
+        asked.append((s, forbidden))
+        return successors(s, forbidden)
+
+    space.successors = recording
+    IdaStar(space, table).run(4 * p.scale)
+    del space.successors
+    return asked
+
+
+def _held(space):
+    """The edges the space's successor memo holds."""
+    return sum(len(edges) for edges, _ in space._memo.values())
+
+
+class TestSuccessorMemo:
+    """`TemporalSpace.successors` answers a repeated (state, F) from its memo
+    with what `successors_temporal` answers afresh; the searches never mutate
+    a cached edge list, and a memo that reaches `_MEMO_CAP` edges starts
+    afresh."""
+
+    @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
+    def test_repeats_equal_fresh_answers(self, rng, mode):
+        repeats = with_f = 0
+        for _ in range(60):
+            p = random_problem(rng, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            space = TemporalSpace(p, right_shift=True)
+            asked = _expanded(p, space)
+            repeats += len(asked) - len(set(asked))
+            for s, f in set(asked):
+                with_f += f != 0
+                cached = space._memo[s, f]
+                # After the searches, the cached list is still the fresh one.
+                assert space.successors(s, f) is cached
+                assert cached == successors_temporal(p, s, f)
+                if f:
+                    # The same state under no F is its own entry, with all
+                    # the edges F cut and no cuts.
+                    edges, cuts = space.successors(s, 0)
+                    assert (edges, cuts) == successors_temporal(p, s, 0)
+                    assert space._memo[s, 0] is not cached
+                    assert cuts == 0 < cached[1]
+            assert space._memo_edges == _held(space)
+        assert repeats > 0 and with_f > 0
+
+    def test_cap_clears_and_bounds_the_memo(self, rng, monkeypatch):
+        cap = 6
+        monkeypatch.setattr(temporal, "_MEMO_CAP", cap)
+        clears = 0
+        for _ in range(60):
+            p = random_problem(rng, mode=Mode.TEMPORAL, durs=MIXED_DURS)
+            space = TemporalSpace(p, right_shift=True)
+            successors = space.successors
+
+            def checked(s, forbidden=0):
+                nonlocal clears
+                before, hit = space._memo_edges, (s, forbidden) in space._memo
+                answer = successors(s, forbidden)
+                assert answer == successors_temporal(p, s, forbidden)
+                held = _held(space)
+                assert held == space._memo_edges
+                if not hit and before >= cap:
+                    # At the cap, a new entry clears the memo first.
+                    clears += 1
+                    assert list(space._memo) == [(s, forbidden)]
+                else:
+                    assert held == before + (0 if hit else len(answer[0]))
+                # Never more than the cap plus one entry.
+                assert held < cap + max(len(e) for e, _ in space._memo.values())
+                return answer
+
+            space.successors = checked
+            _expanded(p, space)
+        assert clears > 0
 
 
 def _self_deleting(rng, mode):
