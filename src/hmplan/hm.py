@@ -10,23 +10,28 @@ that is never below a value it reads.  So Knuth's generalization of
 Dijkstra's algorithm (Knuth 1977) finds the least fixpoint: a heap settles
 each node once, in order of value, and an edge fires once, when the last
 node it reads is settled.  The result is written into the shared heuristic
-table.
+table, its sets of size <= 2 in one `HeuristicTable.load`.
 
 Sequential problems are read as Haslum's P^m (Haslum 2009, "h^m(P) =
 h^1(P^m)"): besides the atom sets of size <= m, every action a is a node.
 Its label is L(a) = cost(a) + the max over the size <= m subsets of pre(a),
 reached by one edge that reads those subsets (cost(a) outright if pre(a) is
-empty).  When L(a) settles, a
-builds one edge into each target T of size <= m that meets add(a), is
-disjoint from delete(a) and has not settled yet.  With C = T - add(a) -
-pre(a), the edge reads L(a) alone if C is empty; otherwise it is worth
-max(L(a), cost(a) + the max over the size <= m subsets of pre(a) | C that
-meet C), and those subsets are all it reads besides L(a).  That is
-cost(a) + the value of (T - add(a)) | pre(a), the regression of T through
-a, since h^m never falls from a set to its subsets.  An action whose
-precondition is never reached settles never and builds nothing.  Parallel
-and temporal problems build one edge per regression of each set, all before
-the first set settles.
+empty).  Once L(a) settles, a builds one edge into each target T of size
+<= m that meets add(a), is disjoint from delete(a) and has not settled yet.
+With C = T - add(a) - pre(a), the edge reads L(a) alone if C is empty;
+otherwise it is worth max(L(a), cost(a) + the max over the size <= m
+subsets of pre(a) | C that meet C), and those subsets are all it reads
+besides L(a).  That is cost(a) + the value of (T - add(a)) | pre(a), the
+regression of T through a, since h^m never falls from a set to its subsets.
+The edges of one B = T - add(a) share their reads.  When C = B is one atom
+q, the group of B watches one read first, as Chaff's watched literals do
+(Moskewicz et al. 2001): {q, w} for one atom w of pre(a), or {q} if pre(a)
+is empty.  The later of L(a) and that read to settle builds the group, and
+a read that ends INF, as most mutex pairs do, leaves it unbuilt.  a builds
+its other edges when L(a) settles.  An action whose precondition is never
+reached settles never and builds nothing.  Parallel and temporal problems
+build one edge per regression of each set, all before the first set
+settles.
 
 A firing is one evaluation of an edge, counted in `GbfStats.rounds`: an
 edge whose reads have all settled when it is built fires at once, so every
@@ -55,7 +60,9 @@ class GbfStats:
     # Edge firings, the action nodes' included; each edge fires at most once,
     # and one whose reads have all settled when it is built fires then.
     rounds: int
-    edges: int  # edges built: up front, or as their action's label settled
+    # Edges built: up front, as their action's label settled, or, for a
+    # group that watches a read, as the later of that label and that read did.
+    edges: int
 
 
 def _subsets_upto(atoms, m: int):
@@ -65,15 +72,16 @@ def _subsets_upto(atoms, m: int):
     return map(frozenset, chain.from_iterable(combinations(ids, k) for k in sizes))
 
 
-def _label_setting(problem: Problem, m: int, sets: list[AtomSet]) -> tuple[list, int, int]:
-    """The least fixpoint's value of each of the sets, in their order, the
-    number of edge firings and the number of edges built."""
+def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
+    """The least fixpoint's label of every node by id, the ids of the sets of
+    size >= 3 by their sorted atom ids, the number of edge firings and the
+    number of edges built."""
     n = len(problem.atoms)
     # Set ids: a for {a} and n + a*n + b for {a, b} with a < b, as htable
     # lays them out; the sets of size >= 3 that m >= 3 needs follow, and in
     # sequential mode one id per action after those.
-    big = {tuple(sorted(s)): n + n * n + i
-           for i, s in enumerate(s for s in sets if len(s) >= 3)}
+    big = {ids: n + n * n + i for i, ids in enumerate(chain.from_iterable(
+        combinations(range(n), k) for k in range(3, m + 1)))}
     first_action = n + n * n + len(big) if m >= 2 else n
     actions = problem.actions if problem.mode is Mode.SEQUENTIAL else ()
 
@@ -137,68 +145,107 @@ def _label_setting(problem: Problem, m: int, sets: list[AtomSet]) -> tuple[list,
             edges.append((t, d, cs))
             waiting.append(len(wait))
 
+    def connect(node: int, cost: int, ts: list[int], ids: list[int]) -> None:
+        """Edges into the targets reading the action node and, at the
+        action's cost, the ids."""
+        cs = ((0, (node,)), (cost, ids)) if ids else ((0, (node,)),)
+        add_edges(ts, 0, cs, [i for i in ids if not settled[i]])
+
     # rows[q][r] is the id of {q, r} (q itself at r = q), so a list of atoms
     # maps in bulk to the pairs they make with q.
     rows = [[*range(n + q, n + q + q * n, n), q, *range(n + q * n + q + 1, n + q * n + n)]
             for q in range(n)] if m >= 2 else []
+    # An action's group of B = {q}, q outside add(a) | delete(a) | pre(a),
+    # is built by the later to settle of L(a) and its watched read: {q, w}
+    # for one atom w of pre(a), or {q} if pre(a) is empty.  A settled action
+    # waits as a tuple `group` takes, in watchers[w] or in free.
+    watchers: list[list[tuple]] = [[] for _ in range(n)]
+    free: list[tuple] = []
+    partners: list[list[int]] = [[] for _ in range(n)]  # atom -> its settled pairs' atoms
+    singles: list[int] = []  # the settled singletons
 
-    def regress_through(a) -> None:
-        """Build the target edges of action a, whose label has just settled:
-        one into each unsettled T = A | B, with A a nonempty subset of
-        add(a) - delete(a) and B one of the atoms a neither adds nor deletes.
-        Besides L(a), T's edge reads the subsets D | R of size <= m, with D
-        a nonempty subset of C = B - pre(a) and R one of pre(a): what it
-        reads depends on B alone, so the edges of one B share their reads."""
-        node = first_action + a.index
-        cost = problem.cost_units[a]
+    def targets(q: int, adds: list[int], big_heads: list[tuple]) -> list[int]:
+        """Ids of the unsettled T = A | {q}, A a head: an atom of the adds,
+        through q's row, or one of the larger heads that only m >= 3 has."""
+        ts = [t for t in map(rows[q].__getitem__, adds) if not settled[t]]
+        if big_heads:
+            ts += [t for t in (ident(h + (q,)) for h in big_heads) if not settled[t]]
+        return ts
 
-        def connect(ts: list[int], ids: list[int]) -> None:
-            """Edges into the targets reading L(a) and, at cost(a), the ids."""
-            cs = ((0, (node,)), (cost, ids)) if ids else ((0, (node,)),)
-            add_edges(ts, 0, cs, [i for i in ids if not settled[i]])
-
-        adds = sorted(a.add - a.delete)
-        pre = sorted(a.pre)
-        others = [q for q in range(n) if q not in a.add and q not in a.delete]
-        heads = [h for j in range(1, m + 1) for h in combinations(adds, j)]
-        connect([t for t in map(ident, heads) if not settled[t]], [])  # B empty
-        if m == 1:
+    def group(action: tuple, q: int) -> None:
+        """Build the action's edges of B = {q}, unless q is in add(a),
+        delete(a) or pre(a): one into each unsettled T = A | {q}, reading
+        L(a) and, at cost(a), {q} | R for each subset R of pre(a) of size < m."""
+        node, cost, adds, pre, big_heads, tails, skip = action
+        if q in skip:
             return
-        # B = {q}, in bulk through q's row, with the larger heads and the
-        # pairs and up of pre(a) that only m >= 3 has.
-        big_heads = [h for h in heads if 1 < len(h) < m]
-        tails = [r for j in range(2, m) for r in combinations(pre, j)]
-        for q in others:
-            row = rows[q]
-            ts = [t for t in map(row.__getitem__, adds) if not settled[t]]
-            if big_heads:
-                ts += [t for t in (ident(h + (q,)) for h in big_heads) if not settled[t]]
-            if not ts:
-                continue
-            if q in a.pre:
-                connect(ts, [])
-                continue
-            ids = [q, *map(row.__getitem__, pre)]
+        ts = targets(q, adds, big_heads)
+        if ts:
+            ids = [q, *map(rows[q].__getitem__, pre)]
             if tails:
                 ids += [ident(r + (q,)) for r in tails]
-            connect(ts, ids)
+            connect(node, cost, ts, ids)
+
+    def regress_through(a) -> None:
+        """Build the target edges of action a, whose label has just settled,
+        into the unsettled T = A | B, with A a nonempty subset of add(a) -
+        delete(a) and B one of the atoms a neither adds nor deletes.
+        Besides L(a), T's edge reads the subsets D | R of size <= m, with D
+        a nonempty subset of C = B - pre(a) and R one of pre(a): what it
+        reads depends on B alone, so the edges of one B share their reads.
+        The groups of B = {q} with C = {q} are built by `group` once their
+        watched read settles too; all the others now."""
+        node = first_action + a.index
+        cost = problem.cost_units[a]
+        adds = sorted(a.add - a.delete)
+        heads = [h for j in range(1, m + 1) for h in combinations(adds, j)]
+        connect(node, cost, [t for t in map(ident, heads) if not settled[t]], [])  # B empty
+        if m == 1:
+            return
+        # B = {q}, with the larger heads and the pairs and up of pre(a) that
+        # only m >= 3 has.
+        pre = sorted(a.pre)
+        big_heads = [h for h in heads if 1 < len(h) < m]
+        tails = [r for j in range(2, m) for r in combinations(pre, j)]
+        for q in pre:
+            if q not in a.add and q not in a.delete:  # C is empty: L(a) alone
+                ts = targets(q, adds, big_heads)
+                if ts:
+                    connect(node, cost, ts, [])
+        action = (node, cost, adds, pre, big_heads, tails, a.add | a.delete | a.pre)
+        if pre:
+            # Watch the atom with the fewest settled pairs: the fewest
+            # groups to build now, for they may never fire.
+            w = min(pre, key=lambda r: len(partners[r]))
+            watchers[w].append(action)
+            for q in partners[w]:
+                group(action, q)
+        else:
+            free.append(action)
+            for q in singles:
+                group(action, q)
+        if m == 2:
+            return
+        others = [q for q in range(n) if q not in a.add and q not in a.delete]
         for k in range(2, m):
             for b in combinations(others, k):
                 ts = [t for t in (ident(h + b) for h in heads if len(h) + k <= m)
                       if not settled[t]]
                 if ts:
                     c = [q for q in b if q not in a.pre]
-                    connect(ts, [ident(d + r) for i in range(1, len(c) + 1)
-                                 for d in combinations(c, i)
-                                 for j in range(min(m - i, len(pre)) + 1)
-                                 for r in combinations(pre, j)])
+                    connect(node, cost, ts, [ident(d + r) for i in range(1, len(c) + 1)
+                                             for d in combinations(c, i)
+                                             for j in range(min(m - i, len(pre)) + 1)
+                                             for r in combinations(pre, j)])
 
-    keys = [ident(tuple(s)) for s in sets]
-    for s, key in zip(sets, keys):
-        if s <= problem.init:
-            label[key] = 0
-            heappush(heap, (0, key))
-        elif not actions:
+    for key in subsets(sorted(problem.init)):
+        label[key] = 0
+        heappush(heap, (0, key))
+    if not actions:
+        for s in _subsets_upto(range(n), m):
+            if s <= problem.init:
+                continue
+            key = ident(tuple(s))
             for e in successors_temporal(problem, TempState(s))[0]:
                 cs = [(offset, reads(atoms)) for atoms, offset in relax_state(e.state)]
                 wait = cs[0][1] if len(cs) == 1 else set(chain.from_iterable(ids for _, ids in cs))
@@ -219,7 +266,19 @@ def _label_setting(problem: Problem, m: int, sets: list[AtomSet]) -> tuple[list,
                     fire(t, d, cs)
         if i >= first_action:
             regress_through(actions[i - first_action])
-    return [label[key] for key in keys], fired, built
+        elif i < n:
+            singles.append(i)
+            for action in free:
+                group(action, i)
+        elif i < n + n * n:
+            q, w = divmod(i - n, n)
+            partners[q].append(w)
+            partners[w].append(q)
+            for action in watchers[w]:
+                group(action, q)
+            for action in watchers[q]:
+                group(action, w)
+    return label, big, fired, built
 
 
 def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> GbfStats:
@@ -228,8 +287,10 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
         raise ValueError("m must be >= 1")
     if table.scale != problem.scale:
         raise ValueError(f"table counts 1/{table.scale}, problem 1/{problem.scale}")
-    sets = list(_subsets_upto(range(len(problem.atoms)), m))
-    values, fired, built = _label_setting(problem, m, sets)
-    for s, v in zip(sets, values):
-        table.store(s, v)
-    return GbfStats(len(sets), fired, built)
+    n = len(problem.atoms)
+    label, big, fired, built = _label_setting(problem, m)
+    table.load(label[:n], [label[n + a * n:n + a * n + n] for a in range(n)] if m >= 2 else [])
+    for ids, key in big.items():
+        table.store(frozenset(ids), label[key])
+    pairs = n * (n - 1) // 2 if m >= 2 else 0
+    return GbfStats(n + pairs + len(big), fired, built)

@@ -14,7 +14,8 @@ Conversion to a Fraction happens outside, at the search spaces' `evaluate`.
 Sets of size <= 2, the whole of a complete h^1 or h^2 table, live in dense
 lists sized to the largest atom id stored: a singleton vector and, per atom
 a, a row holding the pairs {a, b} with b > a, where _ABSENT marks a set never
-stored.  Evaluation takes its max over them with C-level max/map calls.
+stored.  `load` raises them all in one call, and evaluation takes its max
+over them, both with C-level max/map calls.
 Larger sets, which only relaxed search and h^m for m >= 3 store, live in a
 trie keyed by the whole id string, consulted only once one exists.
 
@@ -48,6 +49,17 @@ def dense_max(single: list, pairs: list, ids: list[int]):
             if v > best:
                 best = v
     return best
+
+
+def _raise_slots(box: list, start: int, values: list) -> bool:
+    """Raise box[start + k] to values[k] where that is more; whether any rose."""
+    end = start + len(values)
+    old = box[start:end]
+    new = list(map(max, old, values))
+    if new == old:
+        return False
+    box[start:end] = new
+    return True
 
 
 class HeuristicTable:
@@ -89,6 +101,21 @@ class HeuristicTable:
                 children = box[1]
         if v > box[key]:
             box[key] = v
+            self._memo.clear()
+
+    def load(self, single: list, pairs: list) -> None:
+        """`store` every {a} at single[a] and every {a, b}, a < b, at
+        pairs[a][b], in one call: a complete h^1 or h^2 table comes in so."""
+        n = len(single)
+        if n > len(self._single):
+            self._grow(n)
+        raised = _raise_slots(self._single, 0, single)
+        for a, values in enumerate(pairs[:n - 1]):
+            row = self._pairs[a]
+            if row is None:
+                row = self._pairs[a] = [_ABSENT] * len(self._single)
+            raised |= _raise_slots(row, a + 1, values[a + 1:n])
+        if raised:
             self._memo.clear()
 
     def eval(self, s: AtomSet) -> Units:

@@ -400,15 +400,17 @@ def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, int | float]:
 def random_problem(rng: random.Random, max_atoms: int = 10,
                    max_actions: int = 15, mode: Mode = Mode.SEQUENTIAL,
                    costs: tuple[Fraction, ...] | None = None,
-                   durs: tuple[Fraction, ...] | None = None) -> Problem:
+                   durs: tuple[Fraction, ...] | None = None,
+                   max_add: int = 2) -> Problem:
     """A random problem; sequential action costs are drawn from `costs` and
-    temporal durations from `durs` when they are given."""
+    temporal durations from `durs` when they are given, and each action adds
+    1 to `max_add` atoms."""
     n = rng.randint(4, max_atoms)
     atoms = [Atom(i, f"x{i}") for i in range(n)]
     ids = list(range(n))
     actions = []
     for k in range(rng.randint(3, max_actions)):
-        add = frozenset(rng.sample(ids, rng.randint(1, 2)))
+        add = frozenset(rng.sample(ids, rng.randint(1, max_add)))
         rest = [i for i in ids if i not in add]
         delete = frozenset(rng.sample(rest, min(len(rest), rng.randint(0, 2))))
         pre = frozenset(rng.sample(ids, rng.randint(0, min(3, n))))

@@ -6,7 +6,9 @@ their results (`compute_base_heuristic(...).sets`/`.rounds`,
 returns, `TranspositionTable.get` and `SolvedTable.get` returning None on a
 miss), and `bench/worker.py` reads the Recorder's bound trace.  These tests run the benchmark's own tracer, counter
 and checks on a few small problems, so a change that breaks one of those
-hooks fails here rather than only in a benchmark run.
+hooks fails here rather than only in a benchmark run.  One test also pins
+the GBF counts of the `ground-heavy` instances that `bench/instances.py`
+draws for seed 1.
 """
 
 import sys
@@ -17,9 +19,12 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
+import instances  # noqa: E402
 import tracing  # noqa: E402
 import worker  # noqa: E402
 from hmplan import fixtures, pddl, pipeline  # noqa: E402
+from hmplan.hm import compute_base_heuristic  # noqa: E402
+from hmplan.htable import HeuristicTable  # noqa: E402
 from hmplan.metrics import Recorder  # noqa: E402
 from hmplan.model import Mode  # noqa: E402
 from hmplan.pipeline import PlannerConfig  # noqa: E402
@@ -93,3 +98,17 @@ def test_counted_expansions_match_recorder(case):
         with counting.installed():
             pipeline.run_pipeline(problem, config, recorder)
         assert counting.expansions == recorder.expansions > 0, config.pipeline
+
+
+def test_ground_heavy_gbf_counts():
+    # The GBF of the ground-heavy workload's seed-1 instances, which
+    # `hm.sets` and `hm.relaxations` report.  Pinned: sets and firings are
+    # those of the complete h^2 tables; edges are those built, 6,935,
+    # where building every action's edge groups as soon as its label
+    # settles would make 16,157.  A change that builds edges which never
+    # fire raises the count here, not only in a benchmark run.
+    stats = [compute_base_heuristic(p, HeuristicTable(p.scale), 2)
+             for p in map(worker.set_up, instances.workload("ground-heavy", 1))]
+    assert sum(s.sets for s in stats) == 7297
+    assert sum(s.rounds for s in stats) == 6006
+    assert sum(s.edges for s in stats) == 6935

@@ -148,6 +148,21 @@ EDGE_CASES = {
     "dear precondition pair": (hand_built(("", "r", "s", 1), ("", "s", "r", 1),
                                           ("", "rs", "", 5), ("rs", "p", "", 1),
                                           ("", "p", "q", 1), init="q"), "pq", 6),
+    # The group of B = {q} under a1 watches {q, s}, which a0 reaches at 1,
+    # before L(a1) settles at 4: L(a1) builds it.
+    # [DERIVED: q and s by a0 at 1, then p by a1 at 3 more]
+    "watched pair before the label": (hand_built(("r", "qs", "", 1), ("s", "p", "", 3)),
+                                      "pq", 4),
+    # L(a1) settles at 2, and its watched {q, s} only at 6, through a2,
+    # which deletes p: {q, s} builds the group.
+    # [DERIVED: s at 1, q with s at 6 by a2, then p by a1 at 1 more]
+    "watched pair after the label": (hand_built(("r", "s", "", 1), ("s", "p", "", 1),
+                                                ("s", "q", "p", 5)), "pq", 7),
+    # a0 needs nothing, so its group of B = {q} watches {q}, which a1 reaches
+    # at 4, after L(a0) settles at 1, and a1 deletes p.
+    # [DERIVED: q by a1 at 4, then p by a0 at 1 more]
+    "empty precondition, singleton after the label": (
+        hand_built(("", "p", "", 1), ("r", "q", "p", 4)), "pq", 5),
 }
 
 
@@ -181,6 +196,18 @@ class TestStrategiesAgree:
             p = random_problem(rng, max_atoms=10, max_actions=15, costs=costs)
             for m in (1, 2, 3):
                 assert stored_sets(p, m) == gbf_sweep(p, m)
+
+    def test_worklist_matches_sweep_random_m4(self):
+        # At m = 4 a target may add a size-3 head to an atom, and a head of
+        # an action adding three atoms is itself of size 3.
+        rng = random.Random(29)
+        wide = 0
+        for k in range(20):
+            costs = MIXED_COSTS if k % 2 else None
+            p = random_problem(rng, max_atoms=6, max_actions=8, costs=costs, max_add=3)
+            wide += any(len(a.add) == 3 for a in p.actions)
+            assert stored_sets(p, 4) == gbf_sweep(p, 4)
+        assert wide > 0
 
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
     def test_worklist_matches_sweep_random_concurrent(self, mode):
@@ -221,9 +248,22 @@ class TestLabelSetting:
     def test_each_edge_fires_at_most_once(self, sat1):
         stats = compute_base_heuristic(sat1, HeuristicTable(), 2)
         # Pinned: the engine's firings here, counting the action nodes' edges
-        # and every edge that fired as its action's label settled.
-        assert stats.rounds == 84
-        assert stats.rounds <= stats.edges
+        # and every edge that fired as it was built.  Every edge built here
+        # fires: none waits on a set that ends INF.
+        assert stats.edges == stats.rounds == 84
+
+    def test_group_watching_a_mutex_is_never_built(self):
+        # a0 deletes q and a1 deletes s, so {q, s} is INF.  a2's group of
+        # B = {q}, into {p, q}, watches {q, s}, and is never built.
+        # [DERIVED: 3 action edges; a0 into {s}, {r, s} and {p, s}; a1 into
+        # {q}, {q, r} and {p, q}; a2 into {p}, {p, s} and {p, r}: 12 edges,
+        # each of which fires.  Built as soon as L(a2) settles, a2's group
+        # would be a 13th edge that never fires.]
+        p = hand_built(("r", "s", "q", 1), ("s", "q", "s", 1), ("s", "p", "", 1))
+        t = HeuristicTable()
+        stats = compute_base_heuristic(p, t, 2)
+        assert t.eval(p.atom_set("q", "s")) == INF
+        assert stats.edges == stats.rounds == 12
 
     def test_unreached_action_builds_no_target_edges(self, sat1):
         # An action needing an atom nothing adds builds only its own edge.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, strategies as st
 
@@ -94,6 +95,39 @@ class TestAgainstDictOracle:
             else:
                 expected = max((v for s, v in oracle.items() if s <= op), default=ZERO)
                 assert t.eval(op) == expected
+
+
+class TestLoad:
+    """`load` is `store` over every singleton and pair in one call."""
+
+    @given(st.lists(st.tuples(sets, values), max_size=8),
+           st.integers(1, 6).flatmap(lambda n: st.tuples(
+               st.lists(values, min_size=n, max_size=n),
+               st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))))
+    def test_load_matches_stores(self, earlier, dense):
+        single, pairs = dense
+        loaded, stored = HeuristicTable(), HeuristicTable()
+        for t in (loaded, stored):
+            for s, v in earlier:
+                t.store(s, v)
+        loaded.load(single, pairs)
+        for a, v in enumerate(single):
+            stored.store(frozenset({a}), v)
+            for b in range(a + 1, len(single)):
+                stored.store(frozenset({a, b}), pairs[a][b])
+        for k in range(4):
+            for q in map(frozenset, combinations(range(8), k)):
+                assert loaded.eval(q) == stored.eval(q)
+
+    def test_only_a_raise_clears_the_memo(self):
+        t = HeuristicTable()
+        q = frozenset({0, 1, 2})
+        t.load([1, 2, 3], [[INF, 4, 0], [INF, INF, 5], [INF] * 3])
+        assert t.eval(q) == 5 and q in t._memo
+        t.load([0, 2], [[INF, 4], [INF, INF]])  # raises nothing
+        assert q in t._memo
+        t.load([1, 2, 3], [[INF, 4, 6], [INF, INF, 5], [INF] * 3])
+        assert not t._memo and t.eval(q) == 6
 
 
 class TestMemo:
