@@ -9,6 +9,7 @@ Exit codes: 0 solved, 1 proven unsolvable or no solution within the limit,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -80,10 +81,15 @@ def _plan(args: argparse.Namespace) -> int:
     # Only the artifacts read the recorder; without them the run counts nothing.
     recorder = None
     if args.trace or args.metrics:
-        # Fail before the search, not after it, on a path that cannot be written.
+        # Fail before the search, not after it, on a path that cannot be
+        # written, and keep no file the check made: the artifacts are
+        # written after the search, if it gets that far.
         for path in filter(None, (args.trace, args.metrics)):
+            existed = os.path.exists(path)
             try:
                 open(path, "a").close()
+                if not existed:
+                    os.remove(path)
             except OSError as exc:
                 print(f"hmplan: cannot write {path}: {exc.strerror}", file=sys.stderr)
                 return 2

@@ -12,26 +12,28 @@ each node once, in order of value, and an edge fires once, when the last
 node it reads is settled.  The result is written into the shared heuristic
 table, its sets of size <= 2 in one `HeuristicTable.load`.
 
-Sequential problems are read as Haslum's P^m (Haslum 2009, "h^m(P) =
-h^1(P^m)"): besides the atom sets of size <= m, every action a is a node.
-Its label is L(a) = cost(a) + the max over the size <= m subsets of pre(a),
-reached by one edge that reads those subsets (cost(a) outright if pre(a) is
-empty).  Once L(a) settles, a builds one edge into each target T of size
-<= m that meets add(a), is disjoint from delete(a) and has not settled yet.
-With C = T - add(a) - pre(a), the edge reads L(a) alone if C is empty;
-otherwise it is worth max(L(a), cost(a) + the max over the size <= m
-subsets of pre(a) | C that meet C), and those subsets are all it reads
-besides L(a).  That is cost(a) + the value of (T - add(a)) | pre(a), the
-regression of T through a, since h^m never falls from a set to its subsets.
-The edges of one B = T - add(a) share their reads.  When C = B is one atom
-q, the group of B watches one read first, as Chaff's watched literals do
-(Moskewicz et al. 2001): {q, w} for one atom w of pre(a), or {q} if pre(a)
-is empty.  The later of L(a) and that read to settle builds the group, and
-a read that ends INF, as most mutex pairs do, leaves it unbuilt.  a builds
-its other edges when L(a) settles.  An action whose precondition is never
-reached settles never and builds nothing.  Parallel and temporal problems
-build one edge per regression of each set, all before the first set
-settles.
+Sequential h^2 is built as Haslum's P^m (Haslum 2009, "h^m(P) =
+h^1(P^m)") at m = 2: besides the atom sets of size <= 2, every action a is a
+node.  Its label is L(a) = cost(a) + the max over the size <= 2 subsets of
+pre(a), reached by one edge that reads those subsets (cost(a) outright if
+pre(a) is empty).  Once L(a) settles, a builds one edge into each target T
+of size <= 2 that meets add(a), is disjoint from delete(a) and has not
+settled yet.  The edge reads L(a) alone if T - add(a) lies within pre(a).
+Otherwise T = {p, q} with p added and q outside pre(a), and the edge is
+worth max(L(a), cost(a) + the max of {q} and {q, r} for r in pre(a)), and
+those sets are all it reads besides L(a).  That is cost(a) + the value of
+(T - add(a)) | pre(a), the regression of T through a, since h^m never falls
+from a set to its subsets.  The edges of one q share their reads, and their
+group watches one read first, as Chaff's watched literals do (Moskewicz et
+al. 2001): {q, w} for one atom w of pre(a), or {q} if pre(a) is empty.  The
+later of L(a) and that read to settle builds the group, and a read that
+ends INF, as most mutex pairs do, leaves it unbuilt.  a builds its other
+edges when L(a) settles.  An action whose precondition is never reached
+settles never and builds nothing.
+
+Every other (mode, m), sequential h^1 and h^m for m >= 3 and parallel and
+temporal h^m at every m, builds one edge per regression of each set, all
+before the first set settles.
 
 A firing is one evaluation of an edge, counted in `GbfStats.rounds`: an
 edge whose reads have all settled when it is built fires at once, so every
@@ -51,6 +53,7 @@ from itertools import chain, combinations
 
 from .htable import HeuristicTable
 from .model import INF, AtomSet, Mode, Problem
+from .sequential import successors_seq
 from .temporal import TempState, relax_state, successors_temporal
 
 
@@ -60,8 +63,10 @@ class GbfStats:
     # Edge firings, the action nodes' included; each edge fires at most once,
     # and one whose reads have all settled when it is built fires then.
     rounds: int
-    # Edges built: up front, as their action's label settled, or, for a
-    # group that watches a read, as the later of that label and that read did.
+    # Edges built: one per regression of each set up front; for sequential
+    # h^2, each action's own edge up front, its target edges as its label
+    # settled or, for a group that watches a read, as the later of that
+    # label and that read did.
     edges: int
 
 
@@ -72,18 +77,27 @@ def _subsets_upto(atoms, m: int):
     return map(frozenset, chain.from_iterable(combinations(ids, k) for k in sizes))
 
 
+def _regressions(problem: Problem, s: AtomSet) -> list[tuple[int, list[tuple[AtomSet, int]]]]:
+    """(delta, components) per regression of s in the problem's mode: the
+    sequential regression of s as one component at offset 0, or the relaxed
+    view of each temporal regression."""
+    if problem.mode is Mode.SEQUENTIAL:
+        return [(e.delta, [(e.state, 0)]) for e in successors_seq(problem, s)]
+    return [(e.delta, relax_state(e.state)) for e in successors_temporal(problem, TempState(s))[0]]
+
+
 def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
     """The least fixpoint's label of every node by id, the ids of the sets of
     size >= 3 by their sorted atom ids, the number of edge firings and the
     number of edges built."""
     n = len(problem.atoms)
     # Set ids: a for {a} and n + a*n + b for {a, b} with a < b, as htable
-    # lays them out; the sets of size >= 3 that m >= 3 needs follow, and in
-    # sequential mode one id per action after those.
+    # lays them out; the sets of size >= 3 that m >= 3 needs follow, and for
+    # sequential h^2 one id per action after those.
     big = {ids: n + n * n + i for i, ids in enumerate(chain.from_iterable(
         combinations(range(n), k) for k in range(3, m + 1)))}
     first_action = n + n * n + len(big) if m >= 2 else n
-    actions = problem.actions if problem.mode is Mode.SEQUENTIAL else ()
+    actions = problem.actions if problem.mode is Mode.SEQUENTIAL and m == 2 else ()
 
     def ident(ids) -> int:
         """The id of the set of the atom ids, of size 1 to m, in any order."""
@@ -154,7 +168,7 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
     # rows[q][r] is the id of {q, r} (q itself at r = q), so a list of atoms
     # maps in bulk to the pairs they make with q.
     rows = [[*range(n + q, n + q + q * n, n), q, *range(n + q * n + q + 1, n + q * n + n)]
-            for q in range(n)] if m >= 2 else []
+            for q in range(n)] if actions else []
     # An action's group of B = {q}, q outside add(a) | delete(a) | pre(a),
     # is built by the later to settle of L(a) and its watched read: {q, w}
     # for one atom w of pre(a), or {q} if pre(a) is empty.  A settled action
@@ -164,55 +178,42 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
     partners: list[list[int]] = [[] for _ in range(n)]  # atom -> its settled pairs' atoms
     singles: list[int] = []  # the settled singletons
 
-    def targets(q: int, adds: list[int], big_heads: list[tuple]) -> list[int]:
-        """Ids of the unsettled T = A | {q}, A a head: an atom of the adds,
-        through q's row, or one of the larger heads that only m >= 3 has."""
-        ts = [t for t in map(rows[q].__getitem__, adds) if not settled[t]]
-        if big_heads:
-            ts += [t for t in (ident(h + (q,)) for h in big_heads) if not settled[t]]
-        return ts
+    def targets(q: int, adds: list[int]) -> list[int]:
+        """Ids of the unsettled pairs {p, q}, p one of the adds, through q's row."""
+        return [t for t in map(rows[q].__getitem__, adds) if not settled[t]]
 
     def group(action: tuple, q: int) -> None:
         """Build the action's edges of B = {q}, unless q is in add(a),
-        delete(a) or pre(a): one into each unsettled T = A | {q}, reading
-        L(a) and, at cost(a), {q} | R for each subset R of pre(a) of size < m."""
-        node, cost, adds, pre, big_heads, tails, skip = action
+        delete(a) or pre(a): one into each unsettled {p, q}, p in add(a),
+        reading L(a) and, at cost(a), {q} and {q, r} for each r in pre(a)."""
+        node, cost, adds, pre, skip = action
         if q in skip:
             return
-        ts = targets(q, adds, big_heads)
+        ts = targets(q, adds)
         if ts:
-            ids = [q, *map(rows[q].__getitem__, pre)]
-            if tails:
-                ids += [ident(r + (q,)) for r in tails]
-            connect(node, cost, ts, ids)
+            connect(node, cost, ts, [q, *map(rows[q].__getitem__, pre)])
 
     def regress_through(a) -> None:
         """Build the target edges of action a, whose label has just settled,
-        into the unsettled T = A | B, with A a nonempty subset of add(a) -
-        delete(a) and B one of the atoms a neither adds nor deletes.
-        Besides L(a), T's edge reads the subsets D | R of size <= m, with D
-        a nonempty subset of C = B - pre(a) and R one of pre(a): what it
-        reads depends on B alone, so the edges of one B share their reads.
-        The groups of B = {q} with C = {q} are built by `group` once their
-        watched read settles too; all the others now."""
+        into the unsettled sets of size <= 2 it regresses: a nonempty subset
+        of add(a) - delete(a), which reads L(a) alone, and each pair {p, q}
+        with p in add(a) - delete(a) and q an atom a neither adds nor
+        deletes.  If q is in pre(a), that pair too reads L(a) alone; if not,
+        it reads {q} and {q, r} for each r in pre(a) besides, which depend on
+        q alone, so the edges of one q share their reads.  Those groups are
+        built by `group` once their watched read settles too; all the other
+        edges now."""
         node = first_action + a.index
         cost = problem.cost_units[a]
         adds = sorted(a.add - a.delete)
-        heads = [h for j in range(1, m + 1) for h in combinations(adds, j)]
-        connect(node, cost, [t for t in map(ident, heads) if not settled[t]], [])  # B empty
-        if m == 1:
-            return
-        # B = {q}, with the larger heads and the pairs and up of pre(a) that
-        # only m >= 3 has.
+        connect(node, cost, [t for t in subsets(adds) if not settled[t]], [])  # B empty
         pre = sorted(a.pre)
-        big_heads = [h for h in heads if 1 < len(h) < m]
-        tails = [r for j in range(2, m) for r in combinations(pre, j)]
         for q in pre:
-            if q not in a.add and q not in a.delete:  # C is empty: L(a) alone
-                ts = targets(q, adds, big_heads)
+            if q not in a.add and q not in a.delete:  # within pre(a): L(a) alone
+                ts = targets(q, adds)
                 if ts:
                     connect(node, cost, ts, [])
-        action = (node, cost, adds, pre, big_heads, tails, a.add | a.delete | a.pre)
+        action = (node, cost, adds, pre, a.add | a.delete | a.pre)
         if pre:
             # Watch the atom with the fewest settled pairs: the fewest
             # groups to build now, for they may never fire.
@@ -224,19 +225,6 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
             free.append(action)
             for q in singles:
                 group(action, q)
-        if m == 2:
-            return
-        others = [q for q in range(n) if q not in a.add and q not in a.delete]
-        for k in range(2, m):
-            for b in combinations(others, k):
-                ts = [t for t in (ident(h + b) for h in heads if len(h) + k <= m)
-                      if not settled[t]]
-                if ts:
-                    c = [q for q in b if q not in a.pre]
-                    connect(node, cost, ts, [ident(d + r) for i in range(1, len(c) + 1)
-                                             for d in combinations(c, i)
-                                             for j in range(min(m - i, len(pre)) + 1)
-                                             for r in combinations(pre, j)])
 
     for key in subsets(sorted(problem.init)):
         label[key] = 0
@@ -246,10 +234,10 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
             if s <= problem.init:
                 continue
             key = ident(tuple(s))
-            for e in successors_temporal(problem, TempState(s))[0]:
-                cs = [(offset, reads(atoms)) for atoms, offset in relax_state(e.state)]
+            for d, components in _regressions(problem, s):
+                cs = [(offset, reads(atoms)) for atoms, offset in components]
                 wait = cs[0][1] if len(cs) == 1 else set(chain.from_iterable(ids for _, ids in cs))
-                add_edges((key,), e.delta, cs, wait)
+                add_edges((key,), d, cs, wait)
     for a in actions:
         ids = subsets(sorted(a.pre))
         add_edges((first_action + a.index,), problem.cost_units[a], ((0, ids),), ids)

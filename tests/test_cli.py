@@ -13,6 +13,33 @@ DATA = Path(__file__).parent / "data"
 OBS = [str(DATA / "observation-domain.pddl"), str(DATA / "observation-1.pddl")]
 SHOP = [str(DATA / "workshop-domain.pddl"), str(DATA / "workshop-1.pddl")]
 
+GRIPPER_DOMAIN = """
+(define (domain gripper)
+  (:requirements :strips :typing)
+  (:types room ball gripper)
+  (:predicates (at-robby ?r - room) (at ?b - ball ?r - room)
+               (free ?g - gripper) (carry ?b - ball ?g - gripper))
+  (:action move
+    :parameters (?from ?to - room)
+    :precondition (and (at-robby ?from) (not (= ?from ?to)))
+    :effect (and (at-robby ?to) (not (at-robby ?from))))
+  (:action pick
+    :parameters (?b - ball ?r - room ?g - gripper)
+    :precondition (and (at ?b ?r) (at-robby ?r) (free ?g))
+    :effect (and (carry ?b ?g) (not (at ?b ?r)) (not (free ?g))))
+  (:action drop
+    :parameters (?b - ball ?r - room ?g - gripper)
+    :precondition (and (carry ?b ?g) (at-robby ?r))
+    :effect (and (at ?b ?r) (free ?g) (not (carry ?b ?g)))))
+"""
+GRIPPER_2 = """
+(define (problem gripper-2)
+  (:domain gripper)
+  (:objects rooma roomb - room left right - gripper ball1 ball2 - ball)
+  (:init (at-robby rooma) (free left) (free right) (at ball1 rooma) (at ball2 rooma))
+  (:goal (and (at ball1 roomb) (at ball2 roomb))))
+"""
+
 
 def run(capsys, *args):
     code = main(["plan", *args])
@@ -159,6 +186,24 @@ class TestNonZeroExits:
         assert code == 2 and out == ""
         assert err.startswith("hmplan: ") and path in err
 
+    @pytest.mark.parametrize("option", ["--trace", "--metrics"])
+    @pytest.mark.parametrize("bad", [["--stop", "bogus"], ["--tt-size", "0"]])
+    def test_rejected_run_leaves_no_artifact(self, tmp_path, capsys, option, bad):
+        # The writability check creates the file; a run rejected after it
+        # removes that file, but never truncates one that was there before.
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for path in (new, old):
+            code, out, _ = run(capsys, *OBS, *bad, option, str(path))
+            assert code == 2 and out == ""
+        assert not new.exists() and old.read_text() == "kept\n"
+
+    def test_unwritable_second_artifact_leaves_no_first(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run(capsys, *OBS, "--trace", str(trace),
+                         "--metrics", str(tmp_path / "missing" / "m.csv"))
+        assert code == 2 and not trace.exists()
+
     def test_malformed_pddl(self, tmp_path, capsys):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain x) (:predicates (p))\n"
@@ -214,11 +259,21 @@ class TestArtifacts:
         assert "or" in spaces and "normal" in spaces
 
     def test_first_iteration_only_flag(self, tmp_path, capsys):
+        # Two balls to carry: h^2 of the goal is 4 and the optimal cost 5,
+        # so IDA* needs a second iteration, whose expansions the flag drops.
+        domain, problem = tmp_path / "gripper.pddl", tmp_path / "gripper-2.pddl"
+        domain.write_text(GRIPPER_DOMAIN)
+        problem.write_text(GRIPPER_2)
         out_csv = tmp_path / "metrics.csv"
-        code, _, _ = run(capsys, *OBS, "--metrics", str(out_csv),
-                         "--first-iteration-only")
-        assert code == 0
-        assert out_csv.exists()
+        expansions = []
+        for flag in ([], ["--first-iteration-only"]):
+            code, out, _ = run(capsys, str(domain), str(problem),
+                               "--metrics", str(out_csv), *flag)
+            assert code == 0 and out.startswith("; cost 5")
+            rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+            assert [r["space"] for r in rows] == ["normal"]
+            expansions.append(int(rows[0]["expansions"]))
+        assert 0 < expansions[1] < expansions[0]
 
     def test_recorder_only_for_artifacts(self, tmp_path, capsys, monkeypatch):
         # Without --trace or --metrics nothing reads the counts, so the run

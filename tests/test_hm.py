@@ -10,6 +10,7 @@ from hmplan.hm import _subsets_upto, compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
+from hmplan.sequential import successors_seq
 
 
 def table_for(problem, m):
@@ -198,8 +199,8 @@ class TestStrategiesAgree:
                 assert stored_sets(p, m) == gbf_sweep(p, m)
 
     def test_worklist_matches_sweep_random_m4(self):
-        # At m = 4 a target may add a size-3 head to an atom, and a head of
-        # an action adding three atoms is itself of size 3.
+        # The per-set edges at m = 4, with actions that may add three atoms
+        # of a set at once.
         rng = random.Random(29)
         wide = 0
         for k in range(20):
@@ -264,6 +265,18 @@ class TestLabelSetting:
         stats = compute_base_heuristic(p, t, 2)
         assert t.eval(p.atom_set("q", "s")) == INF
         assert stats.edges == stats.rounds == 12
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_per_set_edges_outside_sequential_h2(self, m):
+        # Only sequential h^2 has action nodes.  At every other m the engine
+        # builds one edge per regression of each set not within init.
+        rng = random.Random(7)
+        for _ in range(20):
+            p = random_problem(rng, max_atoms=7, max_actions=10)
+            regressions = sum(len(successors_seq(p, s))
+                              for s in _subsets_upto(range(len(p.atoms)), m)
+                              if not s <= p.init)
+            assert compute_base_heuristic(p, HeuristicTable(p.scale), m).edges == regressions
 
     def test_unreached_action_builds_no_target_edges(self, sat1):
         # An action needing an atom nothing adds builds only its own edge.
