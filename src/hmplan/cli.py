@@ -3,7 +3,8 @@
     hmplan plan <domain.pddl> <problem.pddl> [options]
 
 Exit codes: 0 solved, 1 proven unsolvable or no solution within the limit,
-2 input error, 3 resource exhaustion.
+2 input error, 3 resource exhaustion or, under --validate, a plan that the
+validator rejects (the report goes to stderr, and no plan is printed).
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ that is never below a value it reads.  So Knuth's generalization of
 Dijkstra's algorithm (Knuth 1977) finds the least fixpoint: a heap settles
 each node once, in order of value, and an edge fires once, when the last
 node it reads is settled.  The result is written into the shared heuristic
-table, its sets of size <= 2 in one `HeuristicTable.load`.
+table, its sets of size <= 2 in one `HeuristicTable.load`.  The atoms and
+pairs that never settle, worth INF, are the result's `Mutex`: the engine
+keeps the settled atoms and each atom's settled partners as it goes.
 
 Sequential h^2 is built as Haslum's P^m (Haslum 2009, "h^m(P) =
 h^1(P^m)") at m = 2: besides the atom sets of size <= 2, every action a is a
@@ -53,6 +55,7 @@ from itertools import chain, combinations
 
 from .htable import HeuristicTable
 from .model import INF, AtomSet, Mode, Problem
+from .mutex import Mutex
 from .sequential import successors_seq
 from .temporal import TempState, relax_state, successors_temporal
 
@@ -68,6 +71,8 @@ class GbfStats:
     # settled or, for a group that watches a read, as the later of that
     # label and that read did.
     edges: int
+    # The atoms and pairs that never settled: their h^m is INF.
+    mutex: Mutex
 
 
 def _subsets_upto(atoms, m: int):
@@ -80,16 +85,18 @@ def _subsets_upto(atoms, m: int):
 def _regressions(problem: Problem, s: AtomSet) -> list[tuple[int, list[tuple[AtomSet, int]]]]:
     """(delta, components) per regression of s in the problem's mode: the
     sequential regression of s as one component at offset 0, or the relaxed
-    view of each temporal regression."""
+    view of each temporal regression.  No mutex prunes them: the mutexes are
+    what the GBF computes."""
     if problem.mode is Mode.SEQUENTIAL:
         return [(e.delta, [(e.state, 0)]) for e in successors_seq(problem, s)]
     return [(e.delta, relax_state(e.state)) for e in successors_temporal(problem, TempState(s))[0]]
 
 
-def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
+def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list, list]:
     """The least fixpoint's label of every node by id, the ids of the sets of
-    size >= 3 by their sorted atom ids, the number of edge firings and the
-    number of edges built."""
+    size >= 3 by their sorted atom ids, the number of edge firings, the
+    number of edges built, the settled atoms, and per atom the atoms its
+    settled pairs hold besides it."""
     n = len(problem.atoms)
     # Set ids: a for {a} and n + a*n + b for {a, b} with a < b, as htable
     # lays them out; the sets of size >= 3 that m >= 3 needs follow, and for
@@ -266,7 +273,7 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int]:
                 group(action, q)
             for action in watchers[q]:
                 group(action, w)
-    return label, big, fired, built
+    return label, big, fired, built, singles, partners
 
 
 def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> GbfStats:
@@ -276,9 +283,10 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
     if table.scale != problem.scale:
         raise ValueError(f"table counts 1/{table.scale}, problem 1/{problem.scale}")
     n = len(problem.atoms)
-    label, big, fired, built = _label_setting(problem, m)
+    label, big, fired, built, singles, partners = _label_setting(problem, m)
     table.load(label[:n], [label[n + a * n:n + a * n + n] for a in range(n)] if m >= 2 else [])
     for ids, key in big.items():
         table.store(frozenset(ids), label[key])
     pairs = n * (n - 1) // 2 if m >= 2 else 0
-    return GbfStats(n + pairs + len(big), fired, built)
+    mutex = Mutex(problem, singles, partners if m >= 2 else None)
+    return GbfStats(n + pairs + len(big), fired, built, mutex)

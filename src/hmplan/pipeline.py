@@ -26,6 +26,7 @@ from .idao import IdaoSearch
 from .idastar import IdaStar, SearchResult
 from .metrics import Recorder
 from .model import INF, Cost, Mode, Plan, Problem, Units
+from .mutex import Mutex
 from .sequential import SequentialSpace
 from .temporal import TemporalSpace
 
@@ -51,10 +52,10 @@ class PlanResult:
     table: HeuristicTable | None = None
 
 
-def _make_space(problem: Problem, right_shift: bool):
+def _make_space(problem: Problem, right_shift: bool, mutex: Mutex | None):
     if problem.mode is Mode.SEQUENTIAL:
-        return SequentialSpace(problem)
-    return TemporalSpace(problem, right_shift)
+        return SequentialSpace(problem, mutex)
+    return TemporalSpace(problem, right_shift, mutex)
 
 
 def _fits_in_memory(slots: int) -> bool:
@@ -98,8 +99,8 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
     stop = _parse_stop(config.stop)
     limit = problem.to_units(config.upper_limit)
     table = HeuristicTable(problem.scale)
-    compute_base_heuristic(problem, table, config.base_m)
-    space = _make_space(problem, config.right_shift)
+    gbf = compute_base_heuristic(problem, table, config.base_m)
+    space = _make_space(problem, config.right_shift, gbf.mutex)
     root_h = space.estimate(table, space.root())
     if recorder:
         recorder.bound("gbf", problem.to_cost(root_h))

@@ -12,7 +12,8 @@ actions chosen there and the atoms carried by no-ops).
 All times here (the offsets d, edge deltas, component offsets and stored
 values) are integers counting the problem's units of 1/scale, taken from
 `Problem.dur_units`.  Only `TemporalSpace.evaluate` turns a value into a
-Fraction.
+Fraction.  A space built on the `Mutex` of the base table never generates a
+child whose relaxed atoms hold a mutex.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import NamedTuple
 
 from .htable import HeuristicTable
 from .model import EMPTY, AtomSet, Cost, GroundAction, Problem, Units
+from .mutex import Mutex
 
 FEntry = tuple[GroundAction, int]  # (action, units since its start)
 
@@ -135,8 +137,8 @@ def _atoms(mask: int) -> AtomSet:
     return frozenset(ids)
 
 
-def successors_temporal(problem: Problem, s: TempState,
-                        forbidden: int = 0) -> tuple[list[TempEdge], int]:
+def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
+                        mutex: Mutex | None = None) -> tuple[list[TempEdge], int]:
     """All successor states, advancing time to the next action start.
 
     Each atom of E gets an establisher: a real action adding it, or a no-op.
@@ -144,20 +146,27 @@ def successors_temporal(problem: Problem, s: TempState,
     F, and nothing (chosen or in F) may delete a no-op'd atom.  No action in
     the bitmask `forbidden` (the right-shift set of `forbidden_mask`) is
     chosen.  Returns the edge list and the number of (atom, adder) pairs so
-    removed.
+    removed.  A child is dead when its relaxed atoms, the no-op'd atoms and
+    the preconditions of the chosen actions and of F, hold one of the
+    mutexes in `mutex`; no dead child is returned.  Without `mutex`, none
+    is dead.
 
     Order contract: the edges are those of the product of the establisher
     choices per goal atom (atoms in id order; the no-op first, then the
     adders in action index order), in product order, each signature (chosen
-    actions, no-op'd atoms) at its first occurrence.  IDAO* takes the edges
-    in this order and IDA* sorts them stably by f alone, so this order
-    decides the expansions of both searches.
+    actions, no-op'd atoms) at its first occurrence, less the dead ones.
+    IDAO* takes the edges in this order and IDA* sorts them stably by f
+    alone, so this order decides the expansions of both searches.  A dead
+    child's estimate is INF, which neither search ever expands or lets
+    change a bound, so dropping it changes neither.
 
     The choices are made atom by atom over the problem's conflict and delete
     masks, and a partial choice is cut as soon as it conflicts with F, with
-    the actions chosen so far or with the no-op'd atoms.  Partial choices
-    with the same signature have the same completions, so only the first of
-    them in product order is kept; every completion of the others repeats a
+    the actions chosen so far or with the no-op'd atoms, or is dead: its
+    atoms so far meet the union of their mutex masks.  Every completion of a
+    dead choice is dead too, as its atoms only grow.  Partial choices with
+    the same signature have the same completions, so only the first of them
+    in product order is kept; every completion of the others repeats a
     signature that occurred earlier.
 
     Many signatures share their chosen actions, and many edges lead to equal
@@ -169,35 +178,49 @@ def successors_temporal(problem: Problem, s: TempState,
     """
     conflict = problem.conflict_masks
     deletes = problem.delete_masks
-    f_mask = f_del = 0
+    pre = problem.pre_masks
+    if mutex is None:
+        mutex = Mutex(problem)
+    atom_mutex, pre_mutex = mutex.atoms, mutex.pre
+    f_mask = f_del = f_pre = f_near = 0
     for a, _ in s.in_progress:
-        f_mask |= 1 << a.index
-        f_del |= deletes[a.index]
+        i = a.index
+        f_mask |= 1 << i
+        f_del |= deletes[i]
+        f_pre |= pre[i]
+        f_near |= pre_mutex[i]
     cut_count = 0
 
     # Partial choices in product order: (chosen actions, no-op'd atoms) as
-    # bitmasks, mapped to the atoms the chosen actions delete.
-    frontier = {(0, 0): 0}
+    # bitmasks, mapped to the atoms no later choice may hold: those deleted by
+    # F or by the chosen actions, and those mutex with the choice's atoms so
+    # far.  The mutex relation is symmetric, so a new atom makes the choice
+    # dead exactly when it is one of these or mutex with itself.
+    frontier = {} if f_pre & f_near else {(0, 0): f_del | f_near}
     for p in sorted(s.goals):
         cands = []
         for a in problem.adders[p]:
-            if forbidden >> a.index & 1:
+            i = a.index
+            if forbidden >> i & 1:
                 cut_count += 1
-            elif not conflict[a.index] & f_mask:
-                cands.append((1 << a.index, conflict[a.index], deletes[a.index]))
+            elif not conflict[i] & f_mask:
+                near = pre_mutex[i]
+                if near >= 0:
+                    cands.append((1 << i, conflict[i], deletes[i], pre[i], deletes[i] | near))
         bit = 1 << p
-        noop_ok = not f_del & bit
+        p_mutex = atom_mutex[p]
+        noop_ok = not p_mutex & bit
         extended = {}
-        for (chosen, noops), dels in frontier.items():
-            if noop_ok and not dels & bit:
-                extended.setdefault((chosen, noops | bit), dels)
-            for abit, aconflict, adel in cands:
+        for (chosen, noops), excl in frontier.items():
+            if noop_ok and not excl & bit:
+                extended.setdefault((chosen, noops | bit), excl | p_mutex)
+            for abit, aconflict, adel, apre, aexcl in cands:
                 if chosen & abit:
                     # Chosen already, and tested then; an action that deletes
                     # its own precondition has its own conflict bit set.
-                    extended.setdefault((chosen, noops), dels)
-                elif not (aconflict & chosen or adel & noops):
-                    extended.setdefault((chosen | abit, noops), dels | adel)
+                    extended.setdefault((chosen, noops), excl)
+                elif not (aconflict & chosen or adel & noops or apre & excl):
+                    extended.setdefault((chosen | abit, noops), excl | aexcl)
         frontier = extended
 
     in_progress = s.in_progress
@@ -289,16 +312,22 @@ class TemporalSpace:
     planning, where every duration is 1); right shift forbids actions only
     in a space built with `right_shift` set.
 
+    Built on the `mutex` of the complete h^m table, the space passes it to
+    `successors_temporal`, so it never generates a dead child: such a
+    child's estimate is INF under any table that rises from that one.
+
     IDA*'s iterations and IDAO*'s passes expand the same states again, so
     `successors` keeps a memo from (state, F) to the (edges, cuts) of
     `successors_temporal`, for the life of the space: the answer depends on
-    the problem, the state and F alone.  Callers must not mutate the edge
-    list.  The memo counts the edges it holds and clears on reaching
-    _MEMO_CAP of them."""
+    the problem, the mutexes, the state and F alone.  Callers must not
+    mutate the edge list.  The memo counts the edges it holds and clears on
+    reaching _MEMO_CAP of them."""
 
-    def __init__(self, problem: Problem, right_shift: bool = False):
+    def __init__(self, problem: Problem, right_shift: bool = False,
+                 mutex: Mutex | None = None):
         self.problem = problem
         self.right_shift = right_shift
+        self.mutex = Mutex(problem) if mutex is None else mutex
         self._memo: dict[tuple[TempState, int], tuple[list[TempEdge], int]] = {}
         self._memo_edges = 0
 
@@ -312,7 +341,7 @@ class TemporalSpace:
         key = (s, forbidden)
         found = self._memo.get(key)
         if found is None:
-            found = successors_temporal(self.problem, s, forbidden)
+            found = successors_temporal(self.problem, s, forbidden, self.mutex)
             if self._memo_edges >= _MEMO_CAP:
                 self._memo.clear()
                 self._memo_edges = 0

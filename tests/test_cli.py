@@ -155,6 +155,18 @@ class TestNonZeroExits:
                            "--stop", "fixed:0")
         assert code == 2
 
+    def test_rejected_plan_exits_3(self, capsys, monkeypatch):
+        class Rejected:
+            ok = False
+
+            def report(self):
+                return "step 0: precondition not held"
+
+        monkeypatch.setattr(cli, "validate_plan", lambda problem, plan: Rejected())
+        code, out, err = run(capsys, *OBS, "--validate")
+        assert code == 3 and out == ""
+        assert "hmplan: step 0: precondition not held" in err
+
     def test_bad_stop_rule_under_tp4(self, capsys):
         code, out, err = run(capsys, *OBS, "--stop", "bogus")
         assert code == 2 and "bogus" in err and out == ""

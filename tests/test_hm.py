@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from hmplan.hm import _subsets_upto, compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
+from hmplan.mutex import Mutex
 from hmplan.sequential import successors_seq
 
 
@@ -348,3 +350,39 @@ class TestMixedDenominators:
                 for s in regression_states(p, cap=20_000):
                     assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
         assert scales == {6}
+
+
+class TestMutex:
+    """The GBF's `Mutex` against the table it writes: p is mutex with b when
+    {p, b} evaluates to INF, with every atom when {p} does, and an action's
+    mask is the union over its preconditions, -1 when they hold a mutex."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_masks_match_the_table(self, rng, mode, m):
+        mutexes = 0
+        for _ in range(25):
+            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            t = HeuristicTable(p.scale)
+            mutex = compute_base_heuristic(p, t, m).mutex
+            ids = range(len(p.atoms))
+            for a in ids:
+                if t.eval(frozenset({a})) == INF:
+                    assert mutex.atoms[a] == -1
+                else:
+                    assert mutex.atoms[a] == sum(1 << b for b in ids
+                                                 if b != a and t.eval(frozenset({a, b})) == INF)
+                mutexes += mutex.atoms[a] != 0
+            for act in p.actions:
+                dead = any(t.eval(frozenset(c)) == INF
+                           for k in (1, 2) for c in combinations(sorted(act.pre), k))
+                union = 0
+                for a in act.pre:
+                    union |= mutex.atoms[a]
+                assert mutex.pre[act.index] == (-1 if dead else union)
+        assert mutexes > 0
+
+    def test_without_settled_atoms_nothing_is_a_mutex(self, sat1):
+        mutex = Mutex(sat1)
+        assert mutex.atoms == (0,) * len(sat1.atoms) and mutex.pre == (0,) * len(sat1.actions)
