@@ -5,12 +5,14 @@ table, so no plan reaches it either.  HSPr pruned spurious regression states
 so (Bonet and Geffner, "Planning as heuristic search", 2001).
 `hm.compute_base_heuristic` gives the `Mutex` of the atoms and pairs its
 label setting settled, and a search space built on it never generates a
-child that holds a mutex.
+child that holds a mutex.  `no_mutex` is the empty relation, which prunes
+nothing: the spaces built without a table and the GBF regress by it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from weakref import WeakKeyDictionary
 
 from .model import Problem
 
@@ -35,25 +37,35 @@ class Mutex:
     preconditions p of the action of index i, or -1 if they hold a mutex
     themselves.
 
+    `blocking[i]` is the bitmask of the atoms of a state s that rule the
+    action of index i out of sequential regression: its deletes, and the
+    atoms mutex with its preconditions that it does not add.  For an s that
+    holds no mutex, the child (s - add(a)) | pre(a) holds one exactly when
+    s - add(a) meets the latter, or pre(a) holds one itself; such an action
+    is ruled out everywhere, by every atom (-1).
+
     `settled` lists the settled atoms and `partners[p]` the atoms whose pair
     with p settled; without `partners` (h^1 settles no pair) only atoms are
-    mutexes, and without `settled` nothing is.  The masks are built on first
-    use, so a search pays only for the atoms and actions it regresses."""
+    mutexes, and without `settled` nothing is.  The masks of a nonempty
+    relation are built on first use: a search over a large grounding
+    regresses only a small share of its atoms and actions."""
 
     def __init__(self, problem: Problem, settled: list[int] | None = None,
                  partners: list[list[int]] | None = None) -> None:
         if settled is None:
             self.atoms = (0,) * len(problem.atoms)
             self.pre = (0,) * len(problem.actions)
+            self.blocking = problem.delete_masks
             return
         n = len(problem.atoms)
         self._bits = [1 << p for p in range(n)]
         self._all = (1 << n) - 1
         self._dead = self._all ^ sum(map(self._bits.__getitem__, settled))
         self._partners = partners
-        self._actions = problem.actions
+        self._problem = problem
         self.atoms = LazyMap(self._atom)
         self.pre = LazyMap(self._pre)
+        self.blocking = LazyMap(self._blocking)
 
     def _atom(self, p: int) -> int:
         if self._dead >> p & 1:
@@ -65,7 +77,29 @@ class Mutex:
 
     def _pre(self, i: int) -> int:
         mask = held = 0
-        for p in self._actions[i].pre:
+        for p in self._problem.actions[i].pre:
             mask |= self.atoms[p]
-            held |= 1 << p
+            held |= self._bits[p]
         return -1 if mask & held else mask
+
+    def _blocking(self, i: int) -> int:
+        near = self.pre[i]
+        if near < 0:
+            return -1
+        a = self._problem.actions[i]
+        for p in a.add:
+            near &= ~self._bits[p]
+        for p in a.delete:
+            near |= self._bits[p]
+        return near
+
+
+_EMPTY: WeakKeyDictionary[Problem, Mutex] = WeakKeyDictionary()
+
+
+def no_mutex(problem: Problem) -> Mutex:
+    """The empty relation over the problem's atoms, built once per problem."""
+    found = _EMPTY.get(problem)
+    if found is None:
+        found = _EMPTY[problem] = Mutex(problem)
+    return found

@@ -8,13 +8,12 @@ the base table never regresses into a set that holds a mutex.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from operator import attrgetter
 from typing import NamedTuple
 
 from .htable import HeuristicTable
 from .model import AtomSet, Cost, GroundAction, Problem, Units
-from .mutex import LazyMap, Mutex
+from .mutex import Mutex, no_mutex
 
 
 def final_seq(s: AtomSet, init: AtomSet) -> bool:
@@ -30,43 +29,20 @@ class SeqEdge(NamedTuple):
     actions: tuple[GroundAction, ...]  # single regressing action
 
 
-def successors_seq(problem: Problem, s: AtomSet,
-                   blocked: Mapping[int, int] | None = None) -> list[SeqEdge]:
+def successors_seq(problem: Problem, s: AtomSet, mutex: Mutex | None = None) -> list[SeqEdge]:
     """One edge per action that regresses s (it adds an atom of s and deletes
     none), in action index order: s minus its adds plus its preconditions.
-    Given `blocking_masks`, the actions whose child would be dead are left
-    out too: a dead child's estimate is INF, so no search expands it."""
+    Given the `mutex` of the base table, the actions whose child would hold
+    a mutex, the dead ones, are left out too: a dead child's estimate is
+    INF, so no search expands it.  Without `mutex`, none is dead."""
+    blocking = (no_mutex(problem) if mutex is None else mutex).blocking
     adders, cost = problem.adders, problem.cost_units
     candidates = sorted({a for p in s for a in adders[p]}, key=_index)
-    if blocked is None:
-        return [SeqEdge((s - a.add) | a.pre, cost[a], (a,))
-                for a in candidates if not a.delete & s]
     held = 0
     for p in s:
         held |= 1 << p
     return [SeqEdge((s - a.add) | a.pre, cost[a], (a,))
-            for a in candidates if not blocked[a.index] & held]
-
-
-def blocking_masks(problem: Problem, mutex: Mutex) -> Mapping[int, int]:
-    """Per action index, built on first use, the bitmask of the atoms of s
-    that rule the action out of `successors_seq`: its deletes, and the atoms
-    mutex with its precondition that it does not add.  For a state s that
-    holds no mutex, the child (s - add(a)) | pre(a) holds one exactly when
-    s - add(a) meets the latter, or pre(a) holds one itself; such an action
-    is ruled out everywhere, by every atom (-1)."""
-    def build(i: int) -> int:
-        near = mutex.pre[i]
-        if near < 0:
-            return -1
-        a = problem.actions[i]
-        for p in a.add:
-            near &= ~(1 << p)
-        for p in a.delete:
-            near |= 1 << p
-        return near
-
-    return LazyMap(build)
+            for a in candidates if not blocking[a.index] & held]
 
 
 class SequentialSpace:
@@ -77,7 +53,7 @@ class SequentialSpace:
 
     def __init__(self, problem: Problem, mutex: Mutex | None = None):
         self.problem = problem
-        self._blocked = None if mutex is None else blocking_masks(problem, mutex)
+        self.mutex = no_mutex(problem) if mutex is None else mutex
 
     def root(self) -> AtomSet:
         return self.problem.goal
@@ -87,7 +63,7 @@ class SequentialSpace:
 
     def successors(self, s: AtomSet, forbidden: int = 0):
         """Returns (edges, cut_count); sequential search has no cut rule."""
-        return successors_seq(self.problem, s, self._blocked), 0
+        return successors_seq(self.problem, s, self.mutex), 0
 
     def forbidden(self, via) -> int:
         return 0

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .htable import HeuristicTable
 from .model import EMPTY, AtomSet, Cost, GroundAction, Problem, Units
-from .mutex import Mutex
+from .mutex import Mutex, no_mutex
 
 FEntry = tuple[GroundAction, int]  # (action, units since its start)
 
@@ -180,7 +180,7 @@ def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
     deletes = problem.delete_masks
     pre = problem.pre_masks
     if mutex is None:
-        mutex = Mutex(problem)
+        mutex = no_mutex(problem)
     atom_mutex, pre_mutex = mutex.atoms, mutex.pre
     f_mask = f_del = f_pre = f_near = 0
     for a, _ in s.in_progress:
@@ -327,7 +327,7 @@ class TemporalSpace:
                  mutex: Mutex | None = None):
         self.problem = problem
         self.right_shift = right_shift
-        self.mutex = Mutex(problem) if mutex is None else mutex
+        self.mutex = no_mutex(problem) if mutex is None else mutex
         self._memo: dict[tuple[TempState, int], tuple[list[TempEdge], int]] = {}
         self._memo_edges = 0
 

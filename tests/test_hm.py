@@ -11,7 +11,7 @@ from hmplan.hm import _subsets_upto, compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
-from hmplan.mutex import Mutex
+from hmplan.mutex import Mutex, no_mutex
 from hmplan.sequential import successors_seq
 
 
@@ -381,8 +381,15 @@ class TestMutex:
                 for a in act.pre:
                     union |= mutex.atoms[a]
                 assert mutex.pre[act.index] == (-1 if dead else union)
+                adds = sum(1 << a for a in act.add)
+                assert mutex.blocking[act.index] == (
+                    -1 if dead else union & ~adds | p.delete_masks[act.index])
         assert mutexes > 0
 
     def test_without_settled_atoms_nothing_is_a_mutex(self, sat1):
         mutex = Mutex(sat1)
         assert mutex.atoms == (0,) * len(sat1.atoms) and mutex.pre == (0,) * len(sat1.actions)
+        assert mutex.blocking == sat1.delete_masks
+        # One empty relation per problem, shared by whatever prunes nothing.
+        assert no_mutex(sat1) is no_mutex(sat1)
+        assert no_mutex(sat1).blocking == sat1.delete_masks
