@@ -35,7 +35,13 @@ settles never and builds nothing.
 
 Every other (mode, m), sequential h^1 and h^m for m >= 3 and parallel and
 temporal h^m at every m, builds one edge per regression of each set, all
-before the first set settles.
+before the first set settles.  In the parallel and temporal modes, the
+recursion of Haslum and Geffner ("Heuristic planning with time and
+resources", 2001), the regressions of a set of one or two atoms are
+enumerated straight from its adders, their durations and the problem's
+conflict masks, in the order and with the cuts of `successors_temporal`;
+only larger sets, at m >= 3, go through that function and `relax_state`.
+The components of all the edges share one list of read ids per atom set.
 
 A firing is one evaluation of an edge, counted in `GbfStats.rounds`: an
 edge whose reads have all settled when it is built fires at once, so every
@@ -55,7 +61,7 @@ from itertools import chain, combinations
 
 from .htable import HeuristicTable
 from .model import INF, AtomSet, Mode, Problem
-from .mutex import Mutex
+from .mutex import LazyMap, Mutex
 from .sequential import successors_seq
 from .temporal import TempState, relax_state, successors_temporal
 
@@ -66,10 +72,11 @@ class GbfStats:
     # Edge firings, the action nodes' included; each edge fires at most once,
     # and one whose reads have all settled when it is built fires then.
     rounds: int
-    # Edges built: one per regression of each set up front; for sequential
-    # h^2, each action's own edge up front, its target edges as its label
-    # settled or, for a group that watches a read, as the later of that
-    # label and that read did.
+    # Edges built: one per regression of each set up front (for a concurrent
+    # set of one or two atoms, one per regression `_small_regressions`
+    # enumerates); for sequential h^2, each action's own edge up front, its
+    # target edges as its label settled or, for a group that watches a
+    # read, as the later of that label and that read did.
     edges: int
     # The atoms and pairs that never settled: their h^m is INF.
     mutex: Mutex
@@ -82,14 +89,55 @@ def _subsets_upto(atoms, m: int):
     return map(frozenset, chain.from_iterable(combinations(ids, k) for k in sizes))
 
 
-def _regressions(problem: Problem, s: AtomSet) -> list[tuple[int, list[tuple[AtomSet, int]]]]:
+Regressions = list[tuple[int, list[tuple[AtomSet, int]]]]
+
+
+def _regressions(problem: Problem, s: AtomSet) -> Regressions:
     """(delta, components) per regression of s in the problem's mode: the
     sequential regression of s as one component at offset 0, or the relaxed
-    view of each temporal regression.  No mutex prunes them: the mutexes are
-    what the GBF computes."""
+    view of each temporal regression, which `_small_regressions` gives for
+    sets of one or two atoms.  No mutex prunes them: the mutexes are what
+    the GBF computes."""
     if problem.mode is Mode.SEQUENTIAL:
         return [(e.delta, [(e.state, 0)]) for e in successors_seq(problem, s)]
+    if len(s) <= 2:
+        return _small_regressions(problem, s)
     return [(e.delta, relax_state(e.state)) for e in successors_temporal(problem, TempState(s))[0]]
+
+
+def _small_regressions(problem: Problem, s: AtomSet) -> Regressions:
+    """The relaxed temporal regressions of a set of one or two atoms, in the
+    order `successors_temporal(problem, TempState(s))` gives them, straight
+    from the adders.  {p} regresses through each adder a to pre(a), dur(a)
+    back.  {p, q}, p < q, takes for p the no-op, then each adder a, and for
+    q the same, under that function's cuts: q's no-op only if a does not
+    delete q, and an adder b of q only if it neither deletes a no-op'd p
+    nor conflicts with a.  Two actions a and b, dur(a) <= dur(b), step back
+    dur(b) to pre(a) | pre(b) if they end together or a takes no time; else
+    dur(a), to a state where pre(b) is needed dur(b) - dur(a) further
+    back."""
+    dur = problem.dur_units
+    if len(s) == 1:
+        return [(dur[a], [(a.pre, 0)]) for a in problem.adders[min(s)]]
+    p, q = sorted(s)
+    conflict = problem.conflict_masks
+    out: Regressions = [(dur[b], [(b.pre | {p}, 0)]) for b in problem.adders[q]
+                        if p not in b.delete]
+    for a in problem.adders[p]:
+        if q not in a.delete:
+            out.append((dur[a], [(a.pre | {q}, 0)]))
+        for b in problem.adders[q]:
+            if b is a:
+                out.append((dur[a], [(a.pre, 0)]))
+            # A pair of actions that both add p and q comes first with the
+            # one of lower index taking p.
+            elif not (conflict[a.index] >> b.index & 1
+                      or p in b.add and q in a.add and b.index < a.index):
+                da, db, y = (dur[a], dur[b], b) if dur[a] <= dur[b] else (dur[b], dur[a], a)
+                both = a.pre | b.pre
+                out.append((db, [(both, 0)]) if da == db or not da else
+                           (da, [(y.pre, db - da), (both, 0)]))
+    return out
 
 
 def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list, list]:
@@ -237,12 +285,13 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list
         label[key] = 0
         heappush(heap, (0, key))
     if not actions:
+        read_ids = LazyMap(reads)  # one shared list per component atom set
         for s in _subsets_upto(range(n), m):
             if s <= problem.init:
                 continue
             key = ident(tuple(s))
             for d, components in _regressions(problem, s):
-                cs = [(offset, reads(atoms)) for atoms, offset in components]
+                cs = [(offset, read_ids[atoms]) for atoms, offset in components]
                 wait = cs[0][1] if len(cs) == 1 else set(chain.from_iterable(ids for _, ids in cs))
                 add_edges((key,), d, cs, wait)
     for a in actions:

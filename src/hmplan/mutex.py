@@ -20,11 +20,11 @@ from .model import Problem
 class LazyMap(dict):
     """A dict that builds the value of a missing key once, by its function."""
 
-    def __init__(self, build: Callable[[int], int]) -> None:
+    def __init__(self, build: Callable) -> None:
         super().__init__()
         self._build = build
 
-    def __missing__(self, key: int) -> int:
+    def __missing__(self, key):
         value = self[key] = self._build(key)
         return value
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,12 +8,13 @@ import pytest
 from conftest import achieve_cost, forward_dijkstra, gbf_sweep, random_problem
 from conftest import MIXED_COSTS, MIXED_DURS, regression_states
 from hmplan import fixtures
-from hmplan.hm import _subsets_upto, compute_base_heuristic
+from hmplan.hm import _small_regressions, _subsets_upto, compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
 from hmplan.mutex import Mutex, no_mutex
 from hmplan.sequential import successors_seq
+from hmplan.temporal import TempState, relax_state, successors_temporal
 
 
 def table_for(problem, m):
@@ -268,17 +270,21 @@ class TestLabelSetting:
         assert t.eval(p.atom_set("q", "s")) == INF
         assert stats.edges == stats.rounds == 12
 
-    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_per_set_edges_outside_sequential_h2(self, m):
-        # Only sequential h^2 has action nodes.  At every other m the engine
-        # builds one edge per regression of each set not within init.
+        # Only sequential h^2 has action nodes.  At every other (mode, m) the
+        # engine builds one edge per regression of each set not within init,
+        # also where `_small_regressions` enumerates them.
         rng = random.Random(7)
-        for _ in range(20):
-            p = random_problem(rng, max_atoms=7, max_actions=10)
-            regressions = sum(len(successors_seq(p, s))
-                              for s in _subsets_upto(range(len(p.atoms)), m)
-                              if not s <= p.init)
-            assert compute_base_heuristic(p, HeuristicTable(p.scale), m).edges == regressions
+        for mode in [Mode.PARALLEL, Mode.TEMPORAL] if m == 2 else list(Mode):
+            for k in range(20):
+                p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode,
+                                   durs=MIXED_DURS if mode is Mode.TEMPORAL and k % 2 else None)
+                regressions = sum(len(successors_seq(p, s) if mode is Mode.SEQUENTIAL else
+                                      successors_temporal(p, TempState(s))[0])
+                                  for s in _subsets_upto(range(len(p.atoms)), m)
+                                  if not s <= p.init)
+                assert compute_base_heuristic(p, HeuristicTable(p.scale), m).edges == regressions
 
     def test_unreached_action_builds_no_target_edges(self, sat1):
         # An action needing an atom nothing adds builds only its own edge.
@@ -291,6 +297,75 @@ class TestLabelSetting:
         more = compute_base_heuristic(with_dead, HeuristicTable(), 2)
         assert more.edges == base.edges + 1
         assert more.rounds == base.rounds
+
+
+def temporal_pq(*specs):
+    """A temporal problem over p, q, r, s (ids 0 to 3) whose actions are
+    (pre, add, delete, duration) specs of atom names."""
+    ids = {"p": 0, "q": 1, "r": 2, "s": 3}
+    atoms = [Atom(i, name) for name, i in ids.items()]
+    actions = [GroundAction(k, f"a{k}", *(frozenset(map(ids.__getitem__, x)) for x in sets),
+                            Fraction(1), Fraction(dur))
+               for k, (*sets, dur) in enumerate(specs)]
+    return Problem(atoms, actions, frozenset({2}), frozenset({0, 1}), Mode.TEMPORAL)
+
+
+def multiset(regressions):
+    """Regressions as a multiset of (delta, sorted (atom ids, offset) components)."""
+    return Counter((d, tuple(sorted((tuple(sorted(atoms)), offset) for atoms, offset in cs)))
+                   for d, cs in regressions)
+
+
+def oracle_regressions(problem, s):
+    """The relaxed view of every temporal regression of s."""
+    return [(e.delta, relax_state(e.state))
+            for e in successors_temporal(problem, TempState(s))[0]]
+
+
+class TestSmallRegressions:
+    """`_small_regressions` gives every set of one or two atoms the relaxed
+    temporal regressions that `successors_temporal` and `relax_state` give."""
+
+    @staticmethod
+    def check_every_small_set(problem):
+        for s in _subsets_upto(range(len(problem.atoms)), 2):
+            assert multiset(_small_regressions(problem, s)) == \
+                multiset(oracle_regressions(problem, s)), sorted(s)
+
+    @pytest.mark.parametrize("mode", [Mode.PARALLEL, Mode.TEMPORAL])
+    def test_satellite(self, mode):
+        self.check_every_small_set(fixtures.satellite(mode=mode))
+
+    def test_temporal_mix(self):
+        self.check_every_small_set(fixtures.temporal_mix())
+
+    @pytest.mark.parametrize("mode", [Mode.PARALLEL, Mode.TEMPORAL])
+    def test_random_draws(self, rng, mode):
+        for _ in range(60):
+            self.check_every_small_set(random_problem(
+                rng, max_atoms=7, max_actions=10, mode=mode,
+                durs=MIXED_DURS if mode is Mode.TEMPORAL else None))
+
+    def test_hand_built_pair(self):
+        # a0 and a1 add both p and q; a2 adds p and deletes q in no time;
+        # a3 adds q.  Durations in halves: a0 4, a1 2, a2 0, a3 3.
+        p = temporal_pq(("r", "pq", "", 2), ("s", "pq", "", 1), ("r", "p", "q", 0),
+                        ("", "q", "", Fraction(3, 2)))
+        self.check_every_small_set(p)
+        # [DERIVED: p no-op'd, q by a0, a1 or a3; p by a0 with q no-op'd, by
+        # a0 too, by a1 (a1 ends 2 sooner, a0 needs r 2 further back) or by a3
+        # (ends 1 sooner); p by a1 with q no-op'd, by a1 too or by a3 (a3
+        # needs nothing 1 further back); {a0, a1} once; a2 deletes q, so
+        # neither q's no-op nor any adder of q goes with it]
+        assert multiset(_small_regressions(p, p.goal)) == multiset([
+            (4, [({0, 2}, 0)]), (2, [({0, 3}, 0)]), (3, [({0}, 0)]),
+            (4, [({1, 2}, 0)]), (4, [({2}, 0)]), (2, [({2}, 2), ({2, 3}, 0)]),
+            (3, [({2}, 1), ({2}, 0)]),
+            (2, [({1, 3}, 0)]), (2, [({3}, 0)]), (2, [(set(), 1), ({3}, 0)]),
+        ])
+        # [DERIVED: {p} through a0, a1 and a2, which takes no time]
+        assert multiset(_small_regressions(p, frozenset({0}))) == multiset(
+            [(4, [({2}, 0)]), (2, [({3}, 0)]), (0, [({2}, 0)])])
 
 
 class TestAdmissibility:

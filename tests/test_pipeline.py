@@ -186,6 +186,21 @@ def _draws(seed, mode, count=30):
             for k in range(count)]
 
 
+def _searched_draws(seed, mode, count=40):
+    """The first `count` random problems of the mode, mixed durations on
+    every other temporal draw, whose tp4 run, bounded at 6, expands at least
+    one state."""
+    rng = random.Random(seed)
+    found, k = [], 0
+    while len(found) < count:
+        p = random_problem(rng, max_atoms=8, max_actions=12, mode=mode,
+                           durs=MIXED_DURS if mode is Mode.TEMPORAL and k % 2 else None)
+        k += 1
+        if recorded(p, pipeline="tp4", upper_limit=Fraction(6))[1].expansions:
+            found.append(p)
+    return found
+
+
 def _dead_precondition(mode):
     """p is given and q only replaces it, so {p, q} is unreachable: the
     action that needs both is dead, and g comes from the other."""
@@ -211,8 +226,9 @@ class TestMutexPruning:
             return (successors_seq(problem, s), 0), lambda e: e.state
         return successors_temporal(problem, s, forbidden), lambda e: relaxed_atoms(e.state)
 
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_expanded_states_lose_exactly_the_dead_children(self, monkeypatch, mode):
+    def check_expanded_states(self, monkeypatch, problems):
+        """Run tp4 and hspa over the problems at base m 1 and 2, and check
+        every state their spaces expanded; the children dropped and kept."""
         asked = []
         for space in (SequentialSpace, TemporalSpace):
             def recording(self, s, forbidden=0, successors=space.successors):
@@ -221,8 +237,7 @@ class TestMutexPruning:
                 return answer
             monkeypatch.setattr(space, "successors", recording)
         dropped = kept = 0
-        # The satellite's turns and instruments give mutexes of every kind.
-        for p in [fixtures.satellite(mode=mode), _dead_precondition(mode)] + _draws(17, mode):
+        for p in problems:
             for base_m in (1, 2):
                 base = HeuristicTable(p.scale)
                 compute_base_heuristic(p, base, base_m)
@@ -235,6 +250,21 @@ class TestMutexPruning:
                         assert edges == live and cuts == want_cuts
                         dropped += len(want) - len(live)
                         kept += len(live)
+        return dropped, kept
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_expanded_states_lose_exactly_the_dead_children(self, monkeypatch, mode):
+        # The satellite's turns and instruments give mutexes of every kind.
+        problems = [fixtures.satellite(mode=mode), _dead_precondition(mode)] + _draws(17, mode)
+        dropped, kept = self.check_expanded_states(monkeypatch, problems)
+        assert dropped > 0 and kept > 0
+
+    @pytest.mark.parametrize("mode", [Mode.PARALLEL, Mode.TEMPORAL])
+    def test_searched_draws_lose_exactly_the_dead_children(self, monkeypatch, mode):
+        # Most random draws are unsolvable or solved at the root, so they
+        # expand little; these draws all reach a search.
+        problems = _searched_draws(1, mode)
+        dropped, kept = self.check_expanded_states(monkeypatch, problems)
         assert dropped > 0 and kept > 0
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -259,17 +289,23 @@ class TestMutexPruning:
         assert pruned_less > 0
 
     def test_gbf_regresses_without_mutexes(self, monkeypatch):
-        calls = []
-        for name in ("successors_seq", "successors_temporal"):
-            def counted(*args, successors=getattr(hm, name), **kw):
-                calls.append((args, kw))
-                return successors(*args, **kw)
+        calls = {name: [] for name in ("successors_seq", "successors_temporal",
+                                       "_small_regressions")}
+        for name, found in calls.items():
+            def counted(*args, regress=getattr(hm, name), found=found, **kw):
+                found.append((args, kw))
+                return regress(*args, **kw)
             monkeypatch.setattr(hm, name, counted)
         for mode in Mode:
             for p in _draws(31, mode, count=5):
                 for m in (1, 2, 3):
                     compute_base_heuristic(p, HeuristicTable(p.scale), m)
-        assert calls and all(len(args) == 2 and not kw for args, kw in calls)
+        # Every regression function is called, with the problem and the set
+        # alone.  In the concurrent modes only the sets of three atoms, at
+        # m = 3, go through successors_temporal.
+        assert all(calls.values())
+        assert all(len(args) == 2 and not kw for found in calls.values() for args, kw in found)
+        assert all(len(args[1].goals) == 3 for args, _ in calls["successors_temporal"])
 
 
 class TestHspaStopping:
