@@ -12,12 +12,52 @@ value bounds the search below the state given F, the actions the space's
 and the entry carries F as a mask: it is used wherever a superset is
 forbidden, where the state has fewer children.
 
+Within an iteration each (state, F) is searched once, the transposition
+cutoff of the same paper: a map holds the g and the value of every expansion
+finished in the iteration, and a (state, F) entered again at g' >= g returns
+that value plus g' - g, unclean, so the table takes its entry f as for a
+child on the path.  The next bound still never passes the optimum C*, though
+a cutoff's value may exceed what a fresh search of the state would return.
+Let h*(s, F) be the cheapest cost on from (s, F) to a final state, and take
+an iteration that finds no solution.
+- Its value V is the least f of the states it pruned by f and the least g of
+  the final states it met (all above the bound): an expansion returns the
+  least of its children's values, so every finished expansion's value
+  reaches the root, and a cutoff returns no less than an expansion that has
+  already finished.  A child left out as a cycle adds nothing.
+- Call an entered (s, F) at g good when g + h*(s, F) <= C*.  The root is.
+  If V > C*, no good state is pruned or final, since its f or g would be at
+  most C* (h and every table entry are admissible); so a good state is
+  expanded, or cut off by an expansion of the same (s, F) at some g0 <= g,
+  which is good too.
+- Order the (s, F) by h*(s, F), and those of equal h* by the fewest edges
+  on an optimal path on.  Suppose V > C*, and take a good expansion X, of
+  (s, F) at g, that comes first.  Let e be the first edge of such a path,
+  to (q, F'); q comes before s, since h* falls by e's cost and, where e
+  costs nothing, the path on is one edge shorter.  If X entered e's child,
+  the child was expanded or cut off, and either way a good expansion of
+  (q, F') exists: it comes before X, a contradiction.
+- Else X left q out as a cycle on its own path, which may not be this
+  path: q is the state of an ancestor A, expanded at g_A <= g under its own
+  F_A.  Where edges cost nothing, as zero-duration actions do, A may be
+  reached at exactly its optimal g and h* need not fall from X to A; the
+  edge count still orders them.  Every path on from (q, F') is also a path
+  on from (q, F_A) when F_A lies within F', and always where F is empty (in
+  a sequential space, or without right shift).  Then A is good and comes
+  no later than (q, F'), so before X: again a contradiction.  Under right
+  shift F_A may not lie within F'; there, as for dropping cycles at all,
+  the search assumes the cycle loses nothing, and the tests against the
+  blind oracles check it.
+So V <= C*: the iteration that finds no solution ends below the optimum or
+at it, and the one at bound C* finds an optimal plan.
+
 Both searches, this one and IDAO* (`idao`), are recursive code whose nested
 calls are generators (`x = yield self._child(...)`), run by `drive` on one
 list, so plan length is not bounded by Python's recursion limit.  Only a
 state that will be expanded gets a generator: final states, states whose f
-exceeds the bound after the transposition-table probe and, in IDAO*,
-solved-table hits are settled by a plain call that returns the result.
+exceeds the bound after the transposition-table probe, cut-off states and,
+in IDAO*, solved-table hits are settled by a plain call that returns the
+result.
 
 The search counts in the problem's integer units of 1/scale: g, h, f, the
 bounds, the upper limit and the result's cost and next bound.  `build_plan`
@@ -110,6 +150,8 @@ class IdaStar:
         self.tt = TranspositionTable(tt_capacity) if use_tt else None
         self.recorder = recorder
         self.stats = SearchStats()
+        # (state, F) -> (g, least) of each expansion finished this iteration
+        self._done: dict = {}
 
     def run(self, upper_limit: Units = INF) -> SearchResult:
         """Search to the first bound above `upper_limit` (in units)."""
@@ -122,6 +164,7 @@ class IdaStar:
             if self.recorder:
                 self.recorder.bound("ida", space.problem.to_cost(bound))
             self._on_path = set()  # the states of the current path
+            self._done.clear()
             search = self._enter(root, 0, root_h, None, bound)
             value, _, solution = search if type(search) is tuple else drive(search)
             if solution is not None:
@@ -135,11 +178,22 @@ class IdaStar:
 
     def _enter(self, state, g: Units, h: Units, via, bound: Units):
         """Settle a final state, or one whose f exceeds the bound, as (value,
-        clean, solution edges last first or None); give any other state's
+        clean, solution edges last first or None); settle a (state, F) whose
+        expansion at some g0 <= g finished earlier in the iteration with
+        value v0 as (v0 + g - g0, unclean, None); give any other state's
         expansion.  h is the score the parent ordered it by, raised by a
-        table entry whose forbidden set lies within the one `via` imposes.
-        That set, F, is computed at most once per entered state: here when
-        an entry carries a mask, else by `_dfs`."""
+        table entry whose forbidden set lies within F, the one `via`
+        imposes.  F is computed at most once per entered state, and only for
+        a state with a mask entry or one that passes the bound test.
+
+        The cutoff value can exceed a fresh search's: the earlier expansion
+        left out as cycles the children on its own path, which this path
+        may not hold.  The next bound stays at most the optimum all the same
+        (module docstring): an optimal path on from this state through such
+        a child runs into an ancestor of the earlier expansion, reached no
+        later, at exactly its optimal g where the edges between cost
+        nothing, and that ancestor's own expansion, finished or still on
+        the path, bounds the iteration's value by the optimum."""
         if self.space.is_final(state):
             return g, True, (None if g > bound else [])
         forbidden = None  # the actions right shift forbids here, when known
@@ -153,22 +207,26 @@ class IdaStar:
                     h = value
         if g + h > bound:
             return g + h, True, None
+        if forbidden is None:
+            forbidden = self.space.forbidden(via)
+        done = self._done.get((state, forbidden))
+        if done is not None and g >= done[0]:
+            return done[1] + g - done[0], False, None
         return self._dfs(state, g, h, via, forbidden, bound)
 
-    def _dfs(self, state, g: Units, h: Units, via, forbidden: int | None, bound: Units):
+    def _dfs(self, state, g: Units, h: Units, via, forbidden: int, bound: Units):
         """Enter the children by f, those of equal f in the space's order.
         The value is the least pruned f below this node, with branches that
-        closed a cycle on the current path left out: every remaining
+        closed a cycle on the current path left out and cut-off states
+        counted by their earlier expansion's value: every remaining
         contribution exceeds the bound, so the schedule always advances, and
-        the optimal path is cycle-free so it is never the branch left out.
-        Leaving cycles out makes the value path-dependent, so it is clean
-        only if no cycle was pruned anywhere below.  The table is given
+        it never passes the optimum (module docstring).  Leaving cycles out
+        makes the value path-dependent, so it is clean only if no cycle was
+        pruned and no state cut off anywhere below.  The table is given
         `sound` instead, clean or not: the least over all children, those on
         the path included, of the child's value if clean and its entry f
         otherwise.  Each term bounds every path through its child."""
         space = self.space
-        if forbidden is None:
-            forbidden = space.forbidden(via)
         edges, _ = space.successors(state, forbidden)
         if self.recorder:
             self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
@@ -199,6 +257,7 @@ class IdaStar:
         # path now holds the state's ancestors: their number is its depth.
         if self.tt is not None and sound - g > h:
             self.tt.put(state, sound - g, len(on_path), forbidden)
+        self._done[state, forbidden] = g, least
         return least, clean, None
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+from hmplan.metrics import Recorder
 from hmplan.model import INF, ZERO, Atom, AtomSet, GroundAction, Mode, Plan, Problem
 from hmplan.temporal import FEntry, TempEdge, TempState, compatible, final_temporal
 from hmplan.validate import ValidationResult
@@ -438,6 +439,28 @@ MIXED_COSTS = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(1))
 # Durations with the same scale, and zero-duration actions among them.
 MIXED_DURS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6),
               Fraction(1), Fraction(3, 2))
+
+
+def mixed_temporal_draws(count: int):
+    """The first `count` draws of the temporal family with MIXED_DURS on
+    Random(20240817).  Its 26th draw, 4 atoms and 7 actions with two of zero
+    duration, is unsolvable although h^2 gives its goal a finite value."""
+    rng = random.Random(20240817)
+    return [random_problem(rng, max_atoms=7, max_actions=10, mode=Mode.TEMPORAL,
+                           durs=MIXED_DURS) for _ in range(count)]
+
+
+class CappedRecorder(Recorder):
+    """A Recorder that fails the test at its `cap`-th expansion, so a search
+    that would run on fails at once instead."""
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def expansion(self, *event) -> None:
+        super().expansion(*event)
+        assert self.expansions < self.cap, f"{self.cap} expansions"
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import (MIXED_DURS, achieve_cost, forbidden_set, forward_dijkstra, optimum,
-                      random_problem, seq_optimal, temporal_makespan)
+from conftest import (MIXED_DURS, CappedRecorder, achieve_cost, forbidden_set,
+                      forward_dijkstra, mixed_temporal_draws, optimum, random_problem,
+                      seq_optimal, temporal_makespan)
 from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
@@ -208,9 +210,10 @@ class TestEvaluationCount:
 
     def test_expansions_unchanged_by_reuse(self):
         # [DERIVED: counts of the search that evaluated every child twice;
-        # m = 1 of the search that stores a bound under pruned cycles]
+        # m = 1 of the search that searches each (state, F) once per
+        # iteration, read off its Recorder]
         p = fixtures.satellite()
-        assert recorded(p, m=1)[1].expansions == 337
+        assert recorded(p, m=1)[1].expansions == 254
         assert recorded(p, m=2)[1].expansions == 7
         _, mix = recorded(fixtures.temporal_mix(), m=1, right_shift=True)
         assert mix.expansions == 3
@@ -277,16 +280,18 @@ class TestProbeOrder:
     # [DERIVED: counts of the search that walked an explicit frame stack; the
     # last four rows' counts of the search that sorts children by f alone;
     # the -tt rows' counts of the search that stores under pruned cycles
-    # and under right-shift cuts]
+    # and under right-shift cuts; the seq-tt, seq, temp4, temp1-tt and
+    # temp1 counts of the search that searches each (state, F) once per
+    # iteration.  Every bounds list is that of all these searches.]
     @pytest.mark.parametrize("goals, mode, m, use_tt, counts, bounds", [
-        (("d4", "d5"), Mode.SEQUENTIAL, 1, True, (2138, 1509, 337), [3, 4, 5, 6, 7]),
-        (("d4", "d5"), Mode.SEQUENTIAL, 1, False, (0, 0, 3663), [3, 4, 5, 6, 7]),
+        (("d4", "d5"), Mode.SEQUENTIAL, 1, True, (1587, 958, 254), [3, 4, 5, 6, 7]),
+        (("d4", "d5"), Mode.SEQUENTIAL, 1, False, (0, 0, 341), [3, 4, 5, 6, 7]),
         (("d4", "d5"), Mode.TEMPORAL, 2, True, (6, 0, 6), [6]),
         (("d4", "d5"), Mode.TEMPORAL, 2, False, (0, 0, 6), [6]),
         (FOUR, Mode.TEMPORAL, 2, True, (729, 116, 75), [6, 7, 8, 9]),
-        (FOUR, Mode.TEMPORAL, 2, False, (0, 0, 108), [6, 7, 8, 9]),
-        (("d5",), Mode.TEMPORAL, 1, True, (565, 420, 61), [3, 4]),
-        (("d5",), Mode.TEMPORAL, 1, False, (0, 0, 189), [3, 4]),
+        (FOUR, Mode.TEMPORAL, 2, False, (0, 0, 84), [6, 7, 8, 9]),
+        (("d5",), Mode.TEMPORAL, 1, True, (483, 338, 57), [3, 4]),
+        (("d5",), Mode.TEMPORAL, 1, False, (0, 0, 75), [3, 4]),
     ], ids=["seq-tt", "seq", "temp-tt", "temp", "temp4-tt", "temp4", "temp1-tt", "temp1"])
     def test_satellite(self, monkeypatch, goals, mode, m, use_tt, counts, bounds):
         hits = []
@@ -305,6 +310,51 @@ class TestProbeOrder:
         assert [r.bound for r in rec.trace if r.phase == "ida"] == bounds
 
 
+class TestTranspositionCutoffs:
+    """Within an iteration a (state, F) is expanded again only when it is
+    entered at a smaller g than every earlier expansion of it; otherwise the
+    finished expansion's value stands in for its search."""
+
+    @staticmethod
+    def expansions(problem, m):
+        """(iteration, state, F, g) of every expansion of a full search."""
+        ida = searcher(problem, m, right_shift=True)
+        dfs, out = ida._dfs, []
+
+        def recording_dfs(state, g, h, via, forbidden, bound):
+            out.append((ida.stats.iterations, state, forbidden, g))
+            return dfs(state, g, h, via, forbidden, bound)
+
+        ida._dfs = recording_dfs
+        assert ida.run().outcome == "solved"
+        return out
+
+    @pytest.mark.parametrize("goals, mode, m", [
+        (("d4", "d5"), Mode.SEQUENTIAL, 1),
+        (TestProbeOrder.FOUR, Mode.TEMPORAL, 2),
+        (("d5",), Mode.TEMPORAL, 1),
+    ], ids=["seq", "temp4", "temp1"])
+    def test_repeat_only_at_smaller_g(self, goals, mode, m):
+        least = {}
+        for iteration, state, forbidden, g in self.expansions(
+                fixtures.satellite(goals, mode), m):
+            key = iteration, state, forbidden
+            assert g < least.get(key, INF)
+            least[key] = g
+
+    def test_unsolvable_draw_ends_under_a_small_cap(self):
+        # A search that met a (state, F) afresh each time it reached it in
+        # an iteration was still at bound 13/2 after 172,930 expansions.
+        p = mixed_temporal_draws(26)[-1]
+        assert optimum(p) == INF
+        rec = CappedRecorder(2000)
+        ida = searcher(p, right_shift=True, recorder=rec)
+        res = ida.run(8 * p.scale)
+        assert res.outcome == "limit" and res.next_bound > 8 * p.scale
+        assert ida.run().outcome == "unsolvable"
+        assert rec.expansions < 2000
+
+
 class TestForbiddenContext:
     """An entry stored where right shift forbade the actions F bounds the
     search below its state whenever a superset of F is forbidden, since
@@ -314,29 +364,37 @@ class TestForbiddenContext:
     @staticmethod
     def probes(problem, m):
         """(entry, forbidden set, h before, h after) per probe that found
-        an entry above the state's score."""
+        an entry above the state's score.  The h after is the one the bound
+        test used: f less g for a state that f pruned, else the h in force
+        when the state was looked up among the expansions finished in the
+        iteration, whether it was then expanded or cut off as searched."""
         ida = searcher(problem, m, right_shift=True)
-        found, entered, out = [], [], []
-        get = ida.tt.get
-        enter, dfs = ida._enter, ida._dfs
+        found, tested, out = [], [], []
+        get, enter = ida.tt.get, ida._enter
 
         def recording_get(key):
             found.append(get(key))
             return found[-1]
 
-        def recording_dfs(state, g, h, *rest):
-            entered.append(h)
-            return dfs(state, g, h, *rest)
+        class Finished(dict):
+            # `_enter` looks up exactly the states that pass its bound test.
+            def get(self, key):
+                tested.append(sys._getframe(1).f_locals["h"])
+                return super().get(key)
 
         def recording_enter(state, g, h, via, bound):
-            n, e = len(found), len(entered)
+            n, t = len(found), len(tested)
             result = enter(state, g, h, via, bound)
             if len(found) > n and found[-1] is not None and found[-1][0] > h:
-                after = entered[-1] if len(entered) > e else result[0] - g
+                if len(tested) > t:
+                    after = tested[-1]
+                else:
+                    assert result[1] and result[0] > bound  # pruned by f
+                    after = result[0] - g
                 out.append((found[-1], forbidden_set(problem, via), h, after))
             return result
 
-        ida.tt.get, ida._enter, ida._dfs = recording_get, recording_enter, recording_dfs
+        ida.tt.get, ida._enter, ida._done = recording_get, recording_enter, Finished()
         res = ida.run()
         assert res.outcome == "solved"
         assert validate_plan(problem, res.plan).ok

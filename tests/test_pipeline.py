@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import optimum, parallel_makespan, random_problem, seq_optimal, temporal_makespan
-from conftest import MIXED_COSTS, MIXED_DURS
+from conftest import MIXED_COSTS, MIXED_DURS, CappedRecorder, mixed_temporal_draws
 from hmplan import fixtures, hm, temporal
 from hmplan.cli import _build_parser
 from hmplan.hm import compute_base_heuristic
@@ -132,6 +132,25 @@ class TestEveryConfiguration:
             else:
                 # Past the limit, only an unsolvable problem may be proven so.
                 assert res.outcome == "unsolvable" and opt == INF, kw
+
+
+class TestTranspositionCutoffs:
+    """IDA* searches each (state, F) once per iteration whatever the
+    transposition table: with the default table, with one slot and with
+    none, tp4 matches the blind temporal oracle on draws with zero-duration
+    actions, the unsolvable 26th draw among them."""
+
+    @pytest.mark.parametrize("kw", [{}, dict(tt_size=1), dict(use_tt=False)],
+                             ids=["tt", "one-slot", "no-tt"])
+    def test_mixed_duration_draws_match_oracle(self, kw):
+        for p in mixed_temporal_draws(80):
+            opt = optimum(p)
+            res = run_pipeline(p, PlannerConfig(pipeline="tp4", **kw), CappedRecorder(5000))
+            if opt == INF:
+                assert res.outcome == "unsolvable", p
+            else:
+                assert res.outcome == "solved" and res.cost == opt, p
+                assert validate_plan(p, res.plan).ok
 
 
 class TestSuccessorMemo:
