@@ -1,53 +1,51 @@
-"""Complete h^m computation by one label-setting engine.
+"""Complete h^m computation: level rows for sequential h^2, label setting
+for the rest.
 
 `compute_base_heuristic` is the one entry point.  It takes the recursion
 from the problem's mode: sequential regression for sequential problems, the
 relaxed view of temporal regression (right-shift cuts never applied) for
-parallel and temporal ones.  An edge into a node is worth delta +
-max(offset + value of a regressed component), an oversized component being
-worth the max over its size <= m subsets; as deltas and offsets are >= 0,
-that is never below a value it reads.  So Knuth's generalization of
-Dijkstra's algorithm (Knuth 1977) finds the least fixpoint: a heap settles
-each node once, in order of value, and an edge fires once, when the last
-node it reads is settled.  The result is written into the shared heuristic
-table, its sets of size <= 2 in one `HeuristicTable.load`.  The atoms and
-pairs that never settle, worth INF, are the result's `Mutex`: the engine
-keeps the settled atoms and each atom's settled partners as it goes.
+parallel and temporal ones.  The result is written into the shared
+heuristic table, its sets of size <= 2 in one `HeuristicTable.load`.  The
+atoms and pairs that never settle, worth INF, are the result's `Mutex`:
+both engines hand it the settled atoms and, per atom p, the mask of the q
+whose pair {p, q} settled ({p} itself at q = p).
 
-Sequential h^2 is built as Haslum's P^m (Haslum 2009, "h^m(P) =
-h^1(P^m)") at m = 2: besides the atom sets of size <= 2, every action a is a
-node.  Its label is L(a) = cost(a) + the max over the size <= 2 subsets of
-pre(a), reached by one edge that reads those subsets (cost(a) outright if
-pre(a) is empty).  Once L(a) settles, a builds one edge into each target T
-of size <= 2 that meets add(a), is disjoint from delete(a) and has not
-settled yet.  The edge reads L(a) alone if T - add(a) lies within pre(a).
-Otherwise T = {p, q} with p added and q outside pre(a), and the edge is
-worth max(L(a), cost(a) + the max of {q} and {q, r} for r in pre(a)), and
-those sets are all it reads besides L(a).  That is cost(a) + the value of
-(T - add(a)) | pre(a), the regression of T through a, since h^m never falls
-from a set to its subsets.  The edges of one q share their reads, and their
-group watches one read first, as Chaff's watched literals do (Moskewicz et
-al. 2001): {q, w} for one atom w of pre(a), or {q} if pre(a) is empty.  The
-later of L(a) and that read to settle builds the group, and a read that
-ends INF, as most mutex pairs do, leaves it unbuilt.  a builds its other
-edges when L(a) settles.  An action whose precondition is never reached
-settles never and builds nothing.
+Sequential h^2 settles whole rows of pairs one value level at a time, much
+as Graphplan builds its levels (Blum and Furst 1997).  Row p is the mask
+of the q whose {p, q} has settled.  The levels come in ascending order, off
+a heap of the values that have something queued.  At a level v, the queued
+masks are ORed into both rows of each pair they name.  Then each action a
+with a precondition row that grew is looked at once (an action with an
+empty precondition, when the settled atoms grew): Q is the AND of its
+precondition rows (the settled atoms for an empty precondition), the q
+whose pair with every precondition has settled.  Once pre(a) lies within
+Q, the value of pre(a) is v, and a queues at v + cost(a) every {p} and
+every pair within add(a) - delete(a), plus {p, q} for p there and each q
+in Q outside add(a) | delete(a): the regression of {p, q} through a is
+pre(a) | {q}, worth v, as {q} is worth no more than a pair that holds it.
+Afterwards a queues only the q new to its Q, and their level is the value
+of pre(a) | {q}.  A zero-cost action queues into the level it is at,
+which is then taken again until nothing more settles at v.  Every value is the least over the regressions of the set, so this
+is the least fixpoint.
 
 Every other (mode, m), sequential h^1 and h^m for m >= 3 and parallel and
-temporal h^m at every m, builds one edge per regression of each set, all
-before the first set settles.  In the parallel and temporal modes, the
-recursion of Haslum and Geffner ("Heuristic planning with time and
-resources", 2001), the regressions of a set of one or two atoms are
-enumerated straight from its adders, their durations and the problem's
-conflict masks, in the order and with the cuts of `successors_temporal`;
-only larger sets, at m >= 3, go through that function and `relax_state`.
-The components of all the edges share one list of read ids per atom set.
+temporal h^m at every m, runs one label-setting engine, Knuth's
+generalization of Dijkstra's algorithm (Knuth 1977).  An edge into a set
+is worth delta + max(offset + value of a regressed component), an
+oversized component being worth the max over its size <= m subsets; as
+deltas and offsets are >= 0, that is never below a value it reads.  So a
+heap settles each set once, in order of value, and an edge fires once,
+when the last set it reads is settled.  The engine builds one edge per
+regression of each set, all before the first set settles.  In the
+parallel and temporal modes, the recursion of Haslum and Geffner
+("Heuristic planning with time and resources", 2001), the regressions of a
+set of one or two atoms are enumerated straight from its adders, their
+durations and the problem's conflict masks, in the order and with the
+cuts of `successors_temporal`; only larger sets, at m >= 3, go through
+that function and `relax_state`.  The components of all the edges share
+one list of read ids per atom set.
 
-A firing is one evaluation of an edge, counted in `GbfStats.rounds`: an
-edge whose reads have all settled when it is built fires at once, so every
-action-centred edge that reads L(a) alone counts as a firing.
-
-The engine runs on integers: the costs and the successor functions give
+Both engines run on integers: the costs and the successor functions give
 every delta and offset in the problem's units of 1/scale, and so does the
 table.
 """
@@ -56,8 +54,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, combinations
+from operator import and_
 
 from .htable import HeuristicTable
 from .model import INF, AtomSet, Mode, Problem
@@ -69,14 +69,14 @@ from .temporal import TempState, relax_state, successors_temporal
 @dataclass
 class GbfStats:
     sets: int  # atom sets of size <= m
-    # Edge firings, the action nodes' included; each edge fires at most once,
-    # and one whose reads have all settled when it is built fires then.
+    # Relaxations.  Label setting: edge firings, each edge firing at most
+    # once.  Sequential h^2: action looks, each action at most once per
+    # round of a level, one AND of its precondition rows per look.
     rounds: int
-    # Edges built: one per regression of each set up front (for a concurrent
-    # set of one or two atoms, one per regression `_small_regressions`
-    # enumerates); for sequential h^2, each action's own edge up front, its
-    # target edges as its label settled or, for a group that watches a
-    # read, as the later of that label and that read did.
+    # Label setting: edges built, one per regression of each set (for a
+    # concurrent set of one or two atoms, one per regression
+    # `_small_regressions` enumerates).  Sequential h^2: masks queued, one
+    # per atom of add(a) - delete(a) per look of a that queued pairs.
     edges: int
     # The atoms and pairs that never settled: their h^m is INF.
     mutex: Mutex
@@ -140,19 +140,16 @@ def _small_regressions(problem: Problem, s: AtomSet) -> Regressions:
     return out
 
 
-def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list, list]:
-    """The least fixpoint's label of every node by id, the ids of the sets of
+def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list[int]]:
+    """The least fixpoint's label of every set by id, the ids of the sets of
     size >= 3 by their sorted atom ids, the number of edge firings, the
-    number of edges built, the settled atoms, and per atom the atoms its
-    settled pairs hold besides it."""
+    number of edges built, and per atom p the mask of the q whose {p, q}
+    settled, p itself once {p} did."""
     n = len(problem.atoms)
     # Set ids: a for {a} and n + a*n + b for {a, b} with a < b, as htable
-    # lays them out; the sets of size >= 3 that m >= 3 needs follow, and for
-    # sequential h^2 one id per action after those.
+    # lays them out; the sets of size >= 3 that m >= 3 needs follow.
     big = {ids: n + n * n + i for i, ids in enumerate(chain.from_iterable(
         combinations(range(n), k) for k in range(3, m + 1)))}
-    first_action = n + n * n + len(big) if m >= 2 else n
-    actions = problem.actions if problem.mode is Mode.SEQUENTIAL and m == 2 else ()
 
     def ident(ids) -> int:
         """The id of the set of the atom ids, of size 1 to m, in any order."""
@@ -178,14 +175,14 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list
             return [ident(ids)] if ids else []
         return subsets(ids)
 
-    label = [INF] * (first_action + len(actions))
+    label = [INF] * (n + n * n + len(big) if m >= 2 else n)
     settled = bytearray(len(label))
-    readers: defaultdict[int, list[int]] = defaultdict(list)  # edges reading a node
+    readers: defaultdict[int, list[int]] = defaultdict(list)  # edges reading a set
     heap: list[tuple[int, int]] = []
     # An edge (delta, components) is worth delta + max over its components
     # (offset, ids read) of offset + the max of the labels read (0 if none).
     # Per waiting edge: (its target's id, its delta, its components) and its
-    # count of distinct unsettled nodes read.
+    # count of distinct unsettled sets read.
     edges: list[tuple] = []
     waiting: list[int] = []
     fired = built = 0
@@ -199,104 +196,26 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list
             label[t] = v
             heappush(heap, (v, t))
 
-    def add_edges(ts, d: int, cs, wait) -> None:
-        """One edge (d, cs) into each target; it fires now if it waits for no
-        node, and else when the last of the nodes in wait settles."""
-        nonlocal built
-        built += len(ts)
-        for t in ts:
-            if not wait:
-                fire(t, d, cs)
-                continue
-            e = len(edges)
-            for i in wait:
-                readers[i].append(e)
-            edges.append((t, d, cs))
-            waiting.append(len(wait))
-
-    def connect(node: int, cost: int, ts: list[int], ids: list[int]) -> None:
-        """Edges into the targets reading the action node and, at the
-        action's cost, the ids."""
-        cs = ((0, (node,)), (cost, ids)) if ids else ((0, (node,)),)
-        add_edges(ts, 0, cs, [i for i in ids if not settled[i]])
-
-    # rows[q][r] is the id of {q, r} (q itself at r = q), so a list of atoms
-    # maps in bulk to the pairs they make with q.
-    rows = [[*range(n + q, n + q + q * n, n), q, *range(n + q * n + q + 1, n + q * n + n)]
-            for q in range(n)] if actions else []
-    # An action's group of B = {q}, q outside add(a) | delete(a) | pre(a),
-    # is built by the later to settle of L(a) and its watched read: {q, w}
-    # for one atom w of pre(a), or {q} if pre(a) is empty.  A settled action
-    # waits as a tuple `group` takes, in watchers[w] or in free.
-    watchers: list[list[tuple]] = [[] for _ in range(n)]
-    free: list[tuple] = []
-    partners: list[list[int]] = [[] for _ in range(n)]  # atom -> its settled pairs' atoms
-    singles: list[int] = []  # the settled singletons
-
-    def targets(q: int, adds: list[int]) -> list[int]:
-        """Ids of the unsettled pairs {p, q}, p one of the adds, through q's row."""
-        return [t for t in map(rows[q].__getitem__, adds) if not settled[t]]
-
-    def group(action: tuple, q: int) -> None:
-        """Build the action's edges of B = {q}, unless q is in add(a),
-        delete(a) or pre(a): one into each unsettled {p, q}, p in add(a),
-        reading L(a) and, at cost(a), {q} and {q, r} for each r in pre(a)."""
-        node, cost, adds, pre, skip = action
-        if q in skip:
-            return
-        ts = targets(q, adds)
-        if ts:
-            connect(node, cost, ts, [q, *map(rows[q].__getitem__, pre)])
-
-    def regress_through(a) -> None:
-        """Build the target edges of action a, whose label has just settled,
-        into the unsettled sets of size <= 2 it regresses: a nonempty subset
-        of add(a) - delete(a), which reads L(a) alone, and each pair {p, q}
-        with p in add(a) - delete(a) and q an atom a neither adds nor
-        deletes.  If q is in pre(a), that pair too reads L(a) alone; if not,
-        it reads {q} and {q, r} for each r in pre(a) besides, which depend on
-        q alone, so the edges of one q share their reads.  Those groups are
-        built by `group` once their watched read settles too; all the other
-        edges now."""
-        node = first_action + a.index
-        cost = problem.cost_units[a]
-        adds = sorted(a.add - a.delete)
-        connect(node, cost, [t for t in subsets(adds) if not settled[t]], [])  # B empty
-        pre = sorted(a.pre)
-        for q in pre:
-            if q not in a.add and q not in a.delete:  # within pre(a): L(a) alone
-                ts = targets(q, adds)
-                if ts:
-                    connect(node, cost, ts, [])
-        action = (node, cost, adds, pre, a.add | a.delete | a.pre)
-        if pre:
-            # Watch the atom with the fewest settled pairs: the fewest
-            # groups to build now, for they may never fire.
-            w = min(pre, key=lambda r: len(partners[r]))
-            watchers[w].append(action)
-            for q in partners[w]:
-                group(action, q)
-        else:
-            free.append(action)
-            for q in singles:
-                group(action, q)
-
     for key in subsets(sorted(problem.init)):
         label[key] = 0
         heappush(heap, (0, key))
-    if not actions:
-        read_ids = LazyMap(reads)  # one shared list per component atom set
-        for s in _subsets_upto(range(n), m):
-            if s <= problem.init:
+    read_ids = LazyMap(reads)  # one shared list per component atom set
+    for s in _subsets_upto(range(n), m):
+        if s <= problem.init:
+            continue
+        key = ident(tuple(s))
+        for d, components in _regressions(problem, s):
+            built += 1
+            cs = [(offset, read_ids[atoms]) for atoms, offset in components]
+            wait = cs[0][1] if len(cs) == 1 else set(chain.from_iterable(ids for _, ids in cs))
+            if not wait:
+                fire(key, d, cs)
                 continue
-            key = ident(tuple(s))
-            for d, components in _regressions(problem, s):
-                cs = [(offset, read_ids[atoms]) for atoms, offset in components]
-                wait = cs[0][1] if len(cs) == 1 else set(chain.from_iterable(ids for _, ids in cs))
-                add_edges((key,), d, cs, wait)
-    for a in actions:
-        ids = subsets(sorted(a.pre))
-        add_edges((first_action + a.index,), problem.cost_units[a], ((0, ids),), ids)
+            for i in wait:
+                readers[i].append(len(edges))
+            edges.append((key, d, cs))
+            waiting.append(len(wait))
+    rows = [0] * n
     while heap:
         _, i = heappop(heap)
         if settled[i]:
@@ -308,21 +227,97 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list
                 t, d, cs = edges[e]
                 if not settled[t]:
                     fire(t, d, cs)
-        if i >= first_action:
-            regress_through(actions[i - first_action])
-        elif i < n:
-            singles.append(i)
-            for action in free:
-                group(action, i)
+        if i < n:
+            rows[i] |= 1 << i
         elif i < n + n * n:
             q, w = divmod(i - n, n)
-            partners[q].append(w)
-            partners[w].append(q)
-            for action in watchers[w]:
-                group(action, q)
-            for action in watchers[q]:
-                group(action, w)
-    return label, big, fired, built, singles, partners
+            rows[q] |= 1 << w
+            rows[w] |= 1 << q
+    return label, big, fired, built, rows
+
+
+def _level_rows(problem: Problem) -> tuple[list[list], int, int, list[int]]:
+    """Sequential h^2 level by level: per atom p the values of {p, q} by q
+    ({p} at q = p), the number of action looks, the number of masks queued,
+    and per atom p the mask of the q whose {p, q} settled, p itself once {p}
+    did."""
+    n = len(problem.atoms)
+    value = [[INF] * n for _ in range(n)]
+    rows = [0] * n
+    # Per action that adds an atom it does not delete: (precondition, its
+    # mask, cost, adds, their mask, the mask of the atoms it leaves alone).
+    actions: dict[int, tuple] = {}
+    users: list[list[int]] = [[] for _ in range(n)]  # atom -> actions that need it
+    free = []  # the actions that need nothing
+    for a in problem.actions:
+        adds = sorted(a.add - a.delete)
+        if not adds:
+            continue
+        actions[a.index] = (sorted(a.pre), problem.pre_masks[a.index], problem.cost_units[a],
+                            adds, sum(1 << p for p in adds),
+                            ~sum(1 << p for p in a.add | a.delete))
+        for r in a.pre:
+            users[r].append(a.index)
+        if not a.pre:
+            free.append(a.index)
+    seen: dict[int, int] = {}  # active action -> its Q at its last look
+    buckets: dict[int, dict[int, int]] = {}  # level -> atom -> mask of pairs queued
+    heap: list[int] = []
+    looks = queued = 0
+
+    def queue(w: int, atoms, mask: int) -> None:
+        """Queue {p, q} at level w for each p of the atoms and q of the mask."""
+        bucket = buckets.get(w)
+        if bucket is None:
+            bucket = buckets[w] = {}
+            heappush(heap, w)
+        for p in atoms:
+            bucket[p] = bucket.get(p, 0) | mask
+
+    queue(0, problem.init, sum(1 << p for p in problem.init))  # level 0 even if init is empty
+    settled = 0
+    last = -1  # the settled atoms at the last look of the free actions
+    while heap:
+        v = heappop(heap)
+        grown = set()
+        for p, mask in buckets.pop(v).items():
+            new = mask & ~rows[p]
+            if not new:
+                continue
+            rows[p] |= new
+            grown.add(p)
+            row = value[p]
+            while new:
+                low = new & -new
+                new ^= low
+                q = low.bit_length() - 1
+                row[q] = v
+                if q == p:
+                    settled |= low
+                else:
+                    rows[q] |= 1 << p
+                    value[q][p] = v
+                    grown.add(q)
+        look = {i for r in grown for i in users[r]}
+        if settled != last:
+            last = settled
+            look.update(free)
+        looks += len(look)
+        for i in look:
+            pre, need, cost, adds, mask, keep = actions[i]
+            q = reduce(and_, map(rows.__getitem__, pre)) if pre else settled
+            old = seen.get(i)
+            if old is None:
+                if need & ~q:
+                    continue
+                new = q & keep | mask
+            else:
+                new = q & ~old & keep
+            seen[i] = q
+            if new:
+                queued += len(adds)
+                queue(v + cost, adds, new)
+    return value, looks, queued, rows
 
 
 def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> GbfStats:
@@ -332,10 +327,16 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
     if table.scale != problem.scale:
         raise ValueError(f"table counts 1/{table.scale}, problem 1/{problem.scale}")
     n = len(problem.atoms)
-    label, big, fired, built, singles, partners = _label_setting(problem, m)
-    table.load(label[:n], [label[n + a * n:n + a * n + n] for a in range(n)] if m >= 2 else [])
-    for ids, key in big.items():
-        table.store(frozenset(ids), label[key])
+    if problem.mode is Mode.SEQUENTIAL and m == 2:
+        value, rounds, edges, rows = _level_rows(problem)
+        table.load([value[a][a] for a in range(n)], value)
+        big = {}
+    else:
+        label, big, rounds, edges, rows = _label_setting(problem, m)
+        table.load(label[:n], [label[n + a * n:n + a * n + n] for a in range(n)] if m >= 2 else [])
+        for ids, key in big.items():
+            table.store(frozenset(ids), label[key])
     pairs = n * (n - 1) // 2 if m >= 2 else 0
-    mutex = Mutex(problem, singles, partners if m >= 2 else None)
-    return GbfStats(n + pairs + len(big), fired, built, mutex)
+    settled = sum(row & 1 << p for p, row in enumerate(rows))
+    mutex = Mutex(problem, settled, rows if m >= 2 else None)
+    return GbfStats(n + pairs + len(big), rounds, edges, mutex)

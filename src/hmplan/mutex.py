@@ -4,7 +4,7 @@ A set that holds such an atom or pair is worth INF under the complete h^m
 table, so no plan reaches it either.  HSPr pruned spurious regression states
 so (Bonet and Geffner, "Planning as heuristic search", 2001).
 `hm.compute_base_heuristic` gives the `Mutex` of the atoms and pairs its
-label setting settled, and a search space built on it never generates a
+fixpoint settled, and a search space built on it never generates a
 child that holds a mutex.  `no_mutex` is the empty relation, which prunes
 nothing: the spaces built without a table and the GBF regress by it.
 """
@@ -44,23 +44,22 @@ class Mutex:
     s - add(a) meets the latter, or pre(a) holds one itself; such an action
     is ruled out everywhere, by every atom (-1).
 
-    `settled` lists the settled atoms and `partners[p]` the atoms whose pair
-    with p settled; without `partners` (h^1 settles no pair) only atoms are
-    mutexes, and without `settled` nothing is.  The masks of a nonempty
-    relation are built on first use: a search over a large grounding
-    regresses only a small share of its atoms and actions."""
+    `settled` is the mask of the settled atoms and `partners[p]` the mask
+    of the q whose pair with p settled, p itself among them; without
+    `partners` (h^1 settles no pair) only atoms are mutexes, and without
+    `settled` nothing is.  The masks of a nonempty relation are built on
+    first use: a search over a large grounding regresses only a small share
+    of its atoms and actions."""
 
-    def __init__(self, problem: Problem, settled: list[int] | None = None,
-                 partners: list[list[int]] | None = None) -> None:
+    def __init__(self, problem: Problem, settled: int | None = None,
+                 partners: list[int] | None = None) -> None:
         if settled is None:
             self.atoms = (0,) * len(problem.atoms)
             self.pre = (0,) * len(problem.actions)
             self.blocking = problem.delete_masks
             return
-        n = len(problem.atoms)
-        self._bits = [1 << p for p in range(n)]
-        self._all = (1 << n) - 1
-        self._dead = self._all ^ sum(map(self._bits.__getitem__, settled))
+        self._all = (1 << len(problem.atoms)) - 1
+        self._dead = self._all ^ settled
         self._partners = partners
         self._problem = problem
         self.atoms = LazyMap(self._atom)
@@ -73,14 +72,13 @@ class Mutex:
         if self._partners is None:
             return self._dead
         # The unsettled partners, unsettled atoms among them; p is not its own.
-        return self._all ^ self._bits[p] ^ sum(map(self._bits.__getitem__, self._partners[p]))
+        return self._all ^ self._partners[p]
 
     def _pre(self, i: int) -> int:
-        mask = held = 0
+        mask = 0
         for p in self._problem.actions[i].pre:
             mask |= self.atoms[p]
-            held |= self._bits[p]
-        return -1 if mask & held else mask
+        return -1 if mask & self._problem.pre_masks[i] else mask
 
     def _blocking(self, i: int) -> int:
         near = self.pre[i]
@@ -88,9 +86,9 @@ class Mutex:
             return -1
         a = self._problem.actions[i]
         for p in a.add:
-            near &= ~self._bits[p]
+            near &= ~(1 << p)
         for p in a.delete:
-            near |= self._bits[p]
+            near |= 1 << p
         return near
 
 

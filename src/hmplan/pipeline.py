@@ -1,7 +1,7 @@
 """The planner pipeline.
 
 `run_pipeline` is the one entry point.  Every run starts from a complete h^m
-heuristic, computed by the label-setting engine of `hm`, and ends with IDA*
+heuristic, computed by `hm.compute_base_heuristic`, and ends with IDA*
 on the shared heuristic table.  The boosted pipeline ("hspa") runs
 relaxed m-regression passes with increasing m in between, each of which
 improves the table, until a stopping rule fires; the plain pipeline ("tp4")

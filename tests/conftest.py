@@ -360,9 +360,9 @@ def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, int | float]:
     nothing.  Each set has one edge per regression of it: by an action from
     `successors_seq` in sequential mode, and otherwise by a relaxed temporal
     regression from `successors_temporal` and `relax_state`.  It keeps its own
-    sets, labels and relaxation step and no action nodes, so it checks the
-    label-setting engine of `compute_base_heuristic`, and returns every set's
-    value in units of 1/problem.scale."""
+    sets, labels and relaxation step, with neither rows nor value levels, so
+    it checks both engines of `compute_base_heuristic`, and returns every
+    set's value in units of 1/problem.scale."""
     from hmplan.sequential import successors_seq
     from hmplan.temporal import relax_state, successors_temporal
 

@@ -105,8 +105,8 @@ class TestTemporalValues:
 
 def unchecked_action(index, name, pre, add, delete, cost):
     """A GroundAction built without its checks, which reject an add that
-    meets the delete and a cost of 0.  The engine's equations for an action
-    node hold there too, so it must still agree with the sweep."""
+    meets the delete and a cost of 0.  The h^2 equations hold there too, so
+    the engines must still agree with the sweep."""
     action = object.__new__(GroundAction)
     fields = dict(index=index, name=name, pre=frozenset(pre), add=frozenset(add),
                   delete=frozenset(delete), cost=Fraction(cost), dur=Fraction(1))
@@ -125,7 +125,8 @@ def hand_built(*specs, init="r"):
     return Problem(atoms, actions, frozenset(map(ids.__getitem__, init)), frozenset({0, 1}))
 
 
-# Per corner of the action-centred edges: a problem, a set and its h^2 value.
+# Per corner of sequential h^2: a problem, a set and its h^2 value.  Q(a) is
+# the mask of the atoms q whose pair with every precondition of a settled.
 EDGE_CASES = {
     # a0 adds and deletes q, so it regresses neither {q} nor {p, q}.
     # [DERIVED: {p} by a0 costs 1, then {q} and {p, q} by a1 cost 2]
@@ -134,11 +135,13 @@ EDGE_CASES = {
     # [DERIVED: {p, r} costs 2 (a0 then a2), so {q} by a1 costs 3]
     "empty precondition": (hand_built(("", "p", "r", 1), ("pr", "q", "", 1),
                                       ("", "r", "", 1)), "q", 3),
-    # a0 and a2 cost 0 and a2 closes a cycle p -> q -> p.
+    # a0 and a2 cost 0 and a2 closes a cycle p -> q -> p: they queue into
+    # the level they are looked at in.
     # [DERIVED: p is free, q costs a1's 1, and so does {p, q}]
     "zero-cost action": (hand_built(("r", "p", "", 0), ("p", "q", "", 1),
                                     ("q", "p", "", 0)), "pq", 1),
-    # {p, q} through a0 regresses to pre(a0) = {q}: it reads L(a0) alone.
+    # {p, q} through a0 regresses to pre(a0) = {q}: q is in Q(a0) once a0
+    # is active.
     # [DERIVED: q costs 2, p and {p, q} cost 3]
     "pair partly in the precondition": (hand_built(("q", "p", "", 1), ("r", "q", "", 2)),
                                         "pq", 3),
@@ -146,25 +149,25 @@ EDGE_CASES = {
     # [DERIVED: a0's 3 is the least]
     "pair wholly added": (hand_built(("r", "pq", "", 3), ("r", "p", "", 1),
                                      ("p", "q", "", 3)), "pq", 3),
-    # {p, q} through a3 reads {q}, {q, r} and {q, s}, all cheap and settled
-    # before L(a3), which holds the dear pair {r, s} of pre(a3); a4 makes p
+    # {p, q} through a3 regresses to {q, r, s}: q joins Q(a3) cheaply, long
+    # before the dear pair {r, s} of pre(a3) makes a3 active; a4 makes p
     # cheap but deletes q.
     # [DERIVED: r and s together only by a2's 5, then a3's 1]
     "dear precondition pair": (hand_built(("", "r", "s", 1), ("", "s", "r", 1),
                                           ("", "rs", "", 5), ("rs", "p", "", 1),
                                           ("", "p", "q", 1), init="q"), "pq", 6),
-    # The group of B = {q} under a1 watches {q, s}, which a0 reaches at 1,
-    # before L(a1) settles at 4: L(a1) builds it.
+    # q joins Q(a1), the row of s, at 1, when a0 adds q and s; a1 costs 3,
+    # so it queues {p, q} as it turns active.
     # [DERIVED: q and s by a0 at 1, then p by a1 at 3 more]
     "watched pair before the label": (hand_built(("r", "qs", "", 1), ("s", "p", "", 3)),
                                       "pq", 4),
-    # L(a1) settles at 2, and its watched {q, s} only at 6, through a2,
-    # which deletes p: {q, s} builds the group.
+    # a1 is active at 1, and q joins Q(a1), the row of s, only at 6,
+    # through a2, which deletes p: a1 queues {p, q} then.
     # [DERIVED: s at 1, q with s at 6 by a2, then p by a1 at 1 more]
     "watched pair after the label": (hand_built(("r", "s", "", 1), ("s", "p", "", 1),
                                                 ("s", "q", "p", 5)), "pq", 7),
-    # a0 needs nothing, so its group of B = {q} watches {q}, which a1 reaches
-    # at 4, after L(a0) settles at 1, and a1 deletes p.
+    # a0 needs nothing, so Q(a0) is the settled atoms; q joins it at 4, by
+    # a1, which deletes p, long after a0 turned active at 0.
     # [DERIVED: q by a1 at 4, then p by a0 at 1 more]
     "empty precondition, singleton after the label": (
         hand_built(("", "p", "", 1), ("r", "q", "p", 4)), "pq", 5),
@@ -172,7 +175,8 @@ EDGE_CASES = {
 
 
 class TestStrategiesAgree:
-    """The label-setting engine equals the round-robin sweep in conftest."""
+    """The engines of `compute_base_heuristic` equal the round-robin sweep
+    in conftest."""
 
     @pytest.mark.parametrize("case", list(EDGE_CASES))
     def test_worklist_matches_sweep_on_edge_cases(self, case):
@@ -214,6 +218,31 @@ class TestStrategiesAgree:
             assert stored_sets(p, 4) == gbf_sweep(p, 4)
         assert wide > 0
 
+    def test_worklist_matches_sweep_random_corners(self):
+        # Draws re-rooted at an empty init, where only the actions that need
+        # nothing start anything, and draws with unchecked actions of zero
+        # cost or whose add meets their delete.
+        rng = random.Random(31)
+        zero = 0
+        for k in range(60):
+            p = random_problem(rng, max_atoms=7, max_actions=10,
+                               costs=MIXED_COSTS if k % 2 else None)
+            actions, init = list(p.actions), p.init
+            if k % 3 == 0:
+                init = frozenset()
+            else:
+                ids = range(len(p.atoms))
+                for j in range(rng.randint(1, 3)):
+                    pre, add = rng.sample(ids, rng.randint(0, 2)), rng.sample(ids, 2)
+                    delete = [add[0]] if rng.random() < 0.5 else rng.sample(ids, 1)
+                    cost = rng.choice([0, 0, Fraction(1, 2), 1])
+                    actions.append(unchecked_action(len(actions), f"u{j}", pre, add, delete, cost))
+                    zero += actions[-1].cost == 0
+            p = Problem(list(p.atoms), actions, init, p.goal)
+            for m in (1, 2, 3):
+                assert stored_sets(p, m) == gbf_sweep(p, m)
+        assert zero > 0
+
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
     def test_worklist_matches_sweep_random_concurrent(self, mode):
         rng = random.Random(19)
@@ -251,30 +280,39 @@ class TestLabelSetting:
         assert p.to_cost(t.eval(p.goal)) == Fraction(3, 2)
 
     def test_each_edge_fires_at_most_once(self, sat1):
+        # Sequential h^2 looks at an action at most once per level, and a
+        # look queues at most one mask per atom the action adds.
         stats = compute_base_heuristic(sat1, HeuristicTable(), 2)
-        # Pinned: the engine's firings here, counting the action nodes' edges
-        # and every edge that fired as it was built.  Every edge built here
-        # fires: none waits on a set that ends INF.
-        assert stats.edges == stats.rounds == 84
+        # [DERIVED: levels 0 to 7, each taken once (no zero-cost action);
+        # the rows that grow at each level bring 5, 24, 19, 8, 18, 12, 23
+        # and 0 of the 24 actions to look at, 109 looks, of which 5, 21,
+        # 17, 5, 18, 9 and 23 find new atoms in Q: 98 masks, one atom added
+        # by each action.  Level 0 looks at the four turns from d1 and at
+        # power-on, which needs nothing; level 1, where the other four
+        # directions and on settle, at all 24.]
+        assert (stats.rounds, stats.edges) == (109, 98)
 
     def test_group_watching_a_mutex_is_never_built(self):
-        # a0 deletes q and a1 deletes s, so {q, s} is INF.  a2's group of
-        # B = {q}, into {p, q}, watches {q, s}, and is never built.
-        # [DERIVED: 3 action edges; a0 into {s}, {r, s} and {p, s}; a1 into
-        # {q}, {q, r} and {p, q}; a2 into {p}, {p, s} and {p, r}: 12 edges,
-        # each of which fires.  Built as soon as L(a2) settles, a2's group
-        # would be a 13th edge that never fires.]
+        # a0 deletes q and a1 deletes s, so {q, s} is INF: q never joins
+        # Q(a2), the row of s, and a2 never queues {p, q}.
+        # [DERIVED: level 0 settles r and looks at a0, which queues {s} and
+        # {r, s} at 1; level 1 looks at a0 (r's row grew), which finds
+        # nothing new, and at a1 and a2 (s's row grew), which queue {q},
+        # {q, r} and {p}, {p, r}, {p, s} at 2; level 2 looks at a0, which
+        # queues {p, s} at 3, at a1, which queues {p, q} at 3, and at a2,
+        # whose new p it adds itself.  7 looks, 5 masks.  A mask of a2 for
+        # q would be a 6th.]
         p = hand_built(("r", "s", "q", 1), ("s", "q", "s", 1), ("s", "p", "", 1))
         t = HeuristicTable()
         stats = compute_base_heuristic(p, t, 2)
         assert t.eval(p.atom_set("q", "s")) == INF
-        assert stats.edges == stats.rounds == 12
+        assert (stats.rounds, stats.edges) == (7, 5)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_per_set_edges_outside_sequential_h2(self, m):
-        # Only sequential h^2 has action nodes.  At every other (mode, m) the
-        # engine builds one edge per regression of each set not within init,
-        # also where `_small_regressions` enumerates them.
+        # Only sequential h^2 runs level by level.  At every other (mode, m)
+        # the engine builds one edge per regression of each set not within
+        # init, also where `_small_regressions` enumerates them.
         rng = random.Random(7)
         for mode in [Mode.PARALLEL, Mode.TEMPORAL] if m == 2 else list(Mode):
             for k in range(20):
@@ -287,7 +325,8 @@ class TestLabelSetting:
                 assert compute_base_heuristic(p, HeuristicTable(p.scale), m).edges == regressions
 
     def test_unreached_action_builds_no_target_edges(self, sat1):
-        # An action needing an atom nothing adds builds only its own edge.
+        # An action needing an atom nothing adds is never looked at: no row
+        # of its precondition ever grows.
         atoms = list(sat1.atoms) + [Atom(len(sat1.atoms), "never")]
         dead = GroundAction(len(sat1.actions), "dead", frozenset({atoms[-1].id}),
                             sat1.atom_set("cal"), frozenset())
@@ -295,8 +334,9 @@ class TestLabelSetting:
         with_dead = Problem(atoms, list(sat1.actions) + [dead], sat1.init, sat1.goal)
         base = compute_base_heuristic(without, HeuristicTable(), 2)
         more = compute_base_heuristic(with_dead, HeuristicTable(), 2)
-        assert more.edges == base.edges + 1
-        assert more.rounds == base.rounds
+        # [DERIVED: the row of "never" stays empty, so the dead action adds
+        # no look and no mask]
+        assert (more.rounds, more.edges) == (base.rounds, base.edges)
 
 
 def temporal_pq(*specs):
