@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
+from operator import itemgetter
 import re
 
-from .model import Atom, GroundAction, Mode, Problem
+from .model import ONE, Atom, GroundAction, Mode, Problem
 
 
 class PddlError(Exception):
@@ -334,6 +335,11 @@ def _parse_action(node: SList, filename: str) -> ActionSchema:
     if isinstance(params_node, Token):
         raise PddlError("expected a parameter list", filename, *_pos(params_node))
     params = _typed_list(list(params_node), filename) if params_node else ()
+    names = [v for v, _ in params]
+    for v in names:
+        if names.count(v) > 1:
+            raise PddlError(f"parameter {v} declared twice in action {name}",
+                            filename, *_pos(node))
     dur = _duration(sec[":duration"], filename) if ":duration" in sec else Fraction(1)
     # Only a durative action's :condition and :effect carry time annotations.
     timed = _strip_time_annotations if durative else lambda n, _: n
@@ -469,14 +475,111 @@ def _subtypes(types: tuple[tuple[str, str], ...], filename: str) -> dict[str, se
     return out
 
 
+def _args_of(slots: list[int]):
+    """A callable that takes a row to the tuple of its entries at `slots`
+    (`itemgetter` of one item gives the item, not a 1-tuple)."""
+    if len(slots) == 1:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(*slots) if slots else itemgetter(slice(0, 0))
+
+
+def _join(schema: ActionSchema, pools: list[list[str]], static_pre: list[Literal],
+          static: dict[str, set[tuple[str, ...]]]) -> list[tuple[str, ...]]:
+    """The bindings of `schema`'s parameters that pass its = and not = tests
+    and its `static_pre` literals, each a tuple of one object per parameter,
+    in `itertools.product(*pools)` order.
+
+    A test with no variable runs once.  A test of one parameter alone
+    (against constants or itself) filters that parameter's pool once, a
+    static literal by the objects its facts in `static` allow.  Any other
+    test runs on each partial binding as it extends to the parameter of
+    its last variable: an (in)equality compares with one earlier object,
+    and a static literal looks up the objects allowed in a table of its
+    facts keyed by its earlier objects."""
+    index = {v: i for i, (v, _) in enumerate(schema.params)}
+    pools = list(pools)
+    # tests[k]: what a partial binding runs as it extends to parameter k,
+    # as (getter of the earlier objects read, table, keep).  An (in)equality
+    # has no table and keeps the objects equal (keep True) or unequal to
+    # the one earlier object; a static literal keeps the objects its table
+    # gives for the earlier objects.
+    tests: list[list] = [[] for _ in pools]
+    for (x, y), keep in itertools.chain(zip(schema.eq, itertools.repeat(True)),
+                                        zip(schema.neq, itertools.repeat(False))):
+        i, k = sorted((index.get(x, -1), index.get(y, -1)))
+        if k < 0:
+            if (x == y) is not keep:
+                return []
+        elif i == k:
+            if not keep:
+                return []
+        elif i < 0:
+            c = x if x not in index else y
+            pools[k] = [o for o in pools[k] if (o == c) is keep]
+        else:
+            tests[k].append((itemgetter(i), None, keep))
+    for lit in static_pre:
+        facts = static.get(lit.pred, ())
+        first: dict[str, int] = {}
+        for p, a in enumerate(lit.args):
+            first.setdefault(a, p)
+        variables = sorted(index[a] for a in first if a in index)
+        if not variables:
+            if lit.args not in facts:
+                return []
+            continue
+        *earlier, k = variables
+        at_k = first[schema.params[k][0]]
+        facts = [f for f in facts if all(
+            f[p] == (f[first[a]] if a in index else a) for p, a in enumerate(lit.args))]
+        if not earlier:
+            allowed = {f[at_k] for f in facts}
+            pools[k] = [o for o in pools[k] if o in allowed]
+            continue
+        key = itemgetter(*(first[schema.params[i][0]] for i in earlier))
+        table: dict = {}
+        for f in facts:
+            table.setdefault(key(f), set()).add(f[at_k])
+        tests[k].append((itemgetter(*earlier), table, True))
+
+    rows: list[tuple[str, ...]] = [()]
+    for pool, level in zip(pools, tests):
+        if not level:
+            rows = [row + (o,) for row in rows for o in pool]
+            continue
+        out = []
+        for row in rows:
+            objs = pool
+            for get, table, keep in level:
+                key = get(row)
+                if table is None:
+                    objs = [o for o in objs if (o == key) is keep]
+                else:
+                    allowed = table.get(key, ())
+                    objs = [o for o in objs if o in allowed]
+            out += [row + (o,) for o in objs]
+        rows = out
+    return rows
+
+
 def ground(domain: DomainAst, problem: ProblemAst,
            mode: Mode = Mode.SEQUENTIAL) -> Problem:
-    """Instantiate every type-respecting parameter binding of every schema.
+    """Instantiate every type-respecting parameter binding of every schema
+    that its constraints and static facts allow.
 
-    Static facts in preconditions (predicates no action affects) are checked
-    against the initial state and removed; instances failing them, or whose
-    add and delete sets collide, are dropped.  Actions needing an atom that
-    nothing adds and the initial state lacks are pruned to a fixpoint.
+    Static facts in preconditions (predicates no action affects) are tested
+    against the initial state and removed.  `_join` extends partial
+    bindings one parameter at a time, in declared order, and tests each =,
+    not = and static precondition at the parameter that binds its last
+    variable, so a binding is cut as soon as the objects that decide it
+    are bound.  Extending each survivor by its parameter's pool in pool
+    order keeps the survivors in `itertools.product` order, and the add,
+    delete and remaining precondition literals are substituted only for
+    full survivors, so atom ids (numbered at first use) and the action
+    order are those of grounding the whole product.  Instances whose add
+    and delete sets collide are dropped, as are schemas that add nothing.
+    Actions needing an atom that nothing adds and the initial state lacks
+    are pruned to a fixpoint.
     """
     if problem.domain.text != domain.name:
         raise PddlError(f"problem is for domain {problem.domain.text!r}, not {domain.name!r}",
@@ -491,6 +594,11 @@ def ground(domain: DomainAst, problem: ProblemAst,
         if t not in assignable:
             raise PddlError(f"object {o!r} has undeclared type {t!r}", filename)
         objects[o] = t
+    for pred, types in domain.predicates:
+        for t in types:
+            if t not in assignable:
+                raise PddlError(f"undeclared type {t!r} in predicate {pred}",
+                                domain.filename)
     by_type: dict[str, list[str]] = {}
     for o, t in objects.items():
         for sup, subs in assignable.items():
@@ -520,11 +628,14 @@ def ground(domain: DomainAst, problem: ProblemAst,
     for lit in problem.init + problem.goal:
         check_lit(lit, "problem", problem.filename)
 
-    # A ground atom is (predicate, objects), without a source position.
-    static_init = {(lit.pred, lit.args) for lit in problem.init
-                   if lit.pred not in affected}
+    # The argument tuples of each static predicate that hold initially.
+    static: dict[str, set[tuple[str, ...]]] = {}
+    for lit in problem.init:
+        if lit.pred not in affected:
+            static.setdefault(lit.pred, set()).add(lit.args)
 
-    # Deterministic atom ids: first occurrence order.
+    # Deterministic atom ids: first occurrence order.  A ground atom is
+    # (predicate, objects), without a source position.
     atom_ids: dict[tuple[str, tuple[str, ...]], int] = {}
 
     def atom_of(atom: tuple[str, tuple[str, ...]]) -> int:
@@ -540,42 +651,54 @@ def ground(domain: DomainAst, problem: ProblemAst,
             if x.startswith("?") and x not in var_names:
                 raise PddlError(f"unbound variable {x} in {ctx}", domain.filename,
                                 schema.line, schema.col)
+            if not x.startswith("?") and x not in objects:
+                raise PddlError(f"undeclared object {x!r} in {ctx}", domain.filename,
+                                schema.line, schema.col)
         pools = []
         for v, t in schema.params:
             if t not in assignable:
                 raise PddlError(f"undeclared type {t!r} in {ctx}", domain.filename,
                                 schema.line, schema.col)
             pools.append(by_type.get(t, []))
-        for binding in itertools.product(*pools):
-            env = dict(zip(var_names, binding))
-            term = lambda x: env.get(x, x)  # every variable is bound (checked)
-            if any(term(x) != term(y) for x, y in schema.eq):
-                continue
-            if any(term(x) == term(y) for x, y in schema.neq):
-                continue
-            sub = lambda lit: (lit.pred, tuple(term(a) for a in lit.args))
-            pre_lits = [sub(l) for l in schema.pre]
-            add_lits = [sub(l) for l in schema.add]
-            del_lits = [sub(l) for l in schema.delete]
-            if any(l[0] not in affected and l not in static_init for l in pre_lits):
-                continue  # a static precondition is false
-            pre_lits = [l for l in pre_lits if l[0] in affected]
-            if set(add_lits) & set(del_lits):
+        if not schema.add:
+            continue  # cannot establish anything; irrelevant to regression
+        static_pre = [l for l in schema.pre if l.pred not in affected]
+        fluent = ([l for l in schema.pre if l.pred in affected], schema.add, schema.delete)
+        # An instance is dropped when an add meets a delete, which only
+        # literals of one predicate can do.
+        clash = not {l.pred for l in schema.add}.isdisjoint(l.pred for l in schema.delete)
+        if schema.params:
+            # A row is a binding followed by the constants of the literals.
+            consts = tuple(dict.fromkeys(
+                a for l in itertools.chain(*fluent) for a in l.args if a not in var_names))
+            slot = {a: i for i, a in enumerate((*var_names, *consts))}
+            pre, add, delete = ([(l.pred, _args_of([slot[a] for a in l.args])) for l in lits]
+                                for lits in fluent)
+            instances = ((" ".join((schema.name, *binding)),
+                          [(p, args(row)) for p, args in pre],
+                          [(p, args(row)) for p, args in add],
+                          [(p, args(row)) for p, args in delete])
+                         for binding in _join(schema, pools, static_pre, static)
+                         for row in (binding + consts,))
+        elif (all(l.args in static.get(l.pred, ()) for l in static_pre)
+              and all(x == y for x, y in schema.eq)
+              and all(x != y for x, y in schema.neq)):
+            instances = [(schema.name, *([(l.pred, l.args) for l in lits] for lits in fluent))]
+        else:
+            continue
+        for name, pre_lits, add_lits, del_lits in instances:
+            if clash and not set(add_lits).isdisjoint(del_lits):
                 continue  # contradictory instance
-            if not add_lits:
-                continue  # cannot establish anything; irrelevant to regression
-            name = " ".join((schema.name,) + binding)
-            pre_set = frozenset(atom_of(l) for l in pre_lits)
-            add_set = frozenset(atom_of(l) for l in add_lits)
-            del_set = frozenset(atom_of(l) for l in del_lits)
-            raw.append((name, pre_set, add_set, del_set, schema.dur))
+            raw.append((name, frozenset(map(atom_of, pre_lits)),
+                        frozenset(map(atom_of, add_lits)),
+                        frozenset(map(atom_of, del_lits)), schema.dur))
 
     init_atoms = frozenset(atom_of((l.pred, l.args)) for l in problem.init
                            if l.pred in affected)
     goal_atoms = frozenset(atom_of((l.pred, l.args)) for l in problem.goal
                            if l.pred in affected)
     for lit in problem.goal:
-        if lit.pred not in affected and (lit.pred, lit.args) not in static_init:
+        if lit.pred not in affected and lit.args not in static.get(lit.pred, ()):
             # A static goal no action can achieve: keep it as an atom with no
             # adder so the planner reports unsolvable rather than erroring.
             goal_atoms = goal_atoms | {atom_of((lit.pred, lit.args))}
@@ -593,12 +716,9 @@ def ground(domain: DomainAst, problem: ProblemAst,
 
     atoms = [Atom(i, " ".join((pred,) + args))
              for i, (pred, args) in enumerate(atom_ids)]
-    actions = []
-    for idx, i in enumerate(keep):
-        name, pre, add, delete, dur = raw[i]
-        if mode is not Mode.TEMPORAL:
-            dur = Fraction(1)
-        actions.append(GroundAction(idx, name, pre, add, delete, Fraction(1), dur))
+    temporal = mode is Mode.TEMPORAL
+    actions = [GroundAction(idx, name, pre, add, delete, ONE, dur if temporal else ONE)
+               for idx, (name, pre, add, delete, dur) in enumerate(raw[i] for i in keep)]
     return Problem(atoms, actions, init_atoms, goal_atoms, mode, problem.name)
 
 

@@ -10,6 +10,8 @@ the two share only `compatible` and the state and edge types.  Sequential
 regression is stated here by `applicable_seq` and `regress_seq`, the full
 scan over every action that `successors_seq` must match, and temporal plan
 validation by `validate_temporal_oracle`, which `validate_plan` must match.
+`ground_by_product` is the plain product grounder that `pddl.ground`'s join
+must match.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 
 from hmplan.metrics import Recorder
 from hmplan.model import INF, ZERO, Atom, AtomSet, GroundAction, Mode, Plan, Problem
+from hmplan.pddl import DomainAst, Literal, PddlError, ProblemAst, _pos, _subtypes
 from hmplan.temporal import FEntry, TempEdge, TempState, compatible, final_temporal
 from hmplan.validate import ValidationResult
 
@@ -448,6 +451,138 @@ def mixed_temporal_draws(count: int):
     rng = random.Random(20240817)
     return [random_problem(rng, max_atoms=7, max_actions=10, mode=Mode.TEMPORAL,
                            durs=MIXED_DURS) for _ in range(count)]
+
+
+def ground_by_product(domain: DomainAst, problem: ProblemAst,
+                      mode: Mode = Mode.SEQUENTIAL) -> Problem:
+    """The reference grounder `pddl.ground` must match: it walks every
+    binding of `itertools.product` over the typed pools and substitutes all
+    of a binding's literals before it tests the (in)equality constraints and
+    static preconditions.  Same atoms (ids and names), actions (order,
+    names, sets, durations), init and goal as `pddl.ground`, far slower.
+    """
+    if problem.domain.text != domain.name:
+        raise PddlError(f"problem is for domain {problem.domain.text!r}, not {domain.name!r}",
+                        problem.filename, *_pos(problem.domain))
+    assignable = _subtypes(domain.types, domain.filename)
+    objects: dict[str, str] = {}
+    declared = [(o, t, domain.filename) for o, t in domain.constants]
+    declared += [(o, t, problem.filename) for o, t in problem.objects]
+    for o, t, filename in declared:
+        if o in objects:
+            raise PddlError(f"object {o!r} declared twice", filename)
+        if t not in assignable:
+            raise PddlError(f"object {o!r} has undeclared type {t!r}", filename)
+        objects[o] = t
+    by_type: dict[str, list[str]] = {}
+    for o, t in objects.items():
+        for sup, subs in assignable.items():
+            if t in subs:
+                by_type.setdefault(sup, []).append(o)
+
+    arities = dict(domain.predicates)
+    affected = {lit.pred for a in domain.actions for lit in a.add + a.delete}
+
+    def check_lit(lit: Literal, ctx: str, filename: str, variables=()) -> None:
+        """Raise at the literal's position unless its predicate is declared
+        with its arity, its variables are bound and its objects declared."""
+        def fail(message: str) -> None:
+            raise PddlError(f"{message} in {ctx}", filename, lit.line, lit.col)
+
+        if lit.pred not in arities:
+            fail(f"undeclared predicate {lit.pred!r}")
+        if len(lit.args) != len(arities[lit.pred]):
+            fail(f"wrong arity for {lit.pred!r}")
+        for arg in lit.args:
+            if arg.startswith("?"):
+                if arg not in variables:
+                    fail(f"unbound variable {arg}")
+            elif arg not in objects:
+                fail(f"undeclared object {arg!r}")
+
+    for lit in problem.init + problem.goal:
+        check_lit(lit, "problem", problem.filename)
+
+    # A ground atom is (predicate, objects), without a source position.
+    static_init = {(lit.pred, lit.args) for lit in problem.init
+                   if lit.pred not in affected}
+
+    # Deterministic atom ids: first occurrence order.
+    atom_ids: dict[tuple[str, tuple[str, ...]], int] = {}
+
+    def atom_of(atom: tuple[str, tuple[str, ...]]) -> int:
+        return atom_ids.setdefault(atom, len(atom_ids))
+
+    raw: list[tuple[str, frozenset, frozenset, frozenset, Fraction]] = []
+    for schema in domain.actions:
+        ctx = f"action {schema.name}"
+        var_names = [v for v, _ in schema.params]
+        for lit in schema.pre + schema.add + schema.delete:
+            check_lit(lit, ctx, domain.filename, var_names)
+        for x in itertools.chain.from_iterable(schema.eq + schema.neq):
+            if x.startswith("?") and x not in var_names:
+                raise PddlError(f"unbound variable {x} in {ctx}", domain.filename,
+                                schema.line, schema.col)
+        pools = []
+        for v, t in schema.params:
+            if t not in assignable:
+                raise PddlError(f"undeclared type {t!r} in {ctx}", domain.filename,
+                                schema.line, schema.col)
+            pools.append(by_type.get(t, []))
+        for binding in itertools.product(*pools):
+            env = dict(zip(var_names, binding))
+            term = lambda x: env.get(x, x)  # every variable is bound (checked)
+            if any(term(x) != term(y) for x, y in schema.eq):
+                continue
+            if any(term(x) == term(y) for x, y in schema.neq):
+                continue
+            sub = lambda lit: (lit.pred, tuple(term(a) for a in lit.args))
+            pre_lits = [sub(l) for l in schema.pre]
+            add_lits = [sub(l) for l in schema.add]
+            del_lits = [sub(l) for l in schema.delete]
+            if any(l[0] not in affected and l not in static_init for l in pre_lits):
+                continue  # a static precondition is false
+            pre_lits = [l for l in pre_lits if l[0] in affected]
+            if set(add_lits) & set(del_lits):
+                continue  # contradictory instance
+            if not add_lits:
+                continue  # cannot establish anything; irrelevant to regression
+            name = " ".join((schema.name,) + binding)
+            pre_set = frozenset(atom_of(l) for l in pre_lits)
+            add_set = frozenset(atom_of(l) for l in add_lits)
+            del_set = frozenset(atom_of(l) for l in del_lits)
+            raw.append((name, pre_set, add_set, del_set, schema.dur))
+
+    init_atoms = frozenset(atom_of((l.pred, l.args)) for l in problem.init
+                           if l.pred in affected)
+    goal_atoms = frozenset(atom_of((l.pred, l.args)) for l in problem.goal
+                           if l.pred in affected)
+    for lit in problem.goal:
+        if lit.pred not in affected and (lit.pred, lit.args) not in static_init:
+            # A static goal no action can achieve: keep it as an atom with no
+            # adder so the planner reports unsolvable rather than erroring.
+            goal_atoms = goal_atoms | {atom_of((lit.pred, lit.args))}
+
+    # Prune actions whose preconditions can never all become true.
+    keep = list(range(len(raw)))
+    while True:
+        addable = set(init_atoms)
+        for i in keep:
+            addable |= raw[i][2]
+        new_keep = [i for i in keep if raw[i][1] <= addable]
+        if new_keep == keep:
+            break
+        keep = new_keep
+
+    atoms = [Atom(i, " ".join((pred,) + args))
+             for i, (pred, args) in enumerate(atom_ids)]
+    actions = []
+    for idx, i in enumerate(keep):
+        name, pre, add, delete, dur = raw[i]
+        if mode is not Mode.TEMPORAL:
+            dur = Fraction(1)
+        actions.append(GroundAction(idx, name, pre, add, delete, Fraction(1), dur))
+    return Problem(atoms, actions, init_atoms, goal_atoms, mode, problem.name)
 
 
 class CappedRecorder(Recorder):

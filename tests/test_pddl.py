@@ -1,14 +1,19 @@
 from fractions import Fraction
+import itertools
 from pathlib import Path
+import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ground_by_product
 from hmplan import PlannerConfig, run_pipeline
 from hmplan.model import Mode, Problem
 from hmplan.pddl import (
     PddlError,
+    _subtypes,
     ground,
     load,
     parse,
@@ -385,6 +390,27 @@ def test_unbound_constraint_variable_reported_at_action():
     assert str(ei.value) == "d.pddl:2:2: unbound variable ?y in action a"
 
 
+# Names that no literal holds: before grounding walks a binding, a
+# parameter named twice, an undeclared object in an (in)equality and an
+# undeclared type in a predicate's declaration are errors, not an empty or
+# unpruned set of instances.
+@pytest.mark.parametrize("predicates, action, message", [
+    ("(q)", "(:action a :parameters (?x ?x) :effect (q))",
+     "d.pddl:2:2: parameter ?x declared twice in action a"),
+    ("(q)", "(:action a :parameters (?x) :precondition (= ?x foo) :effect (q))",
+     "d.pddl:2:2: undeclared object 'foo' in action a"),
+    ("(q)", "(:action a :parameters (?x) :precondition (not (= foo ?x)) :effect (q))",
+     "d.pddl:2:2: undeclared object 'foo' in action a"),
+    ("(q) (p ?a - nosuch)", "", "d.pddl: undeclared type 'nosuch' in predicate p"),
+], ids=["parameter-twice", "eq-object", "neq-object", "predicate-type"])
+def test_names_outside_literals_rejected(predicates, action, message):
+    with pytest.raises(PddlError) as ei:
+        ground(*parse(f"(define (domain x) (:predicates {predicates})\n {action})",
+                      "(define (problem y) (:domain x) (:objects o1 o2) (:init) "
+                      "(:goal (q)))", "d.pddl", "p.pddl"))
+    assert str(ei.value) == message
+
+
 def _ground_small(predicates, actions, objects, goal):
     """Ground a domain with the given predicates and actions against a
     problem with the given objects, an empty init and the given goal."""
@@ -465,3 +491,125 @@ class TestGrounding:
         p = load(str(DATA / "observation-domain.pddl"),
                  str(DATA / "observation-1.pddl"))
         assert len(p.actions) == 27 and p.mode is Mode.SEQUENTIAL
+
+
+def _grounded(p):
+    """Everything of a grounded Problem that grounding decides."""
+    return ([(a.id, a.name) for a in p.atoms],
+            [(a.index, a.name, a.pre, a.add, a.delete, a.cost, a.dur) for a in p.actions],
+            p.init, p.goal, p.mode, p.name)
+
+
+def test_join_matches_product_on_workloads():
+    # Every PDDL instance the benchmark draws for seeds 1-3 (the library
+    # fixtures of `temporal` and `seq-boost` are built without PDDL).
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import instances
+    finally:
+        sys.path.remove(bench)
+    count = 0
+    for seed in (1, 2, 3):
+        for name in instances.WORKLOADS:
+            for inst in instances.workload(name, seed):
+                if inst.pddl is None:
+                    continue
+                d, p = parse(*inst.pddl)
+                assert _grounded(ground(d, p, inst.mode)) == \
+                    _grounded(ground_by_product(d, p, inst.mode)), (name, seed, inst.name)
+                count += 1
+    assert count == 51
+
+
+def _random_typed_pddl(rng):
+    """A domain and problem of typed objects: subtypes, types whose pool is
+    empty, domain constants, static and fluent predicates of arity 0-3,
+    and schemas of 0-4 parameters whose literals and = / not = tests draw
+    their terms, repeats allowed, from the parameters and constants."""
+    types = [(f"t{i}", rng.choice(["object"] + [f"t{j}" for j in range(i)]))
+             for i in range(rng.randint(1, 4))]
+    type_names = ["object"] + [t for t, _ in types]
+    consts = [f"c{i}" for i in range(rng.randint(0, 2))]
+    objs = [f"o{i}" for i in range(rng.randint(1, 4))]
+    typed = lambda names: " ".join(f"{n} - {rng.choice(type_names)}" for n in names)
+    arity = {f"p{i}": rng.randint(0, 3) for i in range(rng.randint(2, 6))}
+    fluents = rng.sample(sorted(arity), rng.randint(1, len(arity)))
+    statics = sorted(set(arity) - set(fluents))
+    preds = " ".join(f"({p} {typed(f'?a{j}' for j in range(n))})" for p, n in arity.items())
+
+    def literal(pool, terms):
+        pred = rng.choice([p for p in pool if terms or not arity[p]] or [None])
+        if pred is None:
+            return ""
+        n = arity[pred]
+        args = rng.sample(terms, n) if n <= len(terms) and rng.random() < 0.5 else \
+            [rng.choice(terms) for _ in range(n)]
+        return f"({pred} {' '.join(args)})"
+
+    actions = []
+    for i in range(rng.randint(1, 4)):
+        params = [f"?x{j}" for j in range(rng.randint(0, 4))]
+        terms = params + consts
+        pre = [literal(rng.choice([statics or fluents, fluents]), terms)
+               for _ in range(rng.randint(0, 3))]
+        for form, count in (("(= {} {})", rng.random() < 0.3),
+                            ("(not (= {} {}))", rng.randint(0, 2))):
+            for _ in range(count if terms else 0):
+                pre.append(form.format(rng.choice(terms), rng.choice(terms)))
+        add = [literal(fluents, terms) for _ in range(rng.randint(1, 2))]
+        delete = [f"(not {literal(fluents, terms)})" for _ in range(rng.randint(0, 2))]
+        delete = [d for d in delete if d != "(not )"]
+        if rng.random() < 0.3:
+            actions.append(
+                f"(:durative-action a{i} :parameters ({typed(params)})"
+                f" :duration (= ?duration {rng.choice(['0', '1/2', '3'])})"
+                f" :condition (and {' '.join(f'(at start {c})' for c in pre if c)})"
+                f" :effect (and {' '.join(f'(at end {e})' for e in add + delete if e)}))")
+        else:
+            actions.append(f"(:action a{i} :parameters ({typed(params)})"
+                           f" :precondition (and {' '.join(pre)})"
+                           f" :effect (and {' '.join(add + delete)}))")
+    domain = (f"(define (domain r) (:types {' '.join(f'{t} - {s}' for t, s in types)})"
+              f" (:constants {typed(consts)}) (:predicates {preds}) {' '.join(actions)})")
+    named = objs + consts
+    init = [f"({p} {' '.join(args)})" for p, n in arity.items()
+            for args in itertools.product(named, repeat=n)
+            if rng.random() < (0.4 if p in fluents else 0.5)]
+    goal = [literal(sorted(arity), named) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(init)
+    problem = (f"(define (problem q) (:domain r) (:objects {typed(objs)})"
+               f" (:init {' '.join(init)}) (:goal (and {' '.join(goal)})))")
+    return domain, problem
+
+
+def test_join_matches_product_on_random_typed_domains():
+    seen = dict.fromkeys(("subtype", "empty pool", "constant in literal",
+                          "constant in (in)equality", "repeated variable",
+                          "zero-arity static", "static of three parameters",
+                          "action"), 0)
+    for i in range(500):
+        rng = random.Random(i)
+        d, p = parse(*_random_typed_pddl(rng))
+        mode = rng.choice(list(Mode))
+        got = ground(d, p, mode)
+        assert _grounded(got) == _grounded(ground_by_product(d, p, mode)), i
+        subtypes = _subtypes(d.types, "d.pddl")
+        pools = {sup for _, t in d.constants + p.objects for sup in subtypes
+                 if t in subtypes[sup]}
+        affected = {l.pred for a in d.actions for l in a.add + a.delete}
+        lits = [l for a in d.actions for l in a.pre + a.add + a.delete]
+        seen["subtype"] += any(s != "object" for _, s in d.types)
+        seen["empty pool"] += any(t not in pools for a in d.actions for _, t in a.params)
+        seen["constant in literal"] += any(x.startswith("c") for l in lits for x in l.args)
+        seen["constant in (in)equality"] += any(
+            x.startswith("c") for a in d.actions for pair in a.eq + a.neq for x in pair)
+        seen["repeated variable"] += any(
+            len(set(vs)) < len(vs) for l in lits for vs in [[x for x in l.args if x[0] == "?"]])
+        seen["zero-arity static"] += any(
+            not l.args and l.pred not in affected for a in d.actions for l in a.pre)
+        seen["static of three parameters"] += any(
+            len({x for x in l.args if x.startswith("?")}) == 3 and l.pred not in affected
+            for a in d.actions for l in a.pre)
+        seen["action"] += bool(got.actions)
+    assert min(seen.values()) >= 20, seen
