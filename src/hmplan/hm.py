@@ -5,16 +5,19 @@ for the rest.
 from the problem's mode: sequential regression for sequential problems, the
 relaxed view of temporal regression (right-shift cuts never applied) for
 parallel and temporal ones.  The result is written into the shared
-heuristic table, its sets of size <= 2 in one `HeuristicTable.load`.  The
-atoms and pairs that never settle, worth INF, are the result's `Mutex`:
-both engines hand it the settled atoms and, per atom p, the mask of the q
-whose pair {p, q} settled ({p} itself at q = p).
+heuristic table.  Both engines give its sets of size <= 2 in the table's
+own shape, which `HeuristicTable.load` takes whole: per atom p, the
+ascending levels v, each with the mask of the q whose pair {p, q} settled
+at v or below ({p} itself at q = p).  The atoms and pairs that never
+settle, worth INF, are missing from each atom's top level, and the result's
+`Mutex` reads them off the table.
 
 Sequential h^2 settles whole rows of pairs one value level at a time, much
 as Graphplan builds its levels (Blum and Furst 1997).  Row p is the mask
-of the q whose {p, q} has settled.  The levels come in ascending order, off
-a heap of the values that have something queued.  At a level v, the queued
-masks are ORed into both rows of each pair they name.  Then each action a
+of the q whose {p, q} has settled, and after each level v at which it grew,
+row p is p's mask at v in the table.  The levels come in ascending order,
+off a heap of the values that have something queued.  At a level v, the
+queued masks are ORed into both rows of each pair they name.  Then each action a
 with a precondition row that grew is looked at once (an action with an
 empty precondition, when the settled atoms grew): Q is the AND of its
 precondition rows (the settled atoms for an empty precondition), the q
@@ -140,11 +143,10 @@ def _small_regressions(problem: Problem, s: AtomSet) -> Regressions:
     return out
 
 
-def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list[int]]:
-    """The least fixpoint's label of every set by id, the ids of the sets of
-    size >= 3 by their sorted atom ids, the number of edge firings, the
-    number of edges built, and per atom p the mask of the q whose {p, q}
-    settled, p itself once {p} did."""
+def _label_setting(problem: Problem, m: int) -> tuple[list[dict], dict, int, int]:
+    """The least fixpoint's sets of size <= 2 as per-atom levels for
+    `HeuristicTable.load`, the values of the sets of size >= 3, the number of
+    edge firings and the number of edges built."""
     n = len(problem.atoms)
     # Set ids: a for {a} and n + a*n + b for {a, b} with a < b, as htable
     # lays them out; the sets of size >= 3 that m >= 3 needs follow.
@@ -215,9 +217,12 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list
                 readers[i].append(len(edges))
             edges.append((key, d, cs))
             waiting.append(len(wait))
+    # Row p, the q whose {p, q} settled ({p} at q = p), by each value it grew
+    # at.  At m = 1 no pair is stored: the row takes every atom with {p}.
     rows = [0] * n
+    levels: list[dict] = [{} for _ in range(n)]
     while heap:
-        _, i = heappop(heap)
+        v, i = heappop(heap)
         if settled[i]:
             continue
         settled[i] = 1
@@ -228,22 +233,24 @@ def _label_setting(problem: Problem, m: int) -> tuple[list, dict, int, int, list
                 if not settled[t]:
                     fire(t, d, cs)
         if i < n:
-            rows[i] |= 1 << i
+            rows[i] |= 1 << i if m >= 2 else -1
+            levels[i][v] = rows[i]
         elif i < n + n * n:
             q, w = divmod(i - n, n)
             rows[q] |= 1 << w
             rows[w] |= 1 << q
-    return label, big, fired, built, rows
+            levels[q][v] = rows[q]
+            levels[w][v] = rows[w]
+    return levels, {frozenset(ids): label[key] for ids, key in big.items()}, fired, built
 
 
-def _level_rows(problem: Problem) -> tuple[list[list], int, int, list[int]]:
-    """Sequential h^2 level by level: per atom p the values of {p, q} by q
-    ({p} at q = p), the number of action looks, the number of masks queued,
-    and per atom p the mask of the q whose {p, q} settled, p itself once {p}
-    did."""
+def _level_rows(problem: Problem) -> tuple[list[dict], int, int]:
+    """Sequential h^2 level by level: per atom p its row by each level v at
+    which it grew, for `HeuristicTable.load`, the number of action looks and
+    the number of masks queued."""
     n = len(problem.atoms)
-    value = [[INF] * n for _ in range(n)]
     rows = [0] * n
+    levels: list[dict] = [{} for _ in range(n)]
     # Per action that adds an atom it does not delete: (precondition, its
     # mask, cost, adds, their mask, the mask of the atoms it leaves alone).
     actions: dict[int, tuple] = {}
@@ -286,18 +293,17 @@ def _level_rows(problem: Problem) -> tuple[list[list], int, int, list[int]]:
                 continue
             rows[p] |= new
             grown.add(p)
-            row = value[p]
             while new:
                 low = new & -new
                 new ^= low
                 q = low.bit_length() - 1
-                row[q] = v
                 if q == p:
                     settled |= low
                 else:
                     rows[q] |= 1 << p
-                    value[q][p] = v
                     grown.add(q)
+        for p in grown:
+            levels[p][v] = rows[p]
         look = {i for r in grown for i in users[r]}
         if settled != last:
             last = settled
@@ -317,7 +323,7 @@ def _level_rows(problem: Problem) -> tuple[list[list], int, int, list[int]]:
             if new:
                 queued += len(adds)
                 queue(v + cost, adds, new)
-    return value, looks, queued, rows
+    return levels, looks, queued
 
 
 def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> GbfStats:
@@ -326,17 +332,14 @@ def compute_base_heuristic(problem: Problem, table: HeuristicTable, m: int) -> G
         raise ValueError("m must be >= 1")
     if table.scale != problem.scale:
         raise ValueError(f"table counts 1/{table.scale}, problem 1/{problem.scale}")
-    n = len(problem.atoms)
     if problem.mode is Mode.SEQUENTIAL and m == 2:
-        value, rounds, edges, rows = _level_rows(problem)
-        table.load([value[a][a] for a in range(n)], value)
+        levels, rounds, edges = _level_rows(problem)
         big = {}
     else:
-        label, big, rounds, edges, rows = _label_setting(problem, m)
-        table.load(label[:n], [label[n + a * n:n + a * n + n] for a in range(n)] if m >= 2 else [])
-        for ids, key in big.items():
-            table.store(frozenset(ids), label[key])
+        levels, big, rounds, edges = _label_setting(problem, m)
+    table.load(levels)
+    for s, v in big.items():
+        table.store(s, v)
+    n = len(problem.atoms)
     pairs = n * (n - 1) // 2 if m >= 2 else 0
-    settled = sum(row & 1 << p for p, row in enumerate(rows))
-    mutex = Mutex(problem, settled, rows if m >= 2 else None)
-    return GbfStats(n + pairs + len(big), rounds, edges, mutex)
+    return GbfStats(n + pairs + len(big), rounds, edges, Mutex(problem, table))

@@ -1,146 +1,144 @@
 """Map from atom sets to exact lower bounds, held as integers.
 
-Keys are atom sets viewed as strings of ascending atom ids.  Stored values
-never decrease: `store` raises the value of one set, and `eval` takes the
-max over the stored subsets of a set.  This table is the shared store for
-complete h^m values and for improvements discovered by relaxed search; it is
-not a transposition table for full search states.
+Keys are atom sets.  Stored values never decrease: `store` raises the value
+of one set, and `eval` takes the max over the stored subsets of a set.
+This table is the shared store for complete h^m values and for improvements
+discovered by relaxed search; it is not a transposition table for full
+search states.
 
 Every value is a whole number of 1/scale of the problem the table serves
 (`Problem.scale`, given to the constructor) or INF, a float that compares
 with ints natively: `store` takes such units and `eval` returns them.
 Conversion to a Fraction happens outside, at the search spaces' `evaluate`.
 
-Sets of size <= 2, the whole of a complete h^1 or h^2 table, live in dense
-lists sized to the largest atom id stored: a singleton vector and, per atom
-a, a row holding the pairs {a, b} with b > a, where _ABSENT marks a set never
-stored.  `load` raises them all in one call, and evaluation takes its max
-over them, both with C-level max/map calls.
+Sets of size <= 2, the whole of a complete h^1 or h^2 table, are held as
+Graphplan's levels (Blum and Furst, 1997): per atom p, an ascending list of
+(v, mask), where the mask holds the q with T({p, q}) <= v, and p itself once
+T({p}) <= v.  A set never stored counts 0, so a fresh atom's list is
+[(0, -1)], -1 being the mask of every atom.  The value of s over its subsets
+of size <= 2 is then the max over p in s of the least v whose mask covers s,
+or INF if no level of some p covers it.  The GBF hands `load` the lists
+whole; `store` raises one set by clearing its bit in the levels below the new
+value.  The top level of each list gives the mutexes (`mutex.Mutex`).
 Larger sets, which only relaxed search and h^m for m >= 3 store, live in a
-trie keyed by the whole id string, consulted only once one exists.
+trie keyed by the ascending id string, consulted only once one exists.
 
 The searches ask for the same sets again and again, so `eval` keeps a memo
 from set to result.  A `store` that raises a value clears it, and so does
-reaching _MEMO_CAP entries; a store that raises nothing, or a growth that
-adds only _ABSENT slots, leaves it.
+reaching _MEMO_CAP entries.  A store of at most the set's current value
+would change no evaluation, now or later, as the table only rises: it
+returns at once and leaves the levels, the trie and the memo as they are.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from .model import INF, AtomSet, Units
 
-from .model import AtomSet, Units
-
-# Marks a set never stored; below every stored value, which is at least 0.
+# Marks a trie entry that only routes to larger sets; below every stored value.
 _ABSENT = -1
 
 # Entries the eval memo holds before it starts afresh.
 _MEMO_CAP = 1 << 16
 
-
-def dense_max(single: list, pairs: list, ids: list[int]):
-    """Max of single[a] and pairs[a][b] over the atoms a < b of the sorted,
-    nonempty ids; a pair row may be None when it holds nothing."""
-    best = max(map(single.__getitem__, ids))
-    for k in range(len(ids) - 1):
-        row = pairs[ids[k]]
-        if row is not None:
-            v = max(map(row.__getitem__, ids[k + 1:]))
-            if v > best:
-                best = v
-    return best
+# The levels of an atom in no stored set: every set holding it is worth 0.
+_FRESH = [(0, -1)]
 
 
-def _raise_slots(box: list, start: int, values: list) -> bool:
-    """Raise box[start + k] to values[k] where that is more; whether any rose."""
-    end = start + len(values)
-    old = box[start:end]
-    new = list(map(max, old, values))
-    if new == old:
-        return False
-    box[start:end] = new
-    return True
+def _lift(levels: list, bit: int, v: Units) -> list:
+    """The levels with the atom of the bit first covered at v, which is above
+    the level that covers it now: its bit cleared below v, a level at v (the
+    one below plus the bit) if there is none, and the levels that no longer
+    differ from the one below dropped.  An atom lifted to INF is in no level."""
+    kept, above = [], []
+    for w, mask in levels:
+        if w >= v:
+            above.append((w, mask))
+        elif not kept or kept[-1][1] != mask & ~bit:
+            kept.append((w, mask & ~bit))
+    if v < INF and (not above or above[0][0] > v):
+        kept.append((v, kept[-1][1] | bit))
+    return kept + above
 
 
 class HeuristicTable:
     def __init__(self, scale: int = 1) -> None:
         self.scale = scale  # the values count units of 1/scale
-        self._empty = [_ABSENT]  # the value of the empty set, boxed
-        self._single: list = []  # atom a -> value of {a}
-        self._pairs: list[list | None] = []  # atom a -> row b -> value of {a, b}
+        self._empty: Units = 0  # the value of the empty set
+        self._levels: dict[int, list] = {}  # atom p -> its ascending (v, mask) levels
         # Trie of the sets of size >= 3: atom -> [value, children], where
         # entries that only route to larger sets keep _ABSENT.
         self._big: dict[int, list] = {}
         self._memo: dict[AtomSet, Units] = {}  # set -> eval(set) since the last raise
 
-    def _grow(self, n: int) -> None:
-        extra = [_ABSENT] * (n - len(self._single))
-        self._single.extend(extra)
-        for row in self._pairs:
-            if row is not None:
-                row.extend(extra)
-        self._pairs.extend([None] * len(extra))
-
     def store(self, s: AtomSet, v: Units) -> None:
         """Set T(s) to max(T(s), v)."""
-        ids = sorted(s)
-        if ids and ids[-1] >= len(self._single):
-            self._grow(ids[-1] + 1)
-        # box[key] is the slot of s; a trie entry holds its value at 0.
-        box, key = self._empty, 0
-        if len(ids) == 1:
-            box, key = self._single, ids[0]
-        elif len(ids) == 2:
-            box, key = self._pairs[ids[0]], ids[1]
-            if box is None:
-                box = self._pairs[ids[0]] = [_ABSENT] * len(self._single)
-        elif ids:
+        if v <= self._value(s):
+            return
+        self._memo.clear()
+        if len(s) > 2:
             children = self._big
-            for atom in ids:
-                box = children.setdefault(atom, [_ABSENT, {}])
-                children = box[1]
-        if v > box[key]:
-            box[key] = v
-            self._memo.clear()
+            for atom in sorted(s):
+                entry = children.setdefault(atom, [_ABSENT, {}])
+                children = entry[1]
+            entry[0] = v
+        elif not s:
+            self._empty = v
+        else:
+            levels = self._levels
+            p, q = min(s), max(s)
+            levels[p] = _lift(levels.get(p, _FRESH), 1 << q, v)
+            if q != p:
+                levels[q] = _lift(levels.get(q, _FRESH), 1 << p, v)
 
-    def load(self, single: list, pairs: list) -> None:
-        """`store` every {a} at single[a] and every {a, b}, a < b, at
-        pairs[a][b], in one call: a complete h^1 or h^2 table comes in so."""
-        n = len(single)
-        if n > len(self._single):
-            self._grow(n)
-        raised = _raise_slots(self._single, 0, single)
-        for a, values in enumerate(pairs[:n - 1]):
-            row = self._pairs[a]
-            if row is None:
-                row = self._pairs[a] = [_ABSENT] * len(self._single)
-            raised |= _raise_slots(row, a + 1, values[a + 1:n])
-        if raised:
-            self._memo.clear()
+    def load(self, levels: list[dict[Units, int]]) -> None:
+        """Fill a fresh table's sets of size <= 2 over the atoms 0..n-1,
+        n = len(levels), from their masks by ascending level, as the GBF
+        gives them; the atoms from n on are in no stored set."""
+        if self._levels or self._big or self._empty:
+            raise ValueError("load fills a fresh table only")
+        beyond = -(1 << len(levels))
+        self._levels = {p: [(v, mask | beyond) for v, mask in ups.items()]
+                        for p, ups in enumerate(levels)}
+
+    def top(self, p: int) -> int:
+        """The mask of p's highest finite level: the q whose {p, q} has a
+        finite value, and p itself if {p} does."""
+        ups = self._levels.get(p, _FRESH)
+        return ups[-1][1] if ups else 0
 
     def eval(self, s: AtomSet) -> Units:
         """Max value over all stored subsets of s; 0 if none are stored."""
         best = self._memo.get(s)
         if best is not None:
             return best
-        ids = sorted(s)
-        single = self._single
-        if ids and ids[-1] >= len(single):
-            # Atoms beyond the largest stored id are in no stored set.
-            ids = ids[:bisect_left(ids, len(single))]
-        best = self._empty[0]
-        if ids:
-            v = dense_max(single, self._pairs, ids)
-            if v > best:
-                best = v
-            if self._big and len(ids) >= 3:
-                v = self._eval_big(ids)
+        best = self._empty
+        if s:
+            want = sum(map((1).__lshift__, s))
+            levels = self._levels
+            for p in s:
+                ups = levels.get(p)
+                if ups is None:
+                    continue
+                for v, mask in ups:
+                    if not want & ~mask:
+                        break
+                else:
+                    best = INF
+                    break
+                if v > best:
+                    best = v
+            if self._big and len(s) >= 3 and best < INF:
+                v = self._eval_big(sorted(s))
                 if v > best:
                     best = v
         if len(self._memo) >= _MEMO_CAP:
             self._memo.clear()
-        self._memo[s] = best = max(best, 0)
+        self._memo[s] = best
         return best
+
+    # `store` reads values by this name, so a wrapper of `eval` that counts
+    # calls (bench/tracing.py) counts the searches' evaluations only.
+    _value = eval
 
     def _eval_big(self, ids: list[int]):
         """Max over the trie's sets that are subsets of the sorted ids."""

@@ -83,9 +83,12 @@ class GroundAction:
     def __post_init__(self) -> None:
         if self.add & self.delete:
             raise ValueError(f"action {self.name}: add and delete sets overlap")
-        if not isinstance(self.cost, Fraction) or self.cost <= 0:
+        # Exact type tests and the sign of the numerator (a Fraction's
+        # denominator is positive): an ABC isinstance check and a Fraction
+        # comparison each cost more than the rest of an action's set-up.
+        if type(self.cost) is not Fraction or self.cost.numerator <= 0:
             raise ValueError(f"action {self.name}: cost must be a positive rational")
-        if not isinstance(self.dur, Fraction) or self.dur < 0:
+        if type(self.dur) is not Fraction or self.dur.numerator < 0:
             raise ValueError(f"action {self.name}: duration must be a rational >= 0")
 
     def __repr__(self) -> str:

@@ -501,6 +501,24 @@ class TestMutex:
                     -1 if dead else union & ~adds | p.delete_masks[act.index])
         assert mutexes > 0
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_raising_stores_leave_the_masks(self, rng, mode):
+        # The relation is the table at GBF time: stores made after it,
+        # before any mask is first read, change no mask.
+        for _ in range(25):
+            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            before = compute_base_heuristic(p, HeuristicTable(p.scale), 2).mutex
+            t = HeuristicTable(p.scale)
+            mutex = compute_base_heuristic(p, t, 2).mutex
+            ids = range(len(p.atoms))
+            for s in [*combinations(ids, 1), *combinations(ids, 2)]:
+                if rng.random() < 0.3:
+                    t.store(frozenset(s), rng.choice([INF, t.eval(frozenset(s)) + 1]))
+            assert [mutex.atoms[a] for a in ids] == [before.atoms[a] for a in ids]
+            for i in range(len(p.actions)):
+                assert mutex.pre[i] == before.pre[i] and mutex.blocking[i] == before.blocking[i]
+
     def test_without_settled_atoms_nothing_is_a_mutex(self, sat1):
         mutex = Mutex(sat1)
         assert mutex.atoms == (0,) * len(sat1.atoms) and mutex.pre == (0,) * len(sat1.actions)

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import MIXED_DURS, gbf_sweep, random_problem
+from hmplan.hm import compute_base_heuristic
 from hmplan.htable import _MEMO_CAP, HeuristicTable
-from hmplan.model import INF, ZERO, Atom, GroundAction, Problem
+from hmplan.model import INF, ZERO, Atom, GroundAction, Mode, Problem
 
 sets = st.frozensets(st.integers(0, 7), max_size=5)
 # Values are whole units of 1/scale, or INF.
@@ -97,20 +101,35 @@ class TestAgainstDictOracle:
                 assert t.eval(op) == expected
 
 
-class TestLoad:
-    """`load` is `store` over every singleton and pair in one call."""
+def levels_of(single: list, pairs: list) -> list:
+    """Per atom p its masks by ascending level, as the GBF gives them, for
+    the values single[p] of {p} and pairs[min(p, q)][max(p, q)] of {p, q}."""
+    n = len(single)
+    out = []
+    for p in range(n):
+        at: dict = {}
+        for q in range(n):
+            v = single[p] if q == p else pairs[min(p, q)][max(p, q)]
+            at[v] = at.get(v, 0) | 1 << q
+        mask, ups = 0, {}
+        for v in sorted(w for w in at if w < INF):
+            mask |= at[v]
+            ups[v] = mask
+        out.append(ups)
+    return out
 
-    @given(st.lists(st.tuples(sets, values), max_size=8),
-           st.integers(1, 6).flatmap(lambda n: st.tuples(
+
+class TestLoad:
+    """`load` fills a fresh table with the GBF's level lists, as `store`
+    over every singleton and pair would."""
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
                st.lists(values, min_size=n, max_size=n),
                st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))))
-    def test_load_matches_stores(self, earlier, dense):
+    def test_load_matches_stores(self, dense):
         single, pairs = dense
         loaded, stored = HeuristicTable(), HeuristicTable()
-        for t in (loaded, stored):
-            for s, v in earlier:
-                t.store(s, v)
-        loaded.load(single, pairs)
+        loaded.load(levels_of(single, pairs))
         for a, v in enumerate(single):
             stored.store(frozenset({a}), v)
             for b in range(a + 1, len(single)):
@@ -119,15 +138,59 @@ class TestLoad:
             for q in map(frozenset, combinations(range(8), k)):
                 assert loaded.eval(q) == stored.eval(q)
 
-    def test_only_a_raise_clears_the_memo(self):
+    def test_load_into_a_used_table_raises(self):
+        lists = levels_of([1, 2], [[INF, 3], [INF, INF]])
         t = HeuristicTable()
-        q = frozenset({0, 1, 2})
-        t.load([1, 2, 3], [[INF, 4, 0], [INF, INF, 5], [INF] * 3])
-        assert t.eval(q) == 5 and q in t._memo
-        t.load([0, 2], [[INF, 4], [INF, INF]])  # raises nothing
-        assert q in t._memo
-        t.load([1, 2, 3], [[INF, 4, 6], [INF, INF, 5], [INF] * 3])
-        assert not t._memo and t.eval(q) == 6
+        t.store(frozenset({0, 1}), 0)  # raises nothing, so the table stays fresh
+        t.load(lists)
+        with pytest.raises(ValueError):
+            t.load(lists)
+        for s in (frozenset(), frozenset({5}), frozenset({1, 2}), frozenset({1, 2, 3})):
+            used = HeuristicTable()
+            used.store(s, 4)
+            with pytest.raises(ValueError):
+                used.load(lists)
+
+
+class TestGbfTableAgainstDictOracle:
+    """A table the GBF loaded, then raised and queried in turn, against a
+    dict of every stored set that starts from the reference sweep's values."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.sampled_from([Mode.SEQUENTIAL, Mode.TEMPORAL]),
+           st.data())
+    def test_stores_and_evals(self, seed, mode, data):
+        p = random_problem(random.Random(seed), max_atoms=6, max_actions=8, mode=mode,
+                           durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+        n = len(p.atoms)
+        t = HeuristicTable(p.scale)
+        compute_base_heuristic(p, t, 2)
+        oracle = dict(gbf_sweep(p, 2))
+
+        def expected(q):
+            return max((v for s, v in oracle.items() if s <= q), default=0)
+
+        # Atoms from n on are in no stored set until a store names them.
+        small = st.frozensets(st.integers(0, n + 2), min_size=1, max_size=2)
+        query = st.frozensets(st.integers(0, n + 2), max_size=4)
+        # A store at the set's value plus a step, some at most it, or INF.
+        store = st.tuples(small, st.one_of(st.integers(-3, 3), st.none()))
+        for op in data.draw(st.lists(st.one_of(store, query), min_size=1, max_size=30)):
+            if type(op) is tuple:
+                s, step = op
+                v = INF if step is None else max(0, expected(s) + step)
+                t.store(s, v)
+                if v > oracle.get(s, 0):
+                    oracle[s] = v
+            else:
+                assert t.eval(op) == expected(op)
+        for k in range(4):
+            for q in map(frozenset, combinations(range(n + 2), k)):
+                assert t.eval(q) == expected(q)
+        # Each list ascends, and each of its levels adds to the one below.
+        for ups in t._levels.values():
+            assert all(v < w and not mask & ~up and mask != up
+                       for (v, mask), (w, up) in zip(ups, ups[1:]))
 
 
 class TestMemo:
@@ -143,6 +206,26 @@ class TestMemo:
         assert t.eval(q) == 4
         t.store(frozenset({1, 9}), 6)
         assert not t._memo and t.eval(q) == 6
+
+    def test_dominated_store_keeps_the_memo(self, monkeypatch):
+        # {0, 1} at 3 is below what {0} gives it: the store changes no eval,
+        # so it leaves the memo, and it asks no public eval for the value.
+        t = HeuristicTable()
+        q = frozenset({0, 1, 2})
+        t.store(frozenset({0}), 5)
+        t.store(frozenset({1, 2, 3}), 7)
+        assert t.eval(q) == 5 and q in t._memo
+        asked = []
+        monkeypatch.setattr(HeuristicTable, "eval", lambda self, s: asked.append(s))
+        for s, v in [({0, 1}, 3), ({0, 1}, 5), ({0, 2, 4}, 4), ({0, 1, 2, 3}, 7),
+                     ({1, 2, 3}, 6)]:
+            t.store(frozenset(s), v)
+            assert q in t._memo
+        assert not asked
+        t.store(frozenset({0, 1}), 6)
+        assert not t._memo
+        monkeypatch.undo()
+        assert t.eval(q) == 6 and t.eval(frozenset({0, 1, 2, 3})) == 7
 
     def test_memo_never_exceeds_cap(self):
         t = HeuristicTable()

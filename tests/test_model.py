@@ -48,15 +48,18 @@ class TestGroundAction:
             act(add=(0,), delete=(0,))
 
     def test_cost_must_be_positive_rational(self):
-        with pytest.raises(ValueError):
-            act(cost=0)
-        with pytest.raises(ValueError):
-            GroundAction(0, "a", frozenset(), frozenset({0}), frozenset(),
-                         1.0, Fraction(1))  # float cost
+        # Zero and negative Fractions, and an int or a float of any sign.
+        for cost in (Fraction(0), Fraction(-1), Fraction(-1, 2), 1, 0, 1.0):
+            with pytest.raises(ValueError):
+                GroundAction(0, "a", frozenset(), frozenset({0}), frozenset(),
+                             cost, Fraction(1))
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            act(dur=-1)
+        # Negative Fractions, and an int or a float even when >= 0.
+        for dur in (Fraction(-1), Fraction(-1, 3), 0, 1, 1.0):
+            with pytest.raises(ValueError):
+                GroundAction(0, "a", frozenset(), frozenset({0}), frozenset(),
+                             Fraction(1), dur)
 
     def test_identity_hashing(self):
         a, b = act(), act()
