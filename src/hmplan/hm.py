@@ -46,7 +46,9 @@ set of one or two atoms are enumerated straight from its adders, their
 durations and the problem's conflict masks, in the order and with the
 cuts of `successors_temporal`; only larger sets, at m >= 3, go through
 that function and `relax_state`.  The components of all the edges share
-one list of read ids per atom set.
+one list of read ids per atom set.  Like the search core, the engine holds
+the sets it regresses as int masks of atom ids; the problem's init and goal
+and the actions' sets stay frozensets, read at this boundary.
 
 Both engines run on integers: the costs and the successor functions give
 every delta and offset in the problem's units of 1/scale, and so does the
@@ -63,8 +65,8 @@ from itertools import chain, combinations
 from operator import and_
 
 from .htable import HeuristicTable
-from .model import INF, AtomSet, Mode, Problem
-from .mutex import LazyMap, Mutex
+from .model import INF, AtomMask, LazyMap, Mode, Problem, ids_of, mask_of
+from .mutex import Mutex
 from .sequential import successors_seq
 from .temporal import TempState, relax_state, successors_temporal
 
@@ -85,17 +87,10 @@ class GbfStats:
     mutex: Mutex
 
 
-def _subsets_upto(atoms, m: int):
-    """The nonempty subsets of size <= m, smallest first, lexical within."""
-    ids = sorted(atoms)
-    sizes = range(1, min(m, len(ids)) + 1)
-    return map(frozenset, chain.from_iterable(combinations(ids, k) for k in sizes))
+Regressions = list[tuple[int, list[tuple[AtomMask, int]]]]
 
 
-Regressions = list[tuple[int, list[tuple[AtomSet, int]]]]
-
-
-def _regressions(problem: Problem, s: AtomSet) -> Regressions:
+def _regressions(problem: Problem, s: AtomMask) -> Regressions:
     """(delta, components) per regression of s in the problem's mode: the
     sequential regression of s as one component at offset 0, or the relaxed
     view of each temporal regression, which `_small_regressions` gives for
@@ -103,12 +98,13 @@ def _regressions(problem: Problem, s: AtomSet) -> Regressions:
     the GBF computes."""
     if problem.mode is Mode.SEQUENTIAL:
         return [(e.delta, [(e.state, 0)]) for e in successors_seq(problem, s)]
-    if len(s) <= 2:
+    if s.bit_count() <= 2:
         return _small_regressions(problem, s)
-    return [(e.delta, relax_state(e.state)) for e in successors_temporal(problem, TempState(s))[0]]
+    return [(e.delta, relax_state(problem, e.state))
+            for e in successors_temporal(problem, TempState(s))[0]]
 
 
-def _small_regressions(problem: Problem, s: AtomSet) -> Regressions:
+def _small_regressions(problem: Problem, s: AtomMask) -> Regressions:
     """The relaxed temporal regressions of a set of one or two atoms, in the
     order `successors_temporal(problem, TempState(s))` gives them, straight
     from the adders.  {p} regresses through each adder a to pre(a), dur(a)
@@ -119,27 +115,27 @@ def _small_regressions(problem: Problem, s: AtomSet) -> Regressions:
     dur(b) to pre(a) | pre(b) if they end together or a takes no time; else
     dur(a), to a state where pre(b) is needed dur(b) - dur(a) further
     back."""
-    dur = problem.dur_units
-    if len(s) == 1:
-        return [(dur[a], [(a.pre, 0)]) for a in problem.adders[min(s)]]
-    p, q = sorted(s)
+    dur, pre = problem.dur_units, problem.pre_masks
+    if s.bit_count() == 1:
+        return [(dur[a], [(pre[a.index], 0)]) for a in problem.adders[s.bit_length() - 1]]
+    p, q = ids_of(s)
     conflict = problem.conflict_masks
-    out: Regressions = [(dur[b], [(b.pre | {p}, 0)]) for b in problem.adders[q]
+    out: Regressions = [(dur[b], [(pre[b.index] | 1 << p, 0)]) for b in problem.adders[q]
                         if p not in b.delete]
     for a in problem.adders[p]:
         if q not in a.delete:
-            out.append((dur[a], [(a.pre | {q}, 0)]))
+            out.append((dur[a], [(pre[a.index] | 1 << q, 0)]))
         for b in problem.adders[q]:
             if b is a:
-                out.append((dur[a], [(a.pre, 0)]))
+                out.append((dur[a], [(pre[a.index], 0)]))
             # A pair of actions that both add p and q comes first with the
             # one of lower index taking p.
             elif not (conflict[a.index] >> b.index & 1
                       or p in b.add and q in a.add and b.index < a.index):
                 da, db, y = (dur[a], dur[b], b) if dur[a] <= dur[b] else (dur[b], dur[a], a)
-                both = a.pre | b.pre
+                both = pre[a.index] | pre[b.index]
                 out.append((db, [(both, 0)]) if da == db or not da else
-                           (da, [(y.pre, db - da), (both, 0)]))
+                           (da, [(pre[y.index], db - da), (both, 0)]))
     return out
 
 
@@ -154,13 +150,12 @@ def _label_setting(problem: Problem, m: int) -> tuple[list[dict], dict, int, int
         combinations(range(n), k) for k in range(3, m + 1)))}
 
     def ident(ids) -> int:
-        """The id of the set of the atom ids, of size 1 to m, in any order."""
+        """The id of the set of the ascending atom ids, of size 1 to m."""
         if len(ids) == 1:
             return ids[0]
         if len(ids) == 2:
-            a, b = ids
-            return n + a * n + b if a < b else n + b * n + a
-        return big[tuple(sorted(ids))]
+            return n + ids[0] * n + ids[1]
+        return big[tuple(ids)]
 
     def subsets(ids: list[int]) -> list[int]:
         """Ids of the nonempty size <= m subsets of the sorted atom ids."""
@@ -169,10 +164,10 @@ def _label_setting(problem: Problem, m: int) -> tuple[list[dict], dict, int, int
             found += map(big.__getitem__, combinations(ids, k))
         return found
 
-    def reads(atoms: AtomSet) -> list[int]:
+    def reads(atoms: AtomMask) -> list[int]:
         """Ids of the sets whose values give the atom set's value: none if it
         is empty, itself up to size m, and its size <= m subsets above."""
-        ids = sorted(atoms)
+        ids = ids_of(atoms)
         if len(ids) <= m:
             return [ident(ids)] if ids else []
         return subsets(ids)
@@ -202,10 +197,12 @@ def _label_setting(problem: Problem, m: int) -> tuple[list[dict], dict, int, int
         label[key] = 0
         heappush(heap, (0, key))
     read_ids = LazyMap(reads)  # one shared list per component atom set
-    for s in _subsets_upto(range(n), m):
-        if s <= problem.init:
+    init = problem.init_mask
+    for ids in chain.from_iterable(combinations(range(n), k) for k in range(1, m + 1)):
+        s = mask_of(ids)
+        if not s & ~init:
             continue
-        key = ident(tuple(s))
+        key = ident(ids)
         for d, components in _regressions(problem, s):
             built += 1
             cs = [(offset, read_ids[atoms]) for atoms, offset in components]
@@ -241,7 +238,7 @@ def _label_setting(problem: Problem, m: int) -> tuple[list[dict], dict, int, int
             rows[w] |= 1 << q
             levels[q][v] = rows[q]
             levels[w][v] = rows[w]
-    return levels, {frozenset(ids): label[key] for ids, key in big.items()}, fired, built
+    return levels, {mask_of(ids): label[key] for ids, key in big.items()}, fired, built
 
 
 def _level_rows(problem: Problem) -> tuple[list[dict], int, int]:

@@ -1,6 +1,7 @@
 """Map from atom sets to exact lower bounds, held as integers.
 
-Keys are atom sets.  Stored values never decrease: `store` raises the value
+Keys are atom sets as int masks, bit p for atom p, as the search core holds
+them everywhere.  Stored values never decrease: `store` raises the value
 of one set, and `eval` takes the max over the stored subsets of a set.
 This table is the shared store for complete h^m values and for improvements
 discovered by relaxed search; it is not a transposition table for full
@@ -21,10 +22,11 @@ or INF if no level of some p covers it.  The GBF hands `load` the lists
 whole; `store` raises one set by clearing its bit in the levels below the new
 value.  The top level of each list gives the mutexes (`mutex.Mutex`).
 Larger sets, which only relaxed search and h^m for m >= 3 store, live in a
-trie keyed by the ascending id string, consulted only once one exists.
+trie keyed by the ascending id string, the set bits from the lowest up,
+consulted only once one exists.
 
 The searches ask for the same sets again and again, so `eval` keeps a memo
-from set to result.  A `store` that raises a value clears it, and so does
+from mask to result.  A `store` that raises a value clears it, and so does
 reaching _MEMO_CAP entries.  A store of at most the set's current value
 would change no evaluation, now or later, as the table only rises: it
 returns at once and leaves the levels, the trie and the memo as they are.
@@ -32,7 +34,7 @@ returns at once and leaves the levels, the trie and the memo as they are.
 
 from __future__ import annotations
 
-from .model import INF, AtomSet, Units
+from .model import INF, AtomMask, Units, ids_of
 
 # Marks a trie entry that only routes to larger sets; below every stored value.
 _ABSENT = -1
@@ -68,16 +70,16 @@ class HeuristicTable:
         # Trie of the sets of size >= 3: atom -> [value, children], where
         # entries that only route to larger sets keep _ABSENT.
         self._big: dict[int, list] = {}
-        self._memo: dict[AtomSet, Units] = {}  # set -> eval(set) since the last raise
+        self._memo: dict[AtomMask, Units] = {}  # set -> eval(set) since the last raise
 
-    def store(self, s: AtomSet, v: Units) -> None:
+    def store(self, s: AtomMask, v: Units) -> None:
         """Set T(s) to max(T(s), v)."""
         if v <= self._value(s):
             return
         self._memo.clear()
-        if len(s) > 2:
+        if s.bit_count() > 2:
             children = self._big
-            for atom in sorted(s):
+            for atom in ids_of(s):
                 entry = children.setdefault(atom, [_ABSENT, {}])
                 children = entry[1]
             entry[0] = v
@@ -85,10 +87,11 @@ class HeuristicTable:
             self._empty = v
         else:
             levels = self._levels
-            p, q = min(s), max(s)
+            low = s & -s
+            p, q = low.bit_length() - 1, s.bit_length() - 1
             levels[p] = _lift(levels.get(p, _FRESH), 1 << q, v)
             if q != p:
-                levels[q] = _lift(levels.get(q, _FRESH), 1 << p, v)
+                levels[q] = _lift(levels.get(q, _FRESH), low, v)
 
     def load(self, levels: list[dict[Units, int]]) -> None:
         """Fill a fresh table's sets of size <= 2 over the atoms 0..n-1,
@@ -106,31 +109,32 @@ class HeuristicTable:
         ups = self._levels.get(p, _FRESH)
         return ups[-1][1] if ups else 0
 
-    def eval(self, s: AtomSet) -> Units:
+    def eval(self, s: AtomMask) -> Units:
         """Max value over all stored subsets of s; 0 if none are stored."""
         best = self._memo.get(s)
         if best is not None:
             return best
         best = self._empty
-        if s:
-            want = sum(map((1).__lshift__, s))
-            levels = self._levels
-            for p in s:
-                ups = levels.get(p)
-                if ups is None:
-                    continue
-                for v, mask in ups:
-                    if not want & ~mask:
-                        break
-                else:
-                    best = INF
+        levels = self._levels
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ups = levels.get(low.bit_length() - 1)
+            if ups is None:
+                continue
+            for v, mask in ups:
+                if not s & ~mask:
                     break
-                if v > best:
-                    best = v
-            if self._big and len(s) >= 3 and best < INF:
-                v = self._eval_big(sorted(s))
-                if v > best:
-                    best = v
+            else:
+                best = INF
+                break
+            if v > best:
+                best = v
+        if self._big and best < INF and s.bit_count() >= 3:
+            v = self._eval_big(ids_of(s))
+            if v > best:
+                best = v
         if len(self._memo) >= _MEMO_CAP:
             self._memo.clear()
         self._memo[s] = best
@@ -141,7 +145,7 @@ class HeuristicTable:
     _value = eval
 
     def _eval_big(self, ids: list[int]):
-        """Max over the trie's sets that are subsets of the sorted ids."""
+        """Max over the trie's sets that are subsets of the ascending ids."""
         best = _ABSENT
         stack = [(self._big, 0)]
         while stack:

@@ -1,8 +1,11 @@
 """Iterative-deepening AND/OR search over the m-regression space.
 
+The space's `atoms_of` gives a node's atoms as an int mask of atom ids, like
+every atom set in the search core, and the node's size is its bit count.
 States of size <= m are OR-nodes, expanded by ordinary regression; larger
 states are AND-nodes, expanded into all their size-m subsets, each solved by
-a nested iterative-deepening search bounded by the parent's bound.  Exact
+a nested iterative-deepening search bounded by the parent's bound.  The
+subsets OR m of the mask's bits at a time, lowest first.  Exact
 costs of solved nodes go into a per-pass solved table; improved lower bounds
 of OR-nodes go into the shared heuristic table as a side effect, which is the
 whole point: they raise later heuristic evaluations.  In temporal mode a pass
@@ -39,14 +42,15 @@ import itertools
 import math
 
 from .htable import HeuristicTable
-from .idastar import SearchResult, build_plan, drive
+from .idastar import SearchResult, build_plan, drive, slot_index
 from .metrics import AND, OR, Recorder
-from .model import INF, AtomSet, Units
+from .model import INF, AtomMask, Units
 
 
 class SolvedTable:
-    """Fixed-capacity closed hash map of exactly solved nodes; on collision
-    the previous entry is simply overwritten."""
+    """Fixed-capacity closed hash map of exactly solved nodes, indexed like
+    IDA*'s transposition table; on collision the previous entry is simply
+    overwritten."""
 
     def __init__(self, capacity: int = 1 << 16) -> None:
         if capacity < 1:
@@ -55,20 +59,27 @@ class SolvedTable:
         self._slots: list[tuple[object, Units] | None] = [None] * capacity
 
     def get(self, key) -> Units | None:
-        slot = self._slots[hash(key) % self.capacity]
+        slot = self._slots[slot_index(key, self.capacity)]
         if slot is not None and slot[0] == key:
             return slot[1]
         return None
 
     def put(self, key, cost: Units) -> None:
-        self._slots[hash(key) % self.capacity] = (key, cost)
+        self._slots[slot_index(key, self.capacity)] = (key, cost)
 
 
-def enumerate_and_successors(atoms: AtomSet, m: int) -> list[AtomSet]:
+def enumerate_and_successors(atoms: AtomMask, m: int) -> list[AtomMask]:
     """All size-m subsets in lexical (ascending id) order.  Smaller subsets
-    are dominated under max-evaluation, so only exact size m is generated."""
-    assert len(atoms) > m
-    return [frozenset(c) for c in itertools.combinations(sorted(atoms), m)]
+    are dominated under max-evaluation, so only exact size m is generated.
+    Each subset ORs m of the mask's bits, taken lowest first; the bits are
+    distinct, so their sum is their OR."""
+    assert atoms.bit_count() > m
+    bits = []
+    while atoms:
+        low = atoms & -atoms
+        bits.append(low)
+        atoms ^= low
+    return list(map(sum, itertools.combinations(bits, m)))
 
 
 class IdaoSearch:
@@ -120,7 +131,7 @@ class IdaoSearch:
             return 0, True
         atoms = self.space.atoms_of(state)
         # AND nodes are solved by their atoms, OR nodes by the state itself.
-        hit = self.solved.get(atoms if len(atoms) > self.m else state)
+        hit = self.solved.get(atoms if atoms.bit_count() > self.m else state)
         if self.recorder:
             self.recorder.solved_table(hit is not None)
         return None if hit is None else (hit, True)
@@ -168,16 +179,16 @@ class IdaoSearch:
 
     def _expand(self, state, h: Units, bound: Units, on_path: set):
         atoms = self.space.atoms_of(state)
-        if len(atoms) > self.m:
+        if atoms.bit_count() > self.m:
             return self._expand_and(atoms, bound)
         return self._expand_or(state, atoms, h, bound, on_path)
 
-    def _expand_and(self, atoms: AtomSet, bound: Units):
+    def _expand_and(self, atoms: AtomMask, bound: Units):
         space = self.space
         self.complete = False
         subsets = enumerate_and_successors(atoms, self.m)
         if self.recorder:
-            self.recorder.expansion(AND, len(atoms), tuple(len(s) for s in subsets))
+            self.recorder.expansion(AND, atoms.bit_count(), (self.m,) * len(subsets))
         worst, all_solved = 0, True
         for sub in subsets:
             search = self._idao_star(space.from_atoms(sub), bound)
@@ -192,12 +203,12 @@ class IdaoSearch:
             self.solved.put(atoms, worst)
         return worst, all_solved
 
-    def _expand_or(self, state, atoms: AtomSet, h: Units, bound: Units, on_path: set):
+    def _expand_or(self, state, atoms: AtomMask, h: Units, bound: Units, on_path: set):
         space = self.space
         edges, _ = space.successors(state)
         if self.recorder:
-            self.recorder.expansion(OR, len(atoms),
-                                    tuple(len(space.atoms_of(e.state)) for e in edges))
+            self.recorder.expansion(OR, atoms.bit_count(),
+                                    tuple(space.atoms_of(e.state).bit_count() for e in edges))
         # best: least cost not proven exceeded, used as the next bound; every
         # contribution exceeds the current bound, so iteration always makes
         # progress.  Branches closing a cycle on the current path are left out

@@ -74,6 +74,21 @@ from .metrics import NORMAL, Recorder
 from .model import INF, Mode, Plan, PlanStep, Units
 
 
+# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): the key's hash times 2^64
+# over the golden ratio, modulo 2^64.  The high bits of the product depend
+# on every bit of the hash, and `slot_index` keeps those.
+_GOLDEN = 0x9E3779B97F4A7C15
+_BITS64 = (1 << 64) - 1
+
+
+def slot_index(key, capacity: int) -> int:
+    """The slot of the key in a closed-hash table of that capacity: the
+    mixed hash, read as a fraction of 2^64, times the capacity, rounded
+    down.  An atom mask hashes to itself, so `hash(key) % capacity` would
+    see only its low bits, the lowest atom ids."""
+    return (hash(key) * _GOLDEN & _BITS64) * capacity >> 64
+
+
 def drive(call):
     """Run a search call, a generator, to its return value.  Every call it
     yields is pushed and run in turn, and what a call returns is sent back
@@ -105,18 +120,15 @@ class TranspositionTable:
         self.capacity = capacity
         self._slots: list[tuple[object, Units, int, int] | None] = [None] * capacity
 
-    def _index(self, key) -> int:
-        return hash(key) % self.capacity
-
     def get(self, key) -> tuple[Units, int] | None:
         """(value, mask) of the key's entry, or None."""
-        slot = self._slots[self._index(key)]
+        slot = self._slots[slot_index(key, self.capacity)]
         if slot is not None and slot[0] == key:
             return slot[1], slot[3]
         return None
 
     def put(self, key, value: Units, depth: int, mask: int = 0) -> None:
-        i = self._index(key)
+        i = slot_index(key, self.capacity)
         slot = self._slots[i]
         if slot is None or (slot[0] == key and slot[3] != mask):
             self._slots[i] = (key, value, depth, mask)
@@ -229,8 +241,8 @@ class IdaStar:
         space = self.space
         edges, _ = space.successors(state, forbidden)
         if self.recorder:
-            self.recorder.expansion(NORMAL, len(space.atoms_of(state)),
-                                    tuple(len(space.atoms_of(e.state)) for e in edges))
+            self.recorder.expansion(NORMAL, space.atoms_of(state).bit_count(),
+                                    tuple(space.atoms_of(e.state).bit_count() for e in edges))
         estimate, table = space.estimate, self.table
         scored = sorted([(e.delta + estimate(table, e.state), e) for e in edges],
                         key=lambda it: it[0])

@@ -13,11 +13,22 @@ appears only at the edges: plans (`Plan.metric`, `PlanStep.start`), results
 (`PlanResult.cost`/`next_bound`), the bounds handed to a `Recorder`, a
 space's `evaluate`, the upper limit and printing.  `Problem.to_cost` and
 `Problem.to_units` are the two conversions.
+
+A `Problem` and its `GroundAction`s hold atom sets as frozensets of atom
+ids.  The search core (the spaces, the heuristic table and both searches)
+holds an atom set as an int mask instead, bit p set for atom p: a state
+is a mask, and so is every table key.  `mask_of` and `ids_of` convert, and
+the problem gives its init, its goal and the per-action and per-atom masks
+the spaces regress by (`pre_masks`, `delete_masks`, `add_masks`,
+`adder_masks`, `conflict_masks`).  The masks of a large grounding are built
+on first use, and `add_masks` and `adder_masks` one index at a time: a
+search regresses a small share of its atoms and actions.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -34,8 +45,38 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 AtomSet = frozenset[int]
+# An atom set in the search core: bit p is set iff atom p is in the set.
+AtomMask = int
 
-EMPTY: AtomSet = frozenset()
+
+def mask_of(ids: Iterable[int]) -> AtomMask:
+    """The mask of the atom ids."""
+    mask = 0
+    for p in ids:
+        mask |= 1 << p
+    return mask
+
+
+def ids_of(mask: AtomMask) -> list[int]:
+    """The atom ids of the mask, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
+class LazyMap(dict):
+    """A dict that builds the value of a missing key once, by its function."""
+
+    def __init__(self, build: Callable) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
 
 
 def ceil_cost(x: Cost) -> Cost:
@@ -179,6 +220,39 @@ class Problem:
     def pre_masks(self) -> tuple[int, ...]:
         """Per action index, its preconditions as a bitmask."""
         return tuple(sum(1 << p for p in a.pre) for a in self.actions)
+
+    # The maps below build from the problem's tuples, not the problem itself,
+    # so no reference cycle keeps a problem alive until the collector runs.
+
+    @cached_property
+    def add_masks(self) -> LazyMap:
+        """Per action index, its add effects as a bitmask."""
+        actions = self.actions
+        return LazyMap(lambda i: mask_of(actions[i].add))
+
+    @cached_property
+    def adder_masks(self) -> LazyMap:
+        """Per atom id, the actions that add it as a bitmask over indices."""
+        adders = self.adders
+        return LazyMap(lambda p: mask_of(a.index for a in adders[p]))
+
+    def adders_of(self, atoms: AtomMask) -> int:
+        """The actions that add an atom of the mask, as a bitmask over indices."""
+        adders = self.adder_masks
+        mask = 0
+        while atoms:
+            low = atoms & -atoms
+            atoms ^= low
+            mask |= adders[low.bit_length() - 1]
+        return mask
+
+    @cached_property
+    def init_mask(self) -> AtomMask:
+        return mask_of(self.init)
+
+    @cached_property
+    def goal_mask(self) -> AtomMask:
+        return mask_of(self.goal)
 
     def to_cost(self, units: Units) -> Cost:
         """A count of 1/scale as a rational cost; INF stays INF."""

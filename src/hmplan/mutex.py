@@ -12,23 +12,10 @@ without a table and the GBF regress by it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from weakref import WeakKeyDictionary
 
 from .htable import HeuristicTable
-from .model import Problem
-
-
-class LazyMap(dict):
-    """A dict that builds the value of a missing key once, by its function."""
-
-    def __init__(self, build: Callable) -> None:
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(key)
-        return value
+from .model import LazyMap, Problem, mask_of
 
 
 class Mutex:
@@ -85,12 +72,8 @@ class Mutex:
         near = self.pre[i]
         if near < 0:
             return -1
-        a = self._problem.actions[i]
-        for p in a.add:
-            near &= ~(1 << p)
-        for p in a.delete:
-            near |= 1 << p
-        return near
+        problem = self._problem
+        return near & ~problem.add_masks[i] | mask_of(problem.actions[i].delete)
 
 
 _EMPTY: WeakKeyDictionary[Problem, Mutex] = WeakKeyDictionary()

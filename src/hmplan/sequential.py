@@ -1,48 +1,46 @@
 """Sequential regression search space over atom sets.
 
-Edge deltas are action costs in the problem's integer units of 1/scale;
-`estimate` gives the searches a state's heuristic value in those units and
-`evaluate` the same value as a Fraction.  A space built on the `Mutex` of
-the base table never regresses into a set that holds a mutex.
+A state is an atom set as an int mask (bit p for atom p), the goal's at the
+root.  Edge deltas are action costs in the problem's integer units of
+1/scale; `estimate` gives the searches a state's heuristic value in those
+units and `evaluate` the same value as a Fraction.  A space built on the
+`Mutex` of the base table never regresses into a set that holds a mutex.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import NamedTuple
 
 from .htable import HeuristicTable
-from .model import AtomSet, Cost, GroundAction, Problem, Units
+from .model import AtomMask, Cost, GroundAction, Problem, Units
 from .mutex import Mutex, no_mutex
 
 
-def final_seq(s: AtomSet, init: AtomSet) -> bool:
-    return s <= init
-
-
-_index = attrgetter("index")
-
-
 class SeqEdge(NamedTuple):
-    state: AtomSet
+    state: AtomMask
     delta: int  # the action's cost in units of 1/scale
     actions: tuple[GroundAction, ...]  # single regressing action
 
 
-def successors_seq(problem: Problem, s: AtomSet, mutex: Mutex | None = None) -> list[SeqEdge]:
+def successors_seq(problem: Problem, s: AtomMask, mutex: Mutex | None = None) -> list[SeqEdge]:
     """One edge per action that regresses s (it adds an atom of s and deletes
     none), in action index order: s minus its adds plus its preconditions.
     Given the `mutex` of the base table, the actions whose child would hold
     a mutex, the dead ones, are left out too: a dead child's estimate is
     INF, so no search expands it.  Without `mutex`, none is dead."""
     blocking = (no_mutex(problem) if mutex is None else mutex).blocking
-    adders, cost = problem.adders, problem.cost_units
-    candidates = sorted({a for p in s for a in adders[p]}, key=_index)
-    held = 0
-    for p in s:
-        held |= 1 << p
-    return [SeqEdge((s - a.add) | a.pre, cost[a], (a,))
-            for a in candidates if not blocking[a.index] & held]
+    actions, adds, pre, cost = (problem.actions, problem.add_masks, problem.pre_masks,
+                                problem.cost_units)
+    candidates = problem.adders_of(s)
+    edges = []
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        i = low.bit_length() - 1
+        if not blocking[i] & s:
+            a = actions[i]
+            edges.append(SeqEdge(s & ~adds[i] | pre[i], cost[a], (a,)))
+    return edges
 
 
 class SequentialSpace:
@@ -55,30 +53,30 @@ class SequentialSpace:
         self.problem = problem
         self.mutex = no_mutex(problem) if mutex is None else mutex
 
-    def root(self) -> AtomSet:
-        return self.problem.goal
+    def root(self) -> AtomMask:
+        return self.problem.goal_mask
 
-    def is_final(self, s: AtomSet) -> bool:
-        return final_seq(s, self.problem.init)
+    def is_final(self, s: AtomMask) -> bool:
+        return not s & ~self.problem.init_mask
 
-    def successors(self, s: AtomSet, forbidden: int = 0):
+    def successors(self, s: AtomMask, forbidden: int = 0):
         """Returns (edges, cut_count); sequential search has no cut rule."""
         return successors_seq(self.problem, s, self.mutex), 0
 
     def forbidden(self, via) -> int:
         return 0
 
-    def estimate(self, table: HeuristicTable, s: AtomSet) -> Units:
+    def estimate(self, table: HeuristicTable, s: AtomMask) -> Units:
         return table.eval(s)
 
-    def evaluate(self, table: HeuristicTable, s: AtomSet) -> Cost:
+    def evaluate(self, table: HeuristicTable, s: AtomMask) -> Cost:
         return self.problem.to_cost(table.eval(s))
 
-    def atoms_of(self, s: AtomSet) -> AtomSet:
+    def atoms_of(self, s: AtomMask) -> AtomMask:
         return s
 
-    def from_atoms(self, atoms: AtomSet) -> AtomSet:
+    def from_atoms(self, atoms: AtomMask) -> AtomMask:
         return atoms
 
-    def store_value(self, table: HeuristicTable, s: AtomSet, cost: Units) -> None:
+    def store_value(self, table: HeuristicTable, s: AtomMask, cost: Units) -> None:
         table.store(s, cost)

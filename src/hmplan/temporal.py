@@ -3,11 +3,12 @@ right-shift cuts, the relaxed view used for evaluation, and the storage rule
 for states that still carry in-progress actions.
 
 A state is the pair (E, F) and nothing more: the subgoal atoms E needed at
-the current time point and the set F of actions already chosen that span
-that point; each entry (a, d) in F started d time units before the current
-point, with 0 < d < dur(a).  How a state was reached lives on the edge: the
+the current time point, an int mask of atom ids as everywhere in the search
+core, and the set F of actions already chosen that span that point; each
+entry (a, d) in F started d time units before the current point, with
+0 < d < dur(a).  How a state was reached lives on the edge: the
 right-shift rule reads the edge the search came by (the state it left, the
-actions chosen there and the atoms carried by no-ops).
+actions chosen there and the mask of the atoms carried by no-ops).
 
 All times here (the offsets d, edge deltas, component offsets and stored
 values) are integers counting the problem's units of 1/scale, taken from
@@ -21,14 +22,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .htable import HeuristicTable
-from .model import EMPTY, AtomSet, Cost, GroundAction, Problem, Units
+from .model import AtomMask, Cost, GroundAction, Problem, Units
 from .mutex import Mutex, no_mutex
 
 FEntry = tuple[GroundAction, int]  # (action, units since its start)
 
 
 class TempState(NamedTuple):
-    goals: AtomSet
+    goals: AtomMask
     in_progress: tuple[FEntry, ...] = ()
 
 
@@ -36,7 +37,7 @@ class TempEdge(NamedTuple):
     state: TempState
     delta: int  # time advance in units of 1/scale
     actions: tuple[GroundAction, ...]  # real actions chosen at the source
-    carried: AtomSet  # atoms of state.goals carried only by no-ops
+    carried: AtomMask  # atoms of state.goals carried only by no-ops
     source: TempState  # the state the edge leaves
 
 
@@ -51,19 +52,16 @@ def compatible(a: GroundAction, b: GroundAction) -> bool:
     )
 
 
-def final_temporal(s: TempState, init: AtomSet) -> bool:
-    return not s.in_progress and s.goals <= init
-
-
-def relaxed_atoms(s: TempState) -> AtomSet:
+def relaxed_atoms(problem: Problem, s: TempState) -> AtomMask:
     """E joined with the preconditions of every in-progress action."""
     atoms = s.goals
+    pre = problem.pre_masks
     for a, _ in s.in_progress:
-        atoms = atoms | a.pre
+        atoms |= pre[a.index]
     return atoms
 
 
-def relax_state(s: TempState) -> list[tuple[AtomSet, int]]:
+def relax_state(problem: Problem, s: TempState) -> list[tuple[AtomMask, int]]:
     """Relax (E, F) to plain atom-set components with time offsets.
 
     For each offset d in F the preconditions of all actions started at least
@@ -73,20 +71,20 @@ def relax_state(s: TempState) -> list[tuple[AtomSet, int]]:
     """
     if not s.in_progress:
         return [(s.goals, 0)]
-    out: list[tuple[AtomSet, int]] = []
+    pre = problem.pre_masks
+    out: list[tuple[AtomMask, int]] = []
     offsets = sorted({d for _, d in s.in_progress}, reverse=True)
     for dk in offsets:
-        comp: AtomSet = frozenset()
+        comp = 0
         for a, d in s.in_progress:
             if d >= dk:
-                comp = comp | a.pre
+                comp |= pre[a.index]
         out.append((comp, dk))
-    all_pre = relaxed_atoms(s)
-    out.append((all_pre, 0))
+    out.append((relaxed_atoms(problem, s), 0))
     return out
 
 
-def storage_value(s: TempState, found_cost: Units) -> tuple[AtomSet, Units]:
+def storage_value(problem: Problem, s: TempState, found_cost: Units) -> tuple[AtomMask, Units]:
     """Convert a bound for (E, F) into one for the plain atom set.
 
     A plan achieving all the atoms also achieves the state at most max d
@@ -96,7 +94,7 @@ def storage_value(s: TempState, found_cost: Units) -> tuple[AtomSet, Units]:
     if not s.in_progress:
         return s.goals, found_cost
     max_d = max(d for _, d in s.in_progress)
-    return relaxed_atoms(s), max(found_cost - max_d, 0)
+    return relaxed_atoms(problem, s), max(found_cost - max_d, 0)
 
 
 def forbidden_mask(problem: Problem, via: TempEdge | None) -> int:
@@ -111,30 +109,24 @@ def forbidden_mask(problem: Problem, via: TempEdge | None) -> int:
     `via` only through F."""
     if via is None or not via.carried:
         return 0
-    goals, carried, source_goals = via.state.goals, via.carried, via.source.goals
-    conflict = problem.conflict_masks
+    source_goals = via.source.goals
+    # The goals not carried by a no-op: a forbidden action adds none of them.
+    needed = via.state.goals & ~via.carried
+    conflict, adds, deletes = problem.conflict_masks, problem.add_masks, problem.delete_masks
     there = 0
     for b, _ in via.source.in_progress:
         there |= 1 << b.index
     for c in via.actions:
         there |= 1 << c.index
+    candidates = problem.adders_of(via.carried)
     mask = 0
-    for p in carried:
-        for a in problem.adders[p]:
-            if ((a.add & goals) <= carried and not a.delete & source_goals
-                    and not conflict[a.index] & there):
-                mask |= 1 << a.index
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        i = low.bit_length() - 1
+        if not (adds[i] & needed or deletes[i] & source_goals or conflict[i] & there):
+            mask |= low
     return mask
-
-
-def _atoms(mask: int) -> AtomSet:
-    """The atom set of a bitmask over atom ids."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(ids)
 
 
 def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
@@ -172,9 +164,9 @@ def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
     Many signatures share their chosen actions, and many edges lead to equal
     states, so the edges are built from per-call memos: each distinct set of
     chosen actions is decoded once into its actions, time advance, released
-    atoms and new F, and equal child states and equal carried sets are one
-    shared object each.  This function keeps nothing between calls; the
-    memo of whole answers by (state, F) lives in `TemporalSpace`.
+    atoms and new F, and equal child states are one shared object.  This
+    function keeps nothing between calls; the memo of whole answers by
+    (state, F) lives in `TemporalSpace`.
     """
     conflict = problem.conflict_masks
     deletes = problem.delete_masks
@@ -197,7 +189,11 @@ def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
     # far.  The mutex relation is symmetric, so a new atom makes the choice
     # dead exactly when it is one of these or mutex with itself.
     frontier = {} if f_pre & f_near else {(0, 0): f_del | f_near}
-    for p in sorted(s.goals):
+    rest = s.goals
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        p = bit.bit_length() - 1
         cands = []
         for a in problem.adders[p]:
             i = a.index
@@ -207,7 +203,6 @@ def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
                 near = pre_mutex[i]
                 if near >= 0:
                     cands.append((1 << i, conflict[i], deletes[i], pre[i], deletes[i] | near))
-        bit = 1 << p
         p_mutex = atom_mutex[p]
         noop_ok = not p_mutex & bit
         extended = {}
@@ -225,12 +220,9 @@ def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
 
     in_progress = s.in_progress
     # Per-call memos, by bitmask: the decoding of each set of chosen actions,
-    # the atom set of each set of no-op'd atoms, one child state per goal
-    # mask under each new F, and one carried set per atom mask.
+    # and one child state per goal mask under each new F.
     decoded: dict[int, tuple] = {}
-    noop_sets: dict[int, AtomSet] = {}
     by_f: dict[tuple[FEntry, ...], dict[int, TempState]] = {}
-    carried_sets: dict[int, AtomSet] = {}
     make = tuple.__new__
     edges: list[TempEdge] = []
     for chosen, noops in frontier:
@@ -239,30 +231,22 @@ def successors_temporal(problem: Problem, s: TempState, forbidden: int = 0,
         d = decoded.get(chosen)
         if d is None:
             d = decoded[chosen] = _decode(problem, in_progress, chosen, by_f)
-        acts, advance, released, released_mask, states, new_f = d
-        goals = noops | released_mask
+        acts, advance, released, states, new_f = d
+        goals = noops | released
+        state = states.get(goals)
+        if state is None:
+            state = states[goals] = make(TempState, (goals, new_f))
         # An atom counts as no-op-carried only if persistence is its sole
         # reason for being a goal; atoms also required as preconditions stay
         # required no matter how the carried copy came about.
-        kept = noops & ~released_mask
-        state = states.get(goals)
-        carried = carried_sets.get(kept)
-        if state is None or carried is None:
-            noop_set = noop_sets.get(noops)
-            if noop_set is None:
-                noop_set = noop_sets[noops] = _atoms(noops)
-            if state is None:
-                state = states[goals] = make(TempState, (noop_set | released, new_f))
-            if carried is None:
-                carried = carried_sets[kept] = noop_set - released
-        edges.append(make(TempEdge, (state, advance, acts, carried, s)))
+        edges.append(make(TempEdge, (state, advance, acts, noops & ~released, s)))
     return edges, cut_count
 
 
 def _decode(problem: Problem, in_progress: tuple[FEntry, ...], chosen: int,
             by_f: dict) -> tuple:
-    """(actions, advance, released atoms as a set and as a mask, the child
-    states of the new F by goal mask, new F) of the actions in the bitmask
+    """(actions, advance, the mask of the released atoms, the child states
+    of the new F by goal mask, new F) of the actions in the bitmask
     `chosen`, started at the current point on top of F."""
     actions = problem.actions
     dur = problem.dur_units
@@ -271,8 +255,7 @@ def _decode(problem: Problem, in_progress: tuple[FEntry, ...], chosen: int,
     # Offsets: F plus the durations of chosen positive-duration actions; a
     # zero-duration action needs its preconditions at once.
     offsets = list(in_progress)
-    released: AtomSet = EMPTY
-    released_mask = 0
+    released = 0
     while chosen:
         low = chosen & -chosen
         i = low.bit_length() - 1
@@ -283,14 +266,12 @@ def _decode(problem: Problem, in_progress: tuple[FEntry, ...], chosen: int,
         if d:
             offsets.append((a, d))
         else:
-            released |= a.pre
-            released_mask |= pre[i]
+            released |= pre[i]
     advance = min([d for _, d in offsets]) if offsets else 0
     remaining = []
     for a, d in offsets:
         if d == advance:
-            released |= a.pre
-            released_mask |= pre[a.index]
+            released |= pre[a.index]
         else:
             remaining.append((a, d - advance))
     # The chosen actions come in index order; only F's entries need merging.
@@ -300,7 +281,7 @@ def _decode(problem: Problem, in_progress: tuple[FEntry, ...], chosen: int,
     states = by_f.get(new_f)
     if states is None:
         states = by_f[new_f] = {}
-    return tuple(acts), advance, released, released_mask, states, new_f
+    return tuple(acts), advance, released, states, new_f
 
 
 # Edges the successor memo of a TemporalSpace holds before it starts afresh.
@@ -332,10 +313,10 @@ class TemporalSpace:
         self._memo_edges = 0
 
     def root(self) -> TempState:
-        return TempState(self.problem.goal)
+        return TempState(self.problem.goal_mask)
 
     def is_final(self, s: TempState) -> bool:
-        return final_temporal(s, self.problem.init)
+        return not s.in_progress and not s.goals & ~self.problem.init_mask
 
     def successors(self, s: TempState, forbidden: int = 0):
         key = (s, forbidden)
@@ -356,7 +337,7 @@ class TemporalSpace:
         if not s.in_progress:
             return table.eval(s.goals)
         best = 0
-        for comp, offset in relax_state(s):
+        for comp, offset in relax_state(self.problem, s):
             v = offset + table.eval(comp)
             if v > best:
                 best = v
@@ -365,12 +346,12 @@ class TemporalSpace:
     def evaluate(self, table: HeuristicTable, s: TempState) -> Cost:
         return self.problem.to_cost(self.estimate(table, s))
 
-    def atoms_of(self, s: TempState) -> AtomSet:
-        return relaxed_atoms(s)
+    def atoms_of(self, s: TempState) -> AtomMask:
+        return relaxed_atoms(self.problem, s)
 
-    def from_atoms(self, atoms: AtomSet) -> TempState:
+    def from_atoms(self, atoms: AtomMask) -> TempState:
         return TempState(atoms)
 
     def store_value(self, table: HeuristicTable, s: TempState, cost: Units) -> None:
-        atoms, value = storage_value(s, cost)
+        atoms, value = storage_value(self.problem, s, cost)
         table.store(atoms, value)

@@ -12,6 +12,10 @@ scan over every action that `successors_seq` must match, and temporal plan
 validation by `validate_temporal_oracle`, which `validate_plan` must match.
 `ground_by_product` is the plain product grounder that `pddl.ground`'s join
 must match.
+
+The oracles hold atom sets as frozensets, as `Problem` does; the search core
+holds them as int masks.  `mask` and `ids` convert one set, and `masked`
+and `unmasked` convert a `TempState` or `TempEdge` between the two forms.
 """
 
 from __future__ import annotations
@@ -26,8 +30,41 @@ import pytest
 from hmplan.metrics import Recorder
 from hmplan.model import INF, ZERO, Atom, AtomSet, GroundAction, Mode, Plan, Problem
 from hmplan.pddl import DomainAst, Literal, PddlError, ProblemAst, _pos, _subtypes
-from hmplan.temporal import FEntry, TempEdge, TempState, compatible, final_temporal
+from hmplan.temporal import FEntry, TempEdge, TempState, compatible
 from hmplan.validate import ValidationResult
+
+
+def mask(atom_ids) -> int:
+    """The int mask of the atom ids, as the search core holds a set."""
+    out = 0
+    for p in atom_ids:
+        out |= 1 << p
+    return out
+
+
+def ids(atoms: int) -> AtomSet:
+    """The atom ids of an int mask, as a frozenset."""
+    return frozenset(p for p in range(atoms.bit_length()) if atoms >> p & 1)
+
+
+def masked(x):
+    """An oracle `TempState` or `TempEdge`, atom sets as frozensets, in the
+    search core's form, atom sets as masks; None stays None."""
+    if x is None:
+        return None
+    if type(x) is TempState:
+        return TempState(mask(x.goals), x.in_progress)
+    return TempEdge(masked(x.state), x.delta, x.actions, mask(x.carried), masked(x.source))
+
+
+def unmasked(x):
+    """The inverse of `masked`: a search core `TempState` or `TempEdge` with
+    its atom sets as frozensets, for the oracles; None stays None."""
+    if x is None:
+        return None
+    if type(x) is TempState:
+        return TempState(ids(x.goals), x.in_progress)
+    return TempEdge(unmasked(x.state), x.delta, x.actions, ids(x.carried), unmasked(x.source))
 
 
 def forward_dijkstra(problem: Problem) -> dict[AtomSet, Fraction]:
@@ -235,7 +272,7 @@ def temporal_makespan(problem: Problem, cap: int = 200_000, at_least=INF):
             return Fraction(d, problem.scale)
         popped += 1
         assert popped <= cap, "temporal oracle exceeded its search cap"
-        if final_temporal(s, problem.init):
+        if not s.in_progress and s.goals <= problem.init:
             return Fraction(d, problem.scale)
         edges, _ = successors_product(problem, s)
         for e in edges:
@@ -342,11 +379,13 @@ def _overlap(s1: Fraction, d1: Fraction, s2: Fraction, d2: Fraction) -> bool:
 
 
 def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:
-    """All states reachable by blind sequential regression from the goal."""
+    """All states reachable by blind sequential regression from the goal, as
+    frozensets."""
     from hmplan.sequential import successors_seq
 
-    seen = {problem.goal}
-    stack = [problem.goal]
+    root = mask(problem.goal)
+    seen = {root}
+    stack = [root]
     while stack:
         s = stack.pop()
         assert len(seen) <= cap
@@ -354,7 +393,7 @@ def regression_states(problem: Problem, cap: int = 100_000) -> set[AtomSet]:
             if e.state not in seen:
                 seen.add(e.state)
                 stack.append(e.state)
-    return seen
+    return set(map(ids, seen))
 
 
 def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, int | float]:
@@ -372,9 +411,9 @@ def gbf_sweep(problem: Problem, m: int) -> dict[AtomSet, int | float]:
     def edges(s: AtomSet):
         """(delta, ((atoms, offset), ...)) per regression of s."""
         if problem.mode is Mode.SEQUENTIAL:
-            return [(e.delta, ((e.state, 0),)) for e in successors_seq(problem, s)]
-        return [(e.delta, relax_state(e.state))
-                for e in successors_temporal(problem, TempState(s))[0]]
+            return [(e.delta, ((ids(e.state), 0),)) for e in successors_seq(problem, mask(s))]
+        return [(e.delta, [(ids(atoms), offset) for atoms, offset in relax_state(problem, e.state)])
+                for e in successors_temporal(problem, TempState(mask(s)))[0]]
 
     def subsets(atoms):
         ids = sorted(atoms)

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     achieve_cost,
     forward_dijkstra,
+    mask,
     parallel_makespan,
     random_problem,
     regression_states,
@@ -41,7 +42,7 @@ class SpyTable(HeuristicTable):
     def __init__(self):
         super().__init__()
         self.iteration = 0
-        self.log: list[tuple[int, frozenset, object]] = []
+        self.log: list[tuple[int, int, object]] = []
 
     def store(self, atoms, value):
         self.log.append((self.iteration, atoms, value))
@@ -96,12 +97,13 @@ class TestCriteria:
         root_estimates = [r.bound for r in search.recorder.trace
                           if r.phase == "idao:2"]
         a = root_estimates[0] == 3
-        b = stored_value(table.log, p.goal, 1) == 4
-        pair = p.atom_set("point d4", "on")
+        goal = mask(p.goal)
+        b = stored_value(table.log, goal, 1) == 4
+        pair = mask(p.atom_set("point d4", "on"))
         c = any(it == 2 and k == pair and v == 2
                 for it, k, v in search.solved.log)
-        d = any(it >= 2 and k == p.goal and v == 5 for it, k, v in table.log)
-        e = table.eval(p.goal) == 7 and out.outcome == "solved" and out.cost == 7
+        d = any(it >= 2 and k == goal and v == 5 for it, k, v in table.log)
+        e = table.eval(goal) == 7 and out.outcome == "solved" and out.cost == 7
         ok = a and b and c and d and e and elapsed < 1.0
         verdict(1, ok, f"root 3:{a} pair@4:{b} sub@2:{c} pair@5:{d} final 7:{e}")
 
@@ -120,7 +122,7 @@ class TestCriteria:
             for m in (1, 2, 3):
                 complete = HeuristicTable(p.scale)
                 compute_base_heuristic(p, complete, m)
-                want = complete.eval(p.goal)
+                want = complete.eval(mask(p.goal))
 
                 seed = HeuristicTable(p.scale)
                 if m > 1:
@@ -145,7 +147,7 @@ class TestCriteria:
                 nonlocal violations, states_checked
                 for s in states:
                     states_checked += 1
-                    if p.to_cost(t.eval(s)) > achieve_cost(dist, s):
+                    if p.to_cost(t.eval(mask(s))) > achieve_cost(dist, s):
                         violations += 1
 
             t = HeuristicTable(p.scale)
@@ -237,7 +239,7 @@ class TestCriteria:
         assert seq_optimal(p) == 12  # oracle precondition
         h2 = HeuristicTable()
         compute_base_heuristic(p, h2, 2)
-        assert h2.eval(p.goal) == 7  # strictly below the optimum
+        assert h2.eval(mask(p.goal)) == 7  # strictly below the optimum
 
         rec_plain = Recorder()
         plain = run_pipeline(p, PlannerConfig(pipeline="tp4"), rec_plain)
@@ -308,7 +310,7 @@ class TestCriteria:
             p = random_problem(rng, max_atoms=7, max_actions=10)
             t = HeuristicTable(p.scale)
             compute_base_heuristic(p, t, 2)
-            for s in regression_states(p, cap=50_000):
+            for s in map(mask, regression_states(p, cap=50_000)):
                 for edge in successors_seq(p, s):
                     pairs += 1
                     if t.eval(s) > edge.delta + t.eval(edge.state):

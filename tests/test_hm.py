@@ -5,10 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import achieve_cost, forward_dijkstra, gbf_sweep, random_problem
+from conftest import achieve_cost, forward_dijkstra, gbf_sweep, mask, random_problem
 from conftest import MIXED_COSTS, MIXED_DURS, regression_states
 from hmplan import fixtures
-from hmplan.hm import _small_regressions, _subsets_upto, compute_base_heuristic
+from hmplan.hm import _small_regressions, compute_base_heuristic
 from hmplan.htable import HeuristicTable
 from hmplan.model import INF, Mode
 from hmplan.model import Atom, GroundAction, Problem
@@ -23,11 +23,18 @@ def table_for(problem, m):
     return t
 
 
+def _subsets_upto(atoms, m: int):
+    """The nonempty subsets of size <= m, as frozensets, smallest first,
+    lexical within."""
+    ids = sorted(atoms)
+    return [frozenset(c) for k in range(1, min(m, len(ids)) + 1) for c in combinations(ids, k)]
+
+
 def stored_sets(problem, m):
     """The values, in units, of the nonempty sets of size <= m in the
     problem's complete h^m table."""
     table = table_for(problem, m)
-    return {s: table.eval(s) for s in _subsets_upto(range(len(problem.atoms)), m)}
+    return {s: table.eval(mask(s)) for s in _subsets_upto(range(len(problem.atoms)), m)}
 
 
 @pytest.fixture(scope="module")
@@ -39,34 +46,34 @@ class TestSequentialValues:
     def test_h1_satellite_atoms(self, sat1):
         # [DERIVED: shortest action chains per atom]
         t = table_for(sat1, 1)
-        assert t.eval(sat1.atom_set("point d1")) == 0
-        assert t.eval(sat1.atom_set("point d2")) == 1
-        assert t.eval(sat1.atom_set("on")) == 1
-        assert t.eval(sat1.atom_set("cal")) == 2
-        assert t.eval(sat1.atom_set("img d4")) == 3
-        assert t.eval(sat1.goal) == 3
+        assert t.eval(mask(sat1.atom_set("point d1"))) == 0
+        assert t.eval(mask(sat1.atom_set("point d2"))) == 1
+        assert t.eval(mask(sat1.atom_set("on"))) == 1
+        assert t.eval(mask(sat1.atom_set("cal"))) == 2
+        assert t.eval(mask(sat1.atom_set("img d4"))) == 3
+        assert t.eval(mask(sat1.goal)) == 3
 
     def test_h2_satellite_goal(self, sat1):
         # [DERIVED: brute-force oracle confirms optimal 7; h2 reaches it here]
         t = table_for(sat1, 2)
-        assert t.eval(sat1.goal) == 7
+        assert t.eval(mask(sat1.goal)) == 7
 
     def test_h2_detects_pointing_mutex(self, sat1):
         # the satellite can never point in two directions at once
         t = table_for(sat1, 2)
-        assert t.eval(sat1.atom_set("point d1", "point d2")) == INF
+        assert t.eval(mask(sat1.atom_set("point d1", "point d2"))) == INF
 
     def test_chain_values_count_steps(self):
         p = fixtures.chain(5)
         t = table_for(p, 1)
         for i in range(6):
-            assert t.eval(p.atom_set(f"p{i}")) == i
+            assert t.eval(mask(p.atom_set(f"p{i}"))) == i
 
     def test_unsolvable_goal_infinite(self):
         p = fixtures.unsolvable()
         t = table_for(p, 2)
-        assert t.eval(p.goal) == INF
-        assert t.eval(p.atom_set("x")) == 1
+        assert t.eval(mask(p.goal)) == INF
+        assert t.eval(mask(p.atom_set("x"))) == 1
 
     def test_hm_rejects_nonpositive_m(self, sat1):
         with pytest.raises(ValueError):
@@ -83,24 +90,24 @@ class TestTemporalValues:
         # [DERIVED: power-on or turn first, calibrate second]
         p = fixtures.satellite(mode=Mode.PARALLEL)
         t = table_for(p, 1)
-        assert t.eval(p.atom_set("cal")) == 2
+        assert t.eval(mask(p.atom_set("cal"))) == 2
 
     def test_parallel_goal_h2(self):
         p = fixtures.satellite(mode=Mode.PARALLEL)
         t = table_for(p, 2)
-        assert t.eval(p.goal) == 6
+        assert t.eval(mask(p.goal)) == 6
 
     def test_temporal_chain_sums_durations(self):
         # [DERIVED: forced chain of durations 2 and 3]
         p = fixtures.chain(2, Mode.TEMPORAL, durs=[2, 3])
         t = table_for(p, 1)
-        assert t.eval(p.atom_set("p2")) == 5
+        assert t.eval(mask(p.atom_set("p2"))) == 5
 
     def test_dispatch_by_mode(self):
         p = fixtures.satellite(mode=Mode.PARALLEL)
         t = HeuristicTable()
         compute_base_heuristic(p, t, 1)
-        assert t.eval(p.atom_set("cal")) == 2
+        assert t.eval(mask(p.atom_set("cal"))) == 2
 
 
 def unchecked_action(index, name, pre, add, delete, cost):
@@ -276,8 +283,8 @@ class TestLabelSetting:
         p = Problem(atoms, acts, frozenset(), frozenset({0, 1}), Mode.TEMPORAL)
         t = table_for(p, 2)
         # [DERIVED: a alone takes 3/2; a and b together end by 3/2, b first]
-        assert p.to_cost(t.eval(p.atom_set("g"))) == Fraction(3, 2)
-        assert p.to_cost(t.eval(p.goal)) == Fraction(3, 2)
+        assert p.to_cost(t.eval(mask(p.atom_set("g")))) == Fraction(3, 2)
+        assert p.to_cost(t.eval(mask(p.goal))) == Fraction(3, 2)
 
     def test_each_edge_fires_at_most_once(self, sat1):
         # Sequential h^2 looks at an action at most once per level, and a
@@ -305,7 +312,7 @@ class TestLabelSetting:
         p = hand_built(("r", "s", "q", 1), ("s", "q", "s", 1), ("s", "p", "", 1))
         t = HeuristicTable()
         stats = compute_base_heuristic(p, t, 2)
-        assert t.eval(p.atom_set("q", "s")) == INF
+        assert t.eval(mask(p.atom_set("q", "s"))) == INF
         assert (stats.rounds, stats.edges) == (7, 5)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -318,8 +325,8 @@ class TestLabelSetting:
             for k in range(20):
                 p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode,
                                    durs=MIXED_DURS if mode is Mode.TEMPORAL and k % 2 else None)
-                regressions = sum(len(successors_seq(p, s) if mode is Mode.SEQUENTIAL else
-                                      successors_temporal(p, TempState(s))[0])
+                regressions = sum(len(successors_seq(p, mask(s)) if mode is Mode.SEQUENTIAL else
+                                      successors_temporal(p, TempState(mask(s)))[0])
                                   for s in _subsets_upto(range(len(p.atoms)), m)
                                   if not s <= p.init)
                 assert compute_base_heuristic(p, HeuristicTable(p.scale), m).edges == regressions
@@ -351,14 +358,18 @@ def temporal_pq(*specs):
 
 
 def multiset(regressions):
-    """Regressions as a multiset of (delta, sorted (atom ids, offset) components)."""
-    return Counter((d, tuple(sorted((tuple(sorted(atoms)), offset) for atoms, offset in cs)))
-                   for d, cs in regressions)
+    """Regressions as a multiset of (delta, sorted (atom mask, offset) components)."""
+    return Counter((d, tuple(sorted(cs))) for d, cs in regressions)
+
+
+def masked_components(regressions):
+    """Regressions written with atom-id sets, their components as masks."""
+    return [(d, [(mask(atoms), offset) for atoms, offset in cs]) for d, cs in regressions]
 
 
 def oracle_regressions(problem, s):
-    """The relaxed view of every temporal regression of s."""
-    return [(e.delta, relax_state(e.state))
+    """The relaxed view of every temporal regression of the mask s."""
+    return [(e.delta, relax_state(problem, e.state))
             for e in successors_temporal(problem, TempState(s))[0]]
 
 
@@ -369,8 +380,8 @@ class TestSmallRegressions:
     @staticmethod
     def check_every_small_set(problem):
         for s in _subsets_upto(range(len(problem.atoms)), 2):
-            assert multiset(_small_regressions(problem, s)) == \
-                multiset(oracle_regressions(problem, s)), sorted(s)
+            assert multiset(_small_regressions(problem, mask(s))) == \
+                multiset(oracle_regressions(problem, mask(s))), sorted(s)
 
     @pytest.mark.parametrize("mode", [Mode.PARALLEL, Mode.TEMPORAL])
     def test_satellite(self, mode):
@@ -397,15 +408,15 @@ class TestSmallRegressions:
         # (ends 1 sooner); p by a1 with q no-op'd, by a1 too or by a3 (a3
         # needs nothing 1 further back); {a0, a1} once; a2 deletes q, so
         # neither q's no-op nor any adder of q goes with it]
-        assert multiset(_small_regressions(p, p.goal)) == multiset([
+        assert multiset(_small_regressions(p, mask(p.goal))) == multiset(masked_components([
             (4, [({0, 2}, 0)]), (2, [({0, 3}, 0)]), (3, [({0}, 0)]),
             (4, [({1, 2}, 0)]), (4, [({2}, 0)]), (2, [({2}, 2), ({2, 3}, 0)]),
             (3, [({2}, 1), ({2}, 0)]),
             (2, [({1, 3}, 0)]), (2, [({3}, 0)]), (2, [(set(), 1), ({3}, 0)]),
-        ])
+        ]))
         # [DERIVED: {p} through a0, a1 and a2, which takes no time]
-        assert multiset(_small_regressions(p, frozenset({0}))) == multiset(
-            [(4, [({2}, 0)]), (2, [({3}, 0)]), (0, [({2}, 0)])])
+        assert multiset(_small_regressions(p, mask({0}))) == multiset(masked_components(
+            [(4, [({2}, 0)]), (2, [({3}, 0)]), (0, [({2}, 0)])]))
 
 
 class TestAdmissibility:
@@ -417,7 +428,7 @@ class TestAdmissibility:
             for m in (1, 2):
                 t = table_for(p, m)
                 for s in regression_states(p, cap=20_000):
-                    assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
+                    assert p.to_cost(t.eval(mask(s))) <= achieve_cost(dist, s)
 
     def test_h1_le_h2(self):
         rng = random.Random(13)
@@ -425,7 +436,7 @@ class TestAdmissibility:
             p = random_problem(rng, max_atoms=7, max_actions=10)
             t1, t2 = table_for(p, 1), table_for(p, 2)
             for s in regression_states(p, cap=20_000):
-                assert t1.eval(s) <= t2.eval(s)
+                assert t1.eval(mask(s)) <= t2.eval(mask(s))
 
     def test_stats_reported(self, sat1):
         t = HeuristicTable()
@@ -433,7 +444,7 @@ class TestAdmissibility:
         n = len(sat1.atoms)
         assert stats.sets == n + n * (n - 1) // 2
         mutex_pairs = sum(1 for s in _subsets_upto(range(n), 2)
-                          if len(s) == 2 and t.eval(s) == INF)
+                          if len(s) == 2 and t.eval(mask(s)) == INF)
         assert mutex_pairs >= 10  # the pointing mutexes at least
 
 
@@ -450,8 +461,8 @@ class TestMixedDenominators:
         assert p.scale == 6
         t = table_for(p, 2)
         # [DERIVED: a then b, 1/2 + 1/3 = 5/6, or 5 sixths]
-        assert t.eval(p.goal) == 5 and p.to_cost(t.eval(p.goal)) == Fraction(5, 6)
-        assert t.eval(p.atom_set("p")) == 3
+        assert t.eval(mask(p.goal)) == 5 and p.to_cost(t.eval(mask(p.goal))) == Fraction(5, 6)
+        assert t.eval(mask(p.atom_set("p"))) == 3
 
     def test_h1_h2_admissible_random(self):
         rng = random.Random(17)
@@ -463,7 +474,7 @@ class TestMixedDenominators:
             for m in (1, 2):
                 t = table_for(p, m)
                 for s in regression_states(p, cap=20_000):
-                    assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
+                    assert p.to_cost(t.eval(mask(s))) <= achieve_cost(dist, s)
         assert scales == {6}
 
 
@@ -483,14 +494,14 @@ class TestMutex:
             mutex = compute_base_heuristic(p, t, m).mutex
             ids = range(len(p.atoms))
             for a in ids:
-                if t.eval(frozenset({a})) == INF:
+                if t.eval(mask({a})) == INF:
                     assert mutex.atoms[a] == -1
                 else:
                     assert mutex.atoms[a] == sum(1 << b for b in ids
-                                                 if b != a and t.eval(frozenset({a, b})) == INF)
+                                                 if b != a and t.eval(mask({a, b})) == INF)
                 mutexes += mutex.atoms[a] != 0
             for act in p.actions:
-                dead = any(t.eval(frozenset(c)) == INF
+                dead = any(t.eval(mask(c)) == INF
                            for k in (1, 2) for c in combinations(sorted(act.pre), k))
                 union = 0
                 for a in act.pre:
@@ -514,7 +525,7 @@ class TestMutex:
             ids = range(len(p.atoms))
             for s in [*combinations(ids, 1), *combinations(ids, 2)]:
                 if rng.random() < 0.3:
-                    t.store(frozenset(s), rng.choice([INF, t.eval(frozenset(s)) + 1]))
+                    t.store(mask(s), rng.choice([INF, t.eval(mask(s)) + 1]))
             assert [mutex.atoms[a] for a in ids] == [before.atoms[a] for a in ids]
             for i in range(len(p.actions)):
                 assert mutex.pre[i] == before.pre[i] and mutex.blocking[i] == before.blocking[i]

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MIXED_DURS, gbf_sweep, random_problem
+from conftest import MIXED_DURS, gbf_sweep, mask, random_problem
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import _MEMO_CAP, HeuristicTable
 from hmplan.model import INF, ZERO, Atom, GroundAction, Mode, Problem
@@ -18,37 +18,37 @@ values = st.one_of(st.integers(min_value=0, max_value=300), st.just(INF))
 class TestStoreEval:
     def test_empty_table_evals_zero(self):
         t = HeuristicTable()
-        assert t.eval(frozenset({1, 2})) == ZERO
+        assert t.eval(mask({1, 2})) == ZERO
 
     def test_exact_hit(self):
         t = HeuristicTable()
-        t.store(frozenset({1, 3}), 4)
-        assert t.eval(frozenset({1, 3})) == 4
+        t.store(mask({1, 3}), 4)
+        assert t.eval(mask({1, 3})) == 4
 
     def test_subset_maximization(self):
         # [DERIVED: hand-built table]
         t = HeuristicTable()
-        t.store(frozenset({1}), 2)
-        t.store(frozenset({2, 3}), 5)
-        t.store(frozenset({4}), 7)
-        assert t.eval(frozenset({1, 2, 3})) == 5
-        assert t.eval(frozenset({1, 2})) == 2
-        assert t.eval(frozenset({2, 3, 4})) == 7
+        t.store(mask({1}), 2)
+        t.store(mask({2, 3}), 5)
+        t.store(mask({4}), 7)
+        assert t.eval(mask({1, 2, 3})) == 5
+        assert t.eval(mask({1, 2})) == 2
+        assert t.eval(mask({2, 3, 4})) == 7
 
     def test_superset_not_used(self):
         t = HeuristicTable()
-        t.store(frozenset({1, 2}), 9)
-        assert t.eval(frozenset({1})) == ZERO
+        t.store(mask({1, 2}), 9)
+        assert t.eval(mask({1})) == ZERO
 
     def test_infinity_marks_mutex(self):
         t = HeuristicTable()
-        t.store(frozenset({0, 1}), INF)
-        assert t.eval(frozenset({0, 1, 5})) == INF
-        assert t.eval(frozenset({0, 5})) == ZERO
+        t.store(mask({0, 1}), INF)
+        assert t.eval(mask({0, 1, 5})) == INF
+        assert t.eval(mask({0, 5})) == ZERO
 
     def test_monotone_store(self):
         t = HeuristicTable()
-        s = frozenset({2})
+        s = mask({2})
         t.store(s, 5)
         t.store(s, 3)
         assert t.eval(s) == 5
@@ -62,22 +62,22 @@ class TestAgainstDictOracle:
         t = HeuristicTable()
         oracle: dict[frozenset, object] = {}
         for s, v in stores:
-            t.store(s, v)
+            t.store(mask(s), v)
             if v > oracle.get(s, ZERO):
                 oracle[s] = v
         expected = ZERO
         for s, v in oracle.items():
             if s <= query and v > expected:
                 expected = v
-        assert t.eval(query) == expected
+        assert t.eval(mask(query)) == expected
 
     @given(st.lists(st.tuples(sets, values), min_size=1, max_size=25))
     def test_eval_monotone_in_query(self, stores):
         t = HeuristicTable()
         for s, v in stores:
-            t.store(s, v)
-        small = frozenset({0, 1, 2})
-        large = frozenset({0, 1, 2, 3, 4})
+            t.store(mask(s), v)
+        small = mask({0, 1, 2})
+        large = mask({0, 1, 2, 3, 4})
         assert t.eval(small) <= t.eval(large)
 
     @given(st.data())
@@ -93,12 +93,30 @@ class TestAgainstDictOracle:
         for op in ops:
             if type(op) is tuple:
                 s, v = op
-                t.store(s, v)
+                t.store(mask(s), v)
                 if v > oracle.get(s, ZERO):
                     oracle[s] = v
             else:
                 expected = max((v for s, v in oracle.items() if s <= op), default=ZERO)
-                assert t.eval(op) == expected
+                assert t.eval(mask(op)) == expected
+
+
+    # Ids on both sides of the 64-bit word boundaries, so masks run over
+    # several machine words; sets of three and more go to the trie.
+    wide = st.frozensets(st.sampled_from([0, 1, 2, 62, 63, 64, 65, 127, 128, 200]), max_size=5)
+
+    @given(st.lists(st.tuples(wide, values), max_size=25), st.lists(wide, max_size=10))
+    def test_wide_masks_match_bruteforce(self, stores, queries):
+        # Raising and dominated stores, each followed by every query.
+        t = HeuristicTable()
+        oracle: dict[frozenset, object] = {}
+        for s, v in stores:
+            t.store(mask(s), v)
+            if v > oracle.get(s, ZERO):
+                oracle[s] = v
+            for q in queries:
+                expected = max((w for s2, w in oracle.items() if s2 <= q), default=ZERO)
+                assert t.eval(mask(q)) == expected
 
 
 def levels_of(single: list, pairs: list) -> list:
@@ -131,23 +149,23 @@ class TestLoad:
         loaded, stored = HeuristicTable(), HeuristicTable()
         loaded.load(levels_of(single, pairs))
         for a, v in enumerate(single):
-            stored.store(frozenset({a}), v)
+            stored.store(mask({a}), v)
             for b in range(a + 1, len(single)):
-                stored.store(frozenset({a, b}), pairs[a][b])
+                stored.store(mask({a, b}), pairs[a][b])
         for k in range(4):
-            for q in map(frozenset, combinations(range(8), k)):
+            for q in map(mask, combinations(range(8), k)):
                 assert loaded.eval(q) == stored.eval(q)
 
     def test_load_into_a_used_table_raises(self):
         lists = levels_of([1, 2], [[INF, 3], [INF, INF]])
         t = HeuristicTable()
-        t.store(frozenset({0, 1}), 0)  # raises nothing, so the table stays fresh
+        t.store(mask({0, 1}), 0)  # raises nothing, so the table stays fresh
         t.load(lists)
         with pytest.raises(ValueError):
             t.load(lists)
         for s in (frozenset(), frozenset({5}), frozenset({1, 2}), frozenset({1, 2, 3})):
             used = HeuristicTable()
-            used.store(s, 4)
+            used.store(mask(s), 4)
             with pytest.raises(ValueError):
                 used.load(lists)
 
@@ -179,14 +197,14 @@ class TestGbfTableAgainstDictOracle:
             if type(op) is tuple:
                 s, step = op
                 v = INF if step is None else max(0, expected(s) + step)
-                t.store(s, v)
+                t.store(mask(s), v)
                 if v > oracle.get(s, 0):
                     oracle[s] = v
             else:
-                assert t.eval(op) == expected(op)
+                assert t.eval(mask(op)) == expected(op)
         for k in range(4):
             for q in map(frozenset, combinations(range(n + 2), k)):
-                assert t.eval(q) == expected(q)
+                assert t.eval(mask(q)) == expected(q)
         # Each list ascends, and each of its levels adds to the one below.
         for ups in t._levels.values():
             assert all(v < w and not mask & ~up and mask != up
@@ -196,42 +214,42 @@ class TestGbfTableAgainstDictOracle:
 class TestMemo:
     def test_only_a_raise_clears(self):
         t = HeuristicTable()
-        q = frozenset({0, 1, 9})
-        t.store(frozenset({0}), 4)
+        q = mask({0, 1, 9})
+        t.store(mask({0}), 4)
         assert t.eval(q) == 4 and q in t._memo
-        t.store(frozenset({0}), 2)  # raises nothing
+        t.store(mask({0}), 2)  # raises nothing
         assert q in t._memo
-        t.store(frozenset({30}), 1)  # grows the lists, and raises {30}
+        t.store(mask({30}), 1)  # grows the lists, and raises {30}
         assert not t._memo
         assert t.eval(q) == 4
-        t.store(frozenset({1, 9}), 6)
+        t.store(mask({1, 9}), 6)
         assert not t._memo and t.eval(q) == 6
 
     def test_dominated_store_keeps_the_memo(self, monkeypatch):
         # {0, 1} at 3 is below what {0} gives it: the store changes no eval,
         # so it leaves the memo, and it asks no public eval for the value.
         t = HeuristicTable()
-        q = frozenset({0, 1, 2})
-        t.store(frozenset({0}), 5)
-        t.store(frozenset({1, 2, 3}), 7)
+        q = mask({0, 1, 2})
+        t.store(mask({0}), 5)
+        t.store(mask({1, 2, 3}), 7)
         assert t.eval(q) == 5 and q in t._memo
         asked = []
         monkeypatch.setattr(HeuristicTable, "eval", lambda self, s: asked.append(s))
         for s, v in [({0, 1}, 3), ({0, 1}, 5), ({0, 2, 4}, 4), ({0, 1, 2, 3}, 7),
                      ({1, 2, 3}, 6)]:
-            t.store(frozenset(s), v)
+            t.store(mask(s), v)
             assert q in t._memo
         assert not asked
-        t.store(frozenset({0, 1}), 6)
+        t.store(mask({0, 1}), 6)
         assert not t._memo
         monkeypatch.undo()
-        assert t.eval(q) == 6 and t.eval(frozenset({0, 1, 2, 3})) == 7
+        assert t.eval(q) == 6 and t.eval(mask({0, 1, 2, 3})) == 7
 
     def test_memo_never_exceeds_cap(self):
         t = HeuristicTable()
-        t.store(frozenset({0}), 3)
+        t.store(mask({0}), 3)
         for a in range(1, _MEMO_CAP + 10):
-            assert t.eval(frozenset({0, a})) == 3
+            assert t.eval(mask({0, a})) == 3
             assert len(t._memo) <= _MEMO_CAP
 
 
@@ -260,12 +278,12 @@ thirds_sixths = st.one_of(
 class TestIntegerUnits:
     def test_values_are_units(self):
         t = HeuristicTable()
-        t.store(frozenset({0, 1}), 3)
-        t.store(frozenset({2}), INF)
-        for q in (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})):
+        t.store(mask({0, 1}), 3)
+        t.store(mask({2}), INF)
+        for q in (mask(()), mask({0}), mask({0, 1}), mask({0, 1, 2})):
             assert is_units(t.eval(q))
-        assert t.eval(frozenset({0, 1})) == 3
-        assert t.eval(frozenset({2})) is INF
+        assert t.eval(mask({0, 1})) == 3
+        assert t.eval(mask({2})) is INF
 
     def test_unlike_denominators_convert_at_load(self):
         # [DERIVED: halves and thirds give scale 6; a costs 3 and lasts 8
@@ -279,33 +297,33 @@ class TestIntegerUnits:
         # The values 1/2, 7/3, 5/6, 4 and 17/6 enter a table of sixths as
         # units and come back out as the same Fractions.
         t = HeuristicTable(p.scale)
-        t.store(frozenset({0}), p.to_units(Fraction(1, 2)))
-        t.store(frozenset({1, 2}), p.to_units(Fraction(7, 3)))
-        t.store(frozenset({1, 2, 3}), p.to_units(Fraction(5, 6)))
-        t.store(frozenset({1, 2, 3}), p.to_units(Fraction(17, 6)))
-        assert t.eval(frozenset({0})) == 3
-        assert t.eval(frozenset({1, 2})) == 14
-        assert t.eval(frozenset({1, 2, 3})) == 17
-        t.store(frozenset({3}), p.to_units(Fraction(4)))
-        assert t.eval(frozenset({0, 1, 2})) == 14
-        assert t.eval(frozenset({0, 1, 2, 3})) == 24
+        t.store(mask({0}), p.to_units(Fraction(1, 2)))
+        t.store(mask({1, 2}), p.to_units(Fraction(7, 3)))
+        t.store(mask({1, 2, 3}), p.to_units(Fraction(5, 6)))
+        t.store(mask({1, 2, 3}), p.to_units(Fraction(17, 6)))
+        assert t.eval(mask({0})) == 3
+        assert t.eval(mask({1, 2})) == 14
+        assert t.eval(mask({1, 2, 3})) == 17
+        t.store(mask({3}), p.to_units(Fraction(4)))
+        assert t.eval(mask({0, 1, 2})) == 14
+        assert t.eval(mask({0, 1, 2, 3})) == 24
         for q, cost in [((), 0), ((0,), Fraction(1, 2)), ((1,), 0), ((1, 2), Fraction(7, 3)),
                         ((3,), 4), ((0, 1, 2, 3), 4)]:
-            got = p.to_cost(t.eval(frozenset(q)))
+            got = p.to_cost(t.eval(mask(q)))
             assert got == cost and type(got) is Fraction
         assert p.to_cost(INF) is INF and p.to_units(INF) is INF
 
     def test_query_atoms_beyond_stored_ids(self):
         t = HeuristicTable(2)
-        t.store(frozenset({1, 2}), 5)
-        t.store(frozenset({0, 1, 2}), 6)
-        assert t.eval(frozenset({1, 2, 40})) == 5
-        assert t.eval(frozenset({0, 1, 2, 9, 1000})) == 6
-        assert t.eval(frozenset({7, 8})) == 0
-        assert is_units(t.eval(frozenset({7, 8})))
-        assert t.eval(frozenset({1, 40})) == 0
-        assert t.eval(frozenset({50})) == 0
-        assert HeuristicTable().eval(frozenset({3})) == 0
+        t.store(mask({1, 2}), 5)
+        t.store(mask({0, 1, 2}), 6)
+        assert t.eval(mask({1, 2, 40})) == 5
+        assert t.eval(mask({0, 1, 2, 9, 1000})) == 6
+        assert t.eval(mask({7, 8})) == 0
+        assert is_units(t.eval(mask({7, 8})))
+        assert t.eval(mask({1, 40})) == 0
+        assert t.eval(mask({50})) == 0
+        assert HeuristicTable().eval(mask({3})) == 0
 
     @given(st.lists(st.tuples(sets, thirds_sixths), max_size=25),
            st.frozensets(st.integers(0, 12), max_size=7))
@@ -315,13 +333,13 @@ class TestIntegerUnits:
         t = HeuristicTable(p.scale)
         oracle: dict[frozenset, object] = {}
         for s, v in stores:
-            t.store(s, p.to_units(v))
+            t.store(mask(s), p.to_units(v))
             if v > oracle.get(s, ZERO):
                 oracle[s] = v
-            got = t.eval(query)
+            got = t.eval(mask(query))
             expected = max((w for s2, w in oracle.items() if s2 <= query), default=ZERO)
             assert p.to_cost(got) == expected and is_units(got)
         for s in oracle:
-            got = t.eval(s)
+            got = t.eval(mask(s))
             expected = max(w for s2, w in oracle.items() if s2 <= s)
             assert p.to_cost(got) == expected and is_units(got)

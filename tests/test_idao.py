@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MIXED_DURS, random_problem, seq_optimal, temporal_makespan
+from conftest import MIXED_DURS, mask, random_problem, seq_optimal, temporal_makespan
 from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
@@ -49,20 +49,29 @@ class TestSolvedTable:
 class TestAndSuccessors:
     def test_counts(self):
         # [TRIVIAL: C(8,3) = 56]
-        subs = enumerate_and_successors(frozenset(range(8)), 3)
+        subs = enumerate_and_successors(mask(range(8)), 3)
         assert len(subs) == 56
-        assert all(len(s) == 3 for s in subs)
+        assert all(s.bit_count() == 3 for s in subs)
 
     def test_lexical_order(self):
-        subs = enumerate_and_successors(frozenset({5, 1, 3, 0}), 2)
+        subs = enumerate_and_successors(mask({5, 1, 3, 0}), 2)
         assert subs == [
-            frozenset({0, 1}), frozenset({0, 3}), frozenset({0, 5}),
-            frozenset({1, 3}), frozenset({1, 5}), frozenset({3, 5}),
+            mask({0, 1}), mask({0, 3}), mask({0, 5}),
+            mask({1, 3}), mask({1, 5}), mask({3, 5}),
         ]
 
     def test_requires_oversized_input(self):
         with pytest.raises(AssertionError):
-            enumerate_and_successors(frozenset({1, 2}), 2)
+            enumerate_and_successors(mask({1, 2}), 2)
+
+    def test_random_masks_match_combinations(self):
+        # Ids up to 200, so masks span several machine words.
+        rng = random.Random(41)
+        for _ in range(150):
+            ids = rng.sample(range(201), rng.randint(2, 9))
+            m = rng.randint(1, len(ids) - 1)
+            assert enumerate_and_successors(mask(ids), m) == \
+                [mask(c) for c in itertools.combinations(sorted(ids), m)]
 
 
 class TestExactness:
@@ -145,15 +154,15 @@ class TestComputesHm:
         above = 0
         for k in range(1, m + 1) if base_m == m - 1 else ():
             for atoms in map(frozenset, itertools.combinations(range(len(p.atoms)), k)):
-                value = idao.table.eval(atoms)
-                if value <= complete.eval(atoms):
+                value = idao.table.eval(mask(atoms))
+                if value <= complete.eval(mask(atoms)):
                     continue
                 assert p.mode is Mode.TEMPORAL, (p.name, sorted(atoms))
                 goal = Problem(list(p.atoms), list(p.actions), p.init, atoms, p.mode)
                 makespan = temporal_makespan(goal, at_least=p.to_cost(value))
                 assert value <= makespan * p.scale, (p.name, sorted(atoms))
                 above += 1
-        return out, complete.eval(p.goal), above
+        return out, complete.eval(mask(p.goal)), above
 
     @pytest.mark.parametrize("solved_capacity", [1 << 16, 1])
     def test_random_problems(self, solved_capacity):
@@ -212,10 +221,10 @@ class TestTableSideEffects:
         p = fixtures.satellite()
         t = HeuristicTable()
         compute_base_heuristic(p, t, 1)
-        assert t.eval(p.goal) == 3
+        assert t.eval(mask(p.goal)) == 3
         IdaoSearch(SequentialSpace(p), t, 2).run()
-        assert t.eval(p.goal) == 7
-        assert t.eval(p.atom_set("point d4", "on")) == 2
+        assert t.eval(mask(p.goal)) == 7
+        assert t.eval(mask(p.atom_set("point d4", "on"))) == 2
 
     def test_values_stay_admissible(self):
         rng = random.Random(37)
@@ -228,7 +237,7 @@ class TestTableSideEffects:
             IdaoSearch(SequentialSpace(p), t, 2).run()
             dist = forward_dijkstra(p)
             for s in regression_states(p, cap=20_000):
-                assert p.to_cost(t.eval(s)) <= achieve_cost(dist, s)
+                assert p.to_cost(t.eval(mask(s))) <= achieve_cost(dist, s)
 
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
     def test_temporal_values_stay_admissible(self, mode):
@@ -246,13 +255,13 @@ class TestTableSideEffects:
             compute_base_heuristic(p, t, 1)
             sets = [frozenset(c) for k in (1, 2, 3)
                     for c in itertools.combinations(range(len(p.atoms)), k)]
-            base = {s: space.evaluate(t, TempState(s)) for s in sets}
+            base = {s: space.evaluate(t, TempState(mask(s))) for s in sets}
             # The passes of hspa from h^1 under fixed:3.
             for m in (2, 3):
                 IdaoSearch(space, t, m).run()
             makespan = {}  # goal -> a lower bound on its makespan
             for s in sets:
-                v = space.evaluate(t, TempState(s))
+                v = space.evaluate(t, TempState(mask(s)))
                 makespan[s] = max((makespan[s - {a}] for a in s if len(s) > 1),
                                   default=0)
                 if v > makespan[s]:

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (MIXED_DURS, CappedRecorder, achieve_cost, forbidden_set,
+from conftest import (MIXED_DURS, CappedRecorder, achieve_cost, forbidden_set, ids,
                       forward_dijkstra, mixed_temporal_draws, optimum, random_problem,
-                      seq_optimal, temporal_makespan)
+                      seq_optimal, temporal_makespan, unmasked)
 from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
+from hmplan.idao import SolvedTable
 from hmplan.htable import HeuristicTable
-from hmplan.idastar import IdaStar, TranspositionTable, build_plan
+from hmplan.idastar import IdaStar, TranspositionTable, build_plan, slot_index
 from hmplan.metrics import Recorder
 from hmplan.model import INF, Atom, GroundAction, Mode, Problem
 from hmplan.sequential import SequentialSpace
@@ -49,12 +50,28 @@ class TestTranspositionTable:
         tt.put("k", Fraction(3), depth=5)
         tt.put("k", Fraction(2), depth=1)
         assert tt.get("k") == (3, 0)
-        assert tt._slots[tt._index("k")] == ("k", 3, 1, 0)
+        slot = slot_index("k", tt.capacity)
+        assert tt._slots[slot] == ("k", 3, 1, 0)
         tt.put("k", Fraction(2), depth=4, mask=0b110)
-        assert tt._slots[tt._index("k")] == ("k", 2, 4, 0b110)
+        assert tt._slots[slot] == ("k", 2, 4, 0b110)
         tt.put("k", Fraction(5), depth=6, mask=0b110)
         tt.put("k", Fraction(4), depth=2, mask=0b110)
-        assert tt._slots[tt._index("k")] == ("k", 5, 2, 0b110)
+        assert tt._slots[slot] == ("k", 5, 2, 0b110)
+
+    @pytest.mark.parametrize("shift", [16, 100])
+    def test_masks_sharing_low_bits_spread(self, shift):
+        # An atom mask hashes to itself, so `hash(key) % (1 << 16)` would put
+        # these 1,024 masks, equal in their low 16 bits, in one slot.  Both
+        # closed-hash tables index through `slot_index`.
+        keys = [0xBEEF | i << shift for i in range(1024)]
+        assert len({slot_index(k, 1 << 16) for k in keys}) >= 900
+        tt, solved = TranspositionTable(1 << 16), SolvedTable(1 << 16)
+        for k in keys:
+            tt.put(k, 1, depth=0)
+            solved.put(k, 1)
+        assert sum(slot is not None for slot in tt._slots) >= 900
+        assert sum(slot is not None for slot in solved._slots) >= 900
+        assert all(slot_index(k, 7) in range(7) for k in keys)
 
     def test_entry_keeps_its_forbidden_set(self):
         # A value found where more actions were forbidden may exceed what
@@ -391,7 +408,7 @@ class TestForbiddenContext:
                 else:
                     assert result[1] and result[0] > bound  # pruned by f
                     after = result[0] - g
-                out.append((found[-1], forbidden_set(problem, via), h, after))
+                out.append((found[-1], forbidden_set(problem, unmasked(via)), h, after))
             return result
 
         ida.tt.get, ida._enter, ida._done = recording_get, recording_enter, Finished()
@@ -435,7 +452,7 @@ class TestStoredBoundsAdmissible:
                 continue
             for state, value, _, mask in self.entries(p, 1):
                 assert mask == 0
-                assert value <= achieve_cost(dist, state) * p.scale
+                assert value <= achieve_cost(dist, ids(state)) * p.scale
                 checked += 1
         assert checked > 100
 
@@ -458,9 +475,10 @@ class TestStoredBoundsAdmissible:
                 if mask or state.in_progress:
                     continue
                 checked += 1
-                if achieve_cost(dist, state.goals) == INF:
+                goals = ids(state.goals)
+                if achieve_cost(dist, goals) == INF:
                     continue
-                q = Problem(p.atoms, p.actions, p.init, state.goals, p.mode)
+                q = Problem(p.atoms, p.actions, p.init, goals, p.mode)
                 at_least = Fraction(value, p.scale)
                 assert value <= temporal_makespan(q, at_least=at_least) * p.scale
         assert checked > 30

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import optimum, parallel_makespan, random_problem, seq_optimal, temporal_makespan
 from conftest import MIXED_COSTS, MIXED_DURS, CappedRecorder, mixed_temporal_draws
+from conftest import ids, mask
 from hmplan import fixtures, hm, temporal
 from hmplan.cli import _build_parser
 from hmplan.hm import compute_base_heuristic
@@ -191,10 +192,9 @@ class TestSuccessorMemo:
         assert memoised < len(built)
 
 
-def _dead(table, atoms) -> bool:
-    """Whether the atoms hold an atom or a pair that the table holds at INF."""
-    ids = sorted(atoms)
-    return any(table.eval(frozenset(c)) == INF for k in (1, 2) for c in combinations(ids, k))
+def _dead(table, atoms: int) -> bool:
+    """Whether the mask holds an atom or a pair that the table holds at INF."""
+    return any(table.eval(mask(c)) == INF for k in (1, 2) for c in combinations(ids(atoms), k))
 
 
 def _draws(seed, mode, count=30):
@@ -243,7 +243,8 @@ class TestMutexPruning:
         """(edges, cuts) with no child dropped, and each child's relaxed atoms."""
         if problem.mode is Mode.SEQUENTIAL:
             return (successors_seq(problem, s), 0), lambda e: e.state
-        return successors_temporal(problem, s, forbidden), lambda e: relaxed_atoms(e.state)
+        return (successors_temporal(problem, s, forbidden),
+                lambda e: relaxed_atoms(problem, e.state))
 
     def check_expanded_states(self, monkeypatch, problems):
         """Run tp4 and hspa over the problems at base m 1 and 2, and check
@@ -324,7 +325,7 @@ class TestMutexPruning:
         # m = 3, go through successors_temporal.
         assert all(calls.values())
         assert all(len(args) == 2 and not kw for found in calls.values() for args, kw in found)
-        assert all(len(args[1].goals) == 3 for args, _ in calls["successors_temporal"])
+        assert all(args[1].goals.bit_count() == 3 for args, _ in calls["successors_temporal"])
 
 
 class TestHspaStopping:
@@ -457,7 +458,7 @@ class TestEdges:
     def test_result_carries_tables_and_stats(self):
         p = fixtures.satellite()
         res, rec = recorded(p, pipeline="hspa")
-        assert res.table is not None and res.table.eval(p.goal) == 7
+        assert res.table is not None and res.table.eval(mask(p.goal)) == 7
         assert phases(rec)[:2] == ["gbf", "idao:3"]
 
     def test_temporal_mix_fractional(self):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MIXED_DURS, forbidden_set, random_problem, successors_product
+from conftest import MIXED_DURS, forbidden_set, mask, masked, random_problem, successors_product
 from hmplan import fixtures, pddl, temporal
 from hmplan.hm import compute_base_heuristic
 from hmplan.htable import HeuristicTable
@@ -16,7 +16,6 @@ from hmplan.temporal import (
     TempState,
     TemporalSpace,
     compatible,
-    final_temporal,
     forbidden_mask,
     relax_state,
     relaxed_atoms,
@@ -74,55 +73,56 @@ class TestCompatibility:
 
 class TestRelaxation:
     def test_no_in_progress_single_component(self):
-        s = TempState(frozenset({3, 4}))
-        assert relax_state(s) == [(frozenset({3, 4}), ZERO)]
+        s = TempState(mask({3, 4}))
+        assert relax_state(problem(_NAMES, [], [], ["p"]), s) == [(mask({3, 4}), ZERO)]
 
     def test_components_in_decreasing_offset_order(self):
         # [DERIVED: offsets 2 then 1 then 0; deeper offsets join shallower sets]
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["q", "r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, 1), (a2, 2)))
-        comps = relax_state(s)
+        s = TempState(mask({0}), ((a1, 1), (a2, 2)))
+        comps = relax_state(problem(_NAMES, [a1, a2], [], ["p"]), s)
         assert comps == [
-            (a2.pre, 2),
-            (a1.pre | a2.pre, 1),
-            (frozenset({0}) | a1.pre | a2.pre, ZERO),
+            (mask(a2.pre), 2),
+            (mask(a1.pre | a2.pre), 1),
+            (mask({0} | a1.pre | a2.pre), ZERO),
         ]
 
     def test_equal_offsets_share_a_component(self):
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, 2), (a2, 2)))
-        comps = relax_state(s)
-        assert comps[0] == (a1.pre | a2.pre, 2)
+        s = TempState(mask({0}), ((a1, 2), (a2, 2)))
+        comps = relax_state(problem(_NAMES, [a1, a2], [], ["p"]), s)
+        assert comps[0] == (mask(a1.pre | a2.pre), 2)
         assert len(comps) == 2
 
     def test_state_size_counts_union(self):
         # [DERIVED: |{p} u {q} u {q,r}| = 3]
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["q", "r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, 1), (a2, 2)))
+        s = TempState(mask({0}), ((a1, 1), (a2, 2)))
         space = TemporalSpace(problem(_NAMES, [a1, a2], [], ["p"]))
-        assert len(space.atoms_of(s)) == 3
-        assert relaxed_atoms(s) == frozenset({0}) | a1.pre | a2.pre
+        assert space.atoms_of(s).bit_count() == 3
+        assert relaxed_atoms(space.problem, s) == mask({0} | a1.pre | a2.pre)
 
     def test_storage_subtracts_max_offset(self):
         # [DERIVED: 5 - 2 = 3]
         a1 = act(0, "a1", ["q"], ["u"])
         a2 = act(1, "a2", ["r"], ["v"])
-        s = TempState(frozenset({0}), ((a1, 1), (a2, 2)))
-        atoms, value = storage_value(s, 5)
-        assert atoms == relaxed_atoms(s)
+        p = problem(_NAMES, [a1, a2], [], ["p"])
+        s = TempState(mask({0}), ((a1, 1), (a2, 2)))
+        atoms, value = storage_value(p, s, 5)
+        assert atoms == relaxed_atoms(p, s)
         assert value == 3
 
     def test_storage_clamps_at_zero(self):
         a = act(0, "a", ["q"], ["u"])
-        s = TempState(frozenset({0}), ((a, 4),))
-        assert storage_value(s, 2)[1] == ZERO
+        s = TempState(mask({0}), ((a, 4),))
+        assert storage_value(problem(_NAMES, [a], [], ["p"]), s, 2)[1] == ZERO
 
     def test_storage_without_in_progress_is_identity(self):
-        s = TempState(frozenset({1, 2}))
-        assert storage_value(s, 6) == (frozenset({1, 2}), 6)
+        s = TempState(mask({1, 2}))
+        assert storage_value(problem(_NAMES, [], [], ["p"]), s, 6) == (mask({1, 2}), 6)
 
 
 class TestSuccessors:
@@ -130,11 +130,11 @@ class TestSuccessors:
         # [TRIVIAL: one real establisher, stutter no-op branch dropped]
         a = act(0, "a", ["q"], ["p"])
         p = problem(["p", "q"], [a], ["q"], ["p"])
-        edges, cuts = successors_temporal(p, TempState(p.goal))
+        edges, cuts = successors_temporal(p, TempState(mask(p.goal)))
         assert cuts == 0 and len(edges) == 1
         e = edges[0]
         assert e.delta == 1 and e.actions == (a,)
-        assert e.state == TempState(a.pre)
+        assert e.state == TempState(mask(a.pre))
         assert not e.state.in_progress
 
     def test_advance_releases_nearest_action(self):
@@ -142,50 +142,50 @@ class TestSuccessors:
         a1 = act(0, "a1", ["q"], ["u"], dur=3)
         a2 = act(1, "a2", ["r"], ["v"], dur=3)
         p = problem(["p", "q", "r", "u", "v"], [a1, a2], ["q", "r", "p"], ["p"])
-        s = TempState(p.atom_set("p"), ((a1, 1), (a2, 2)))
+        s = TempState(mask(p.atom_set("p")), ((a1, 1), (a2, 2)))
         edges, _ = successors_temporal(p, s)
         noop_edge = next(e for e in edges if not e.actions)
         assert noop_edge.delta == 1
-        assert noop_edge.state.goals == a1.pre | p.atom_set("p")
+        assert noop_edge.state.goals == mask(a1.pre | p.atom_set("p"))
         assert noop_edge.state.in_progress == ((a2, 1),)
 
     def test_chosen_action_enters_progress_when_longer(self):
         a = act(0, "a", ["q"], ["p"], dur=3)
         b = act(1, "b", ["r"], ["s"], dur=1)
         p = problem(["p", "q", "r", "s"], [a, b], ["q", "r"], ["p", "s"])
-        edges, _ = successors_temporal(p, TempState(p.goal))
+        edges, _ = successors_temporal(p, TempState(mask(p.goal)))
         both = next(e for e in edges if len(e.actions) == 2)
         assert both.delta == 1
         assert both.state.in_progress == ((a, 2),)
-        assert both.state.goals == b.pre  # a's pre released 2 units later
+        assert both.state.goals == mask(b.pre)  # a's pre released 2 units later
 
     def test_zero_duration_effects_at_start_point(self):
         z = act(0, "z", ["q"], ["p"], dur=0)
         p = problem(["p", "q"], [z], ["q"], ["p"])
-        edges, _ = successors_temporal(p, TempState(p.goal))
+        edges, _ = successors_temporal(p, TempState(mask(p.goal)))
         assert len(edges) == 1
         e = edges[0]
         assert e.delta == ZERO
-        assert e.state == TempState(z.pre)
+        assert e.state == TempState(mask(z.pre))
         assert not e.state.in_progress
 
     def test_establishers_must_be_pairwise_compatible(self):
         a = act(0, "a", [], ["p"], delete=["r"])
         b = act(1, "b", ["r"], ["q"])
         p = problem(["p", "q", "r"], [a, b], ["r"], ["p", "q"])
-        edges, _ = successors_temporal(p, TempState(p.goal))
+        edges, _ = successors_temporal(p, TempState(mask(p.goal)))
         assert all({x.name for x in e.actions} != {"a", "b"} for e in edges)
 
     def test_establisher_may_not_delete_nooped_atom(self):
         a = act(0, "a", [], ["p"], delete=["q"])
         p = problem(["p", "q"], [a], ["q"], ["p", "q"])
-        edges, _ = successors_temporal(p, TempState(p.goal))
+        edges, _ = successors_temporal(p, TempState(mask(p.goal)))
         # the only establisher of p deletes the no-op'd q: dead end
         assert edges == []
 
     def test_parallel_unit_durations_never_carry(self, sat1):
         par = fixtures.satellite(mode=Mode.PARALLEL)
-        seen = [TempState(par.goal)]
+        seen = [TempState(mask(par.goal))]
         for _ in range(3):
             nxt = []
             for s in seen:
@@ -196,11 +196,9 @@ class TestSuccessors:
 
     def test_final_requires_empty_progress(self):
         a = act(0, "a", ["q"], ["p"], dur=2)
-        init = frozenset({1})
-        assert final_temporal(TempState(frozenset({1})), init)
-        assert not final_temporal(
-            TempState(frozenset({1}), ((a, 1),)), init
-        )
+        space = TemporalSpace(problem(["p", "q"], [a], ["q"], ["p"]))
+        assert space.is_final(TempState(mask({1})))
+        assert not space.is_final(TempState(mask({1}), ((a, 1),)))
 
 
 def forbids(problem, via, a):
@@ -212,9 +210,9 @@ class TestRightShift:
     def test_cut_when_only_persistence_needed(self, sat1):
         take5 = by_name(sat1, "take-image d5")
         take4 = by_name(sat1, "take-image d4")
-        edges, _ = successors_temporal(sat1, TempState(sat1.goal))
+        edges, _ = successors_temporal(sat1, TempState(mask(sat1.goal)))
         via = next(e for e in edges if e.actions == (take5,))
-        assert via.carried == sat1.atom_set("img d4")
+        assert via.carried == mask(sat1.atom_set("img d4"))
         assert forbids(sat1, via, take4)
         # take-image d4 is the only adder of the carried (img d4)
         assert forbidden_mask(sat1, via) == 1 << take4.index
@@ -227,27 +225,27 @@ class TestRightShift:
         take5 = by_name(sat1, "take-image d5")
         turn = by_name(sat1, "turn d4 d5")
         take4 = by_name(sat1, "take-image d4")
-        root = TempState(sat1.goal)
+        root = TempState(mask(sat1.goal))
         s1 = next(e for e in successors_temporal(sat1, root)[0]
                   if e.actions == (take5,)).state
         via = next(e for e in successors_temporal(sat1, s1)[0]
                    if e.actions == (turn,))
-        assert sat1.atom_id("img d4") in via.carried
+        assert via.carried >> sat1.atom_id("img d4") & 1
         assert not forbids(sat1, via, take4)
 
     def test_no_cut_when_atom_also_released_precondition(self, sat1):
         # (point d4) is no-op'd and simultaneously pre of the chosen take-image
         take4 = by_name(sat1, "take-image d4")
         turn24 = by_name(sat1, "turn d2 d4")
-        s2 = TempState(sat1.atom_set("point d4", "img d4", "on", "cal"))
+        s2 = TempState(mask(sat1.atom_set("point d4", "img d4", "on", "cal")))
         via = next(e for e in successors_temporal(sat1, s2)[0]
                    if e.actions == (take4,))
-        assert sat1.atom_id("point d4") not in via.carried
+        assert not via.carried >> sat1.atom_id("point d4") & 1
         assert not forbids(sat1, via, turn24)
 
     def test_cut_counting(self, sat1):
         take5 = by_name(sat1, "take-image d5")
-        root = TempState(sat1.goal)
+        root = TempState(mask(sat1.goal))
         via = next(e for e in successors_temporal(sat1, root)[0]
                    if e.actions == (take5,))
         _, cuts = successors_temporal(sat1, via.state, forbidden_mask(sat1, via))
@@ -262,8 +260,8 @@ class TestSpaceInterface:
         p = problem(["p", "q", "u"], [a], ["q"], ["p"])
         sp = TemporalSpace(p)
         t = HeuristicTable()
-        t.store(p.atom_set("q"), 4)
-        s = TempState(p.atom_set("p"), ((a, 2),))
+        t.store(mask(p.atom_set("q")), 4)
+        s = TempState(mask(p.atom_set("p")), ((a, 2),))
         # component (pre a, offset 2) evaluates to 2 + 4, in units and as a cost
         assert sp.estimate(t, s) == 6
         assert sp.evaluate(t, s) == 6 and type(sp.evaluate(t, s)) is Fraction
@@ -273,9 +271,9 @@ class TestSpaceInterface:
         p = problem(["p", "q", "u"], [a], ["q"], ["p"])
         sp = TemporalSpace(p)
         t = HeuristicTable()
-        s = TempState(p.atom_set("p"), ((a, 2),))
+        s = TempState(mask(p.atom_set("p")), ((a, 2),))
         sp.store_value(t, s, 5)
-        assert t.eval(p.atom_set("p", "q")) == 3
+        assert t.eval(mask(p.atom_set("p", "q"))) == 3
 
 
 def _expanded(p, space):
@@ -437,28 +435,29 @@ class TestAgainstProduct:
     product's rule forbids; `forbidden_mask` gives those actions, and so
     does a `TemporalSpace` built with right shift.  Right shift cuts at a
     state exactly when it forbids an action there: IDA* stores that set with
-    its table entries without asking the cut count.  The edges are
-    `TempEdge`s over `TempState`s, not tuples that merely compare equal, and
-    within one call equal child states and equal carried sets are one object
-    each."""
+    its table entries without asking the cut count.  The product works on
+    frozensets and the space on masks, so the product's edges are compared
+    by `masked`.  The edges are `TempEdge`s over `TempState`s, not tuples
+    that merely compare equal, and within one call equal child states are
+    one object."""
 
     @staticmethod
     def same(problem, via, s, right_shift):
         forbidden = forbidden_set(problem, via)
-        assert forbidden_mask(problem, via) == forbidden
+        core_via = masked(via)
+        assert forbidden_mask(problem, core_via) == forbidden
         space = TemporalSpace(problem, right_shift=right_shift)
-        assert space.forbidden(via) == (forbidden if right_shift else 0)
-        got, got_cuts = space.successors(s, space.forbidden(via))
+        assert space.forbidden(core_via) == (forbidden if right_shift else 0)
+        got, got_cuts = space.successors(masked(s), space.forbidden(core_via))
         want, want_cuts = successors_product(problem, s, via, right_shift)
         assert got_cuts == want_cuts
-        assert got == want
+        assert got == [masked(e) for e in want]
         if right_shift:
             assert (got_cuts > 0) == (forbidden != 0)
-        states, carried = {}, {}
+        states = {}
         for e in got:
             assert type(e) is TempEdge and type(e.state) is TempState
             assert states.setdefault(e.state, e.state) is e.state
-            assert carried.setdefault(e.carried, e.carried) is e.carried
         return len(got), got_cuts
 
     @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
@@ -475,6 +474,21 @@ class TestAgainstProduct:
         assert edges > 0 and cuts > 0
         if mode is Mode.TEMPORAL:
             assert with_f > 0
+
+    @pytest.mark.parametrize("mode", [Mode.TEMPORAL, Mode.PARALLEL])
+    def test_many_shallow_walks(self, mode):
+        # Five times the draws of test_random_walks, each walked less deep,
+        # with and without right shift.
+        rng = random.Random(150)
+        edges = carried = 0
+        for _ in range(150):
+            p = random_problem(rng, mode=mode,
+                               durs=MIXED_DURS if mode is Mode.TEMPORAL else None)
+            for via, s in _walk(p, rng, depth=3, width=2):
+                carried += via is not None and bool(via.carried)
+                for right_shift in (False, True):
+                    edges += self.same(p, via, s, right_shift)[0]
+        assert edges > 150 and carried > 0
 
     def test_random_states(self, rng):
         # States no regression from the goal reaches: there, no action of F
