@@ -39,10 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="round every duration up to the next integer")
     p.add_argument("--no-right-shift", action="store_true",
                    help="disable the right-shift pruning rule")
-    p.add_argument("--tt-size", type=int, default=1 << 16, metavar="N",
-                   help="transposition table capacity")
-    p.add_argument("--solved-size", type=int, default=1 << 16, metavar="N",
-                   help="solved table capacity")
+    p.add_argument("--tt-size", type=int, default=PlannerConfig.tt_size, metavar="N",
+                   help="most entries the transposition table holds")
+    p.add_argument("--solved-size", type=int, default=PlannerConfig.solved_size, metavar="N",
+                   help="most entries each relaxed pass's solved table holds")
     p.add_argument("--trace", metavar="OUT.CSV",
                    help="write the bound evolution trace")
     p.add_argument("--metrics", metavar="OUT.CSV",

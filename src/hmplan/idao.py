@@ -42,30 +42,29 @@ import itertools
 import math
 
 from .htable import HeuristicTable
-from .idastar import SearchResult, build_plan, drive, slot_index
+from .idastar import DEFAULT_CAPACITY, SearchResult, build_plan, drive
 from .metrics import AND, OR, Recorder
 from .model import INF, AtomMask, Units
 
 
 class SolvedTable:
-    """Fixed-capacity closed hash map of exactly solved nodes, indexed like
-    IDA*'s transposition table; on collision the previous entry is simply
-    overwritten."""
+    """The exact costs of solved nodes, at most `capacity` of them.  A full
+    table takes no new node but still updates those it holds: a node it
+    does not hold is only searched again."""
 
-    def __init__(self, capacity: int = 1 << 16) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots: list[tuple[object, Units] | None] = [None] * capacity
+        self._entries: dict[object, Units] = {}
 
     def get(self, key) -> Units | None:
-        slot = self._slots[slot_index(key, self.capacity)]
-        if slot is not None and slot[0] == key:
-            return slot[1]
-        return None
+        return self._entries.get(key)
 
     def put(self, key, cost: Units) -> None:
-        self._slots[slot_index(key, self.capacity)] = (key, cost)
+        entries = self._entries
+        if key in entries or len(entries) < self.capacity:
+            entries[key] = cost
 
 
 def enumerate_and_successors(atoms: AtomMask, m: int) -> list[AtomMask]:
@@ -87,7 +86,8 @@ class IdaoSearch:
     instance, the heuristic table is shared and only ever improves."""
 
     def __init__(self, space, table: HeuristicTable, m: int,
-                 solved_capacity: int = 1 << 16, recorder: Recorder | None = None) -> None:
+                 solved_capacity: int = DEFAULT_CAPACITY,
+                 recorder: Recorder | None = None) -> None:
         self.space = space
         self.table = table
         self.m = m

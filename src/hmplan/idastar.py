@@ -1,8 +1,8 @@
 """Cost-bounded iterative-deepening A* over a regression space, with a
-fixed-capacity closed-hash transposition table and footnote-style bound
-schedule: each iteration's bound is the least f-value pruned in the previous
-one, never a fixed increment.  The space alone orders a node's children:
-IDAO* takes them as listed, and IDA* sorts them stably by f.
+bounded transposition table and footnote-style bound schedule: each
+iteration's bound is the least f-value pruned in the previous one, never a
+fixed increment.  The space alone orders a node's children: IDAO* takes them
+as listed, and IDA* sorts them stably by f.
 
 Every expansion that proves more than the state's score stores it in the
 table, whether or not a cycle was pruned or right shift cut below it (after
@@ -74,19 +74,9 @@ from .metrics import NORMAL, Recorder
 from .model import INF, Mode, Plan, PlanStep, Units
 
 
-# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): the key's hash times 2^64
-# over the golden ratio, modulo 2^64.  The high bits of the product depend
-# on every bit of the hash, and `slot_index` keeps those.
-_GOLDEN = 0x9E3779B97F4A7C15
-_BITS64 = (1 << 64) - 1
-
-
-def slot_index(key, capacity: int) -> int:
-    """The slot of the key in a closed-hash table of that capacity: the
-    mixed hash, read as a fraction of 2^64, times the capacity, rounded
-    down.  An atom mask hashes to itself, so `hash(key) % capacity` would
-    see only its low bits, the lowest atom ids."""
-    return (hash(key) * _GOLDEN & _BITS64) * capacity >> 64
+# The entries each table holds by default: the transposition table here,
+# IDAO*'s solved table and the pipeline's configuration.
+DEFAULT_CAPACITY = 1 << 16
 
 
 def drive(call):
@@ -105,37 +95,33 @@ def drive(call):
 
 
 class TranspositionTable:
-    """Closed hash table of updated lower bounds for expanded, unsolved
-    states.  A slot is (state, value, depth, mask): the value bounds the
-    search below the state when the actions in `mask` are forbidden there
-    by right shift, and so whenever a superset of them is.  Lookup is a
-    single probe plus a full state equality check.  The same state under
-    the same mask keeps the larger value and the smaller depth, under
-    another mask the new entry replaces it; on collision the entry closer
-    to the root is kept."""
+    """Updated lower bounds for expanded, unsolved states, at most
+    `capacity` of them.  An entry maps a state to (value, mask): the value
+    bounds the search below the state when the actions in `mask` are
+    forbidden there by right shift, and so whenever a superset of them is.
+    The same state under the same mask keeps the larger value; under
+    another mask the new entry replaces it.  A full table takes no new
+    state but still updates those it holds: every entry is a proven lower
+    bound, so one that is never stored only leaves the search weaker."""
 
-    def __init__(self, capacity: int = 1 << 16) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots: list[tuple[object, Units, int, int] | None] = [None] * capacity
+        self._entries: dict[object, tuple[Units, int]] = {}
 
     def get(self, key) -> tuple[Units, int] | None:
         """(value, mask) of the key's entry, or None."""
-        slot = self._slots[slot_index(key, self.capacity)]
-        if slot is not None and slot[0] == key:
-            return slot[1], slot[3]
-        return None
+        return self._entries.get(key)
 
-    def put(self, key, value: Units, depth: int, mask: int = 0) -> None:
-        i = slot_index(key, self.capacity)
-        slot = self._slots[i]
-        if slot is None or (slot[0] == key and slot[3] != mask):
-            self._slots[i] = (key, value, depth, mask)
-        elif slot[0] == key:
-            self._slots[i] = (key, max(slot[1], value), min(slot[2], depth), mask)
-        elif depth < slot[2]:
-            self._slots[i] = (key, value, depth, mask)
+    def put(self, key, value: Units, mask: int = 0) -> None:
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is None:
+            if len(entries) < self.capacity:
+                entries[key] = value, mask
+        elif entry[1] != mask or entry[0] < value:
+            entries[key] = value, mask
 
 
 @dataclass
@@ -156,7 +142,7 @@ class SearchResult:
 
 class IdaStar:
     def __init__(self, space, table: HeuristicTable, use_tt: bool = True,
-                 tt_capacity: int = 1 << 16, recorder: Recorder | None = None) -> None:
+                 tt_capacity: int = DEFAULT_CAPACITY, recorder: Recorder | None = None) -> None:
         self.space = space
         self.table = table
         self.tt = TranspositionTable(tt_capacity) if use_tt else None
@@ -265,10 +251,9 @@ class IdaStar:
             sound = min(sound, value if child_clean else g + est)
         on_path.discard(state)
         # The children depend on `via` only through the actions right shift
-        # forbade here, so the entry holds under any superset of them.  The
-        # path now holds the state's ancestors: their number is its depth.
+        # forbade here, so the entry holds under any superset of them.
         if self.tt is not None and sound - g > h:
-            self.tt.put(state, sound - g, len(on_path), forbidden)
+            self.tt.put(state, sound - g, forbidden)
         self._done[state, forbidden] = g, least
         return least, clean, None
 

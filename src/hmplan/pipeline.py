@@ -15,15 +15,13 @@ cost and next bound become Fractions again on exit.
 
 from __future__ import annotations
 
-import os
-import struct
 import sys
 from dataclasses import dataclass
 
 from .hm import compute_base_heuristic
 from .htable import HeuristicTable
 from .idao import IdaoSearch
-from .idastar import IdaStar, SearchResult
+from .idastar import DEFAULT_CAPACITY, IdaStar, SearchResult
 from .metrics import Recorder
 from .model import INF, Cost, Mode, Plan, Problem, Units
 from .mutex import Mutex
@@ -38,8 +36,8 @@ class PlannerConfig:
     stop: str = "fixed:3"  # fixed:<M> | no-and | converged
     right_shift: bool = True  # TemporalSpace's cut; IDA* applies it, IDAO* does not
     use_tt: bool = True
-    tt_size: int = 1 << 16
-    solved_size: int = 1 << 16
+    tt_size: int = DEFAULT_CAPACITY  # table sizes count entries
+    solved_size: int = DEFAULT_CAPACITY
     upper_limit: Cost = INF
 
 
@@ -58,16 +56,6 @@ def _make_space(problem: Problem, right_shift: bool, mutex: Mutex | None):
     return TemporalSpace(problem, right_shift, mutex)
 
 
-def _fits_in_memory(slots: int) -> bool:
-    """Whether a table of that many slots, a pointer each, fits in the
-    machine's physical memory; True where the platform does not say."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return True
-    return slots * struct.calcsize("P") <= memory
-
-
 def _parse_stop(stop: str) -> tuple[str, int | None]:
     if stop in ("no-and", "converged"):
         return stop, None
@@ -83,19 +71,14 @@ def run_pipeline(problem: Problem, config: PlannerConfig,
                  recorder: Recorder | None = None) -> PlanResult:
     """Solve the problem optimally, or prove it unsolvable, or report the
     next bound above `config.upper_limit`.  Before any work is done, raises
-    ValueError on a bad pipeline name, stopping rule or table size, and
-    MemoryError on a table the run would build that memory cannot hold."""
+    ValueError on a bad pipeline name, stopping rule or table size.  A
+    table size caps the entries the table may hold; none is allocated up
+    front, so a table only takes the memory its entries need."""
     if config.pipeline not in ("tp4", "hspa"):
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
     for name, size in (("transposition", config.tt_size), ("solved", config.solved_size)):
         if not 1 <= size <= sys.maxsize:
             raise ValueError(f"{name} table size must be between 1 and {sys.maxsize}")
-    tables = [("transposition", config.tt_size)] if config.use_tt else []
-    if config.pipeline == "hspa":
-        tables.append(("solved", config.solved_size))
-    for name, size in tables:
-        if not _fits_in_memory(size):
-            raise MemoryError(f"a {name} table of {size} slots does not fit in memory")
     stop = _parse_stop(config.stop)
     limit = problem.to_units(config.upper_limit)
     table = HeuristicTable(problem.scale)

@@ -75,6 +75,14 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[0] == "; cost 7"
 
+    @pytest.mark.parametrize("options", [
+        ["--tt-size"], ["--solved-size"], ["--tt-size", "--solved-size"],
+    ], ids=["--tt-size", "--solved-size", "both"])
+    def test_largest_table_sizes(self, capsys, options):
+        sizes = [arg for option in options for arg in (option, str(sys.maxsize))]
+        code, out, _ = run(capsys, *OBS, "--pipeline", "hspa", "--validate", *sizes)
+        assert code == 0 and out.splitlines()[0] == "; cost 7"
+
     def test_round_durations(self, capsys):
         code, out, _ = run(capsys, *SHOP, "--mode", "temp",
                            "--round-durations", "--validate")
@@ -180,14 +188,6 @@ class TestNonZeroExits:
             code, out, err = run(capsys, *OBS, "--pipeline", pipeline, option, value)
             assert code == 2 and out == ""
             assert "size must be between 1 and" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("option", ["--tt-size", "--solved-size"])
-    def test_table_size_beyond_memory(self, capsys, monkeypatch, option):
-        # Out of resources before any search: the GBF never runs.
-        monkeypatch.setattr("hmplan.pipeline.compute_base_heuristic", None)
-        code, out, err = run(capsys, *OBS, "--pipeline", "hspa", option, str(sys.maxsize))
-        assert code == 3 and out == ""
-        assert "out of resources: MemoryError" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("option", ["--trace", "--metrics"])
     def test_unwritable_artifact_path(self, tmp_path, capsys, monkeypatch, option):

@@ -35,15 +35,19 @@ class TestSolvedTable:
         assert st.get(frozenset({1})) == 4
         assert st.get(frozenset({2})) is None
 
-    def test_collision_overwrites(self):
+    def test_full_table_takes_no_new_key(self):
+        # A full table still updates the entries it holds.
         st = SolvedTable(1)
         st.put("a", Fraction(1))
         st.put("b", Fraction(2))
-        assert st.get("b") == 2 and st.get("a") is None
+        assert st.get("b") is None and st.get("a") == 1
+        st.put("a", Fraction(3))
+        assert st.get("a") == 3 and len(st._entries) == 1
 
     def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            SolvedTable(0)
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                SolvedTable(capacity)
 
 
 class TestAndSuccessors:

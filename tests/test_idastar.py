@@ -11,7 +11,7 @@ from hmplan import fixtures
 from hmplan.hm import compute_base_heuristic
 from hmplan.idao import SolvedTable
 from hmplan.htable import HeuristicTable
-from hmplan.idastar import IdaStar, TranspositionTable, build_plan, slot_index
+from hmplan.idastar import IdaStar, TranspositionTable, build_plan
 from hmplan.metrics import Recorder
 from hmplan.model import INF, Atom, GroundAction, Mode, Problem
 from hmplan.sequential import SequentialSpace
@@ -39,62 +39,62 @@ def recorded(problem, m=2, **kw):
 class TestTranspositionTable:
     def test_put_get(self):
         tt = TranspositionTable(8)
-        tt.put("k", Fraction(3), depth=2)
+        tt.put("k", Fraction(3))
         assert tt.get("k") == (3, 0)
         assert tt.get("other") is None
 
-    def test_same_key_keeps_max_value_min_depth(self):
-        # Under one mask the larger value and the smaller depth are kept;
-        # under another mask the new entry replaces the old one whole.
+    def test_same_key_keeps_max_value(self):
+        # Under one mask the larger value is kept; under another mask the
+        # new entry replaces the old one whole.
         tt = TranspositionTable(8)
-        tt.put("k", Fraction(3), depth=5)
-        tt.put("k", Fraction(2), depth=1)
+        tt.put("k", Fraction(3))
+        tt.put("k", Fraction(2))
         assert tt.get("k") == (3, 0)
-        slot = slot_index("k", tt.capacity)
-        assert tt._slots[slot] == ("k", 3, 1, 0)
-        tt.put("k", Fraction(2), depth=4, mask=0b110)
-        assert tt._slots[slot] == ("k", 2, 4, 0b110)
-        tt.put("k", Fraction(5), depth=6, mask=0b110)
-        tt.put("k", Fraction(4), depth=2, mask=0b110)
-        assert tt._slots[slot] == ("k", 5, 2, 0b110)
+        tt.put("k", Fraction(2), mask=0b110)
+        assert tt.get("k") == (2, 0b110)
+        tt.put("k", Fraction(5), mask=0b110)
+        tt.put("k", Fraction(4), mask=0b110)
+        assert tt.get("k") == (5, 0b110)
 
     @pytest.mark.parametrize("shift", [16, 100])
     def test_masks_sharing_low_bits_spread(self, shift):
-        # An atom mask hashes to itself, so `hash(key) % (1 << 16)` would put
-        # these 1,024 masks, equal in their low 16 bits, in one slot.  Both
-        # closed-hash tables index through `slot_index`.
+        # An atom mask hashes to itself: these 1,024 masks are equal in
+        # their low 16 bits, and both tables store and find every one.
         keys = [0xBEEF | i << shift for i in range(1024)]
-        assert len({slot_index(k, 1 << 16) for k in keys}) >= 900
-        tt, solved = TranspositionTable(1 << 16), SolvedTable(1 << 16)
-        for k in keys:
-            tt.put(k, 1, depth=0)
-            solved.put(k, 1)
-        assert sum(slot is not None for slot in tt._slots) >= 900
-        assert sum(slot is not None for slot in solved._slots) >= 900
-        assert all(slot_index(k, 7) in range(7) for k in keys)
+        tt, solved = TranspositionTable(), SolvedTable()
+        for i, k in enumerate(keys):
+            tt.put(k, i)
+            solved.put(k, i)
+        assert [tt.get(k) for k in keys] == [(i, 0) for i in range(1024)]
+        assert [solved.get(k) for k in keys] == list(range(1024))
 
     def test_entry_keeps_its_forbidden_set(self):
         # A value found where more actions were forbidden may exceed what
         # the state's search gives with fewer forbidden: it is returned with
         # its own mask only, never merged into an entry under another mask.
         tt = TranspositionTable(8)
-        tt.put("k", Fraction(9), depth=1, mask=0b11)
-        tt.put("k", Fraction(4), depth=1, mask=0b01)
+        tt.put("k", Fraction(9), mask=0b11)
+        tt.put("k", Fraction(4), mask=0b01)
         assert tt.get("k") == (4, 0b01)
-        tt.put("k", Fraction(6), depth=1)
+        tt.put("k", Fraction(6))
         assert tt.get("k") == (6, 0)
 
-    def test_collision_prefers_shallower_entry(self):
-        tt = TranspositionTable(1)
-        tt.put("a", Fraction(4), depth=3)
-        tt.put("b", Fraction(9), depth=5, mask=0b1)
-        assert tt.get("a") == (4, 0) and tt.get("b") is None
-        tt.put("c", Fraction(1), depth=0, mask=0b1)
-        assert tt.get("c") == (1, 0b1) and tt.get("a") is None
+    def test_full_table_takes_no_new_key(self):
+        # A full table still raises and replaces the entries it holds.
+        tt = TranspositionTable(2)
+        tt.put("a", Fraction(4))
+        tt.put("b", Fraction(9), mask=0b1)
+        tt.put("c", Fraction(1))
+        assert tt.get("c") is None
+        tt.put("a", Fraction(6))
+        tt.put("b", Fraction(2))
+        assert tt.get("a") == (6, 0) and tt.get("b") == (2, 0)
+        assert len(tt._entries) == 2
 
     def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            TranspositionTable(0)
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                TranspositionTable(capacity)
 
 
 class TestSequentialSearch:
@@ -440,7 +440,7 @@ class TestStoredBoundsAdmissible:
     def entries(p, m, **kw):
         ida = searcher(p, m, **kw)
         assert ida.run().outcome == "solved"
-        return [slot for slot in ida.tt._slots if slot is not None]
+        return ida.tt._entries.items()
 
     def test_sequential(self):
         rng = random.Random(19)
@@ -450,7 +450,7 @@ class TestStoredBoundsAdmissible:
             dist = forward_dijkstra(p)
             if achieve_cost(dist, p.goal) == INF:
                 continue
-            for state, value, _, mask in self.entries(p, 1):
+            for state, (value, mask) in self.entries(p, 1):
                 assert mask == 0
                 assert value <= achieve_cost(dist, ids(state)) * p.scale
                 checked += 1
@@ -471,7 +471,7 @@ class TestStoredBoundsAdmissible:
             dist = forward_dijkstra(p)
             if achieve_cost(dist, p.goal) == INF:
                 continue
-            for state, value, _, mask in self.entries(p, 1, right_shift=True):
+            for state, (value, mask) in self.entries(p, 1, right_shift=True):
                 if mask or state.in_progress:
                     continue
                 checked += 1
@@ -485,11 +485,12 @@ class TestStoredBoundsAdmissible:
 
 
 class TestOneSlotTable:
-    """With one slot nearly every probe finds an entry, most of them another
-    state's.  A table that answered for the wrong state, or gave one state
-    another's value, would prune the optimal path.  Each search runs only up
-    to the oracle's optimum, so such a table makes it answer `limit`; on an
-    unsolvable problem nothing bounds it, so those are left out."""
+    """With one entry the table holds only the first state it stores and
+    refuses every other, while that state's entry keeps rising.  A table
+    that answered for the wrong state, or gave one state another's value,
+    would prune the optimal path.  Each search runs only up to the oracle's
+    optimum, so such a table makes it answer `limit`; on an unsolvable
+    problem nothing bounds it, so those are left out."""
 
     FIXTURES = [
         fixtures.satellite(),

@@ -95,11 +95,12 @@ class TestAgreement:
 CONFIGS = [dict(pipeline=pipeline, stop=stop, use_tt=use_tt, right_shift=right_shift)
            for pipeline in ("tp4", "hspa") for stop in ("fixed:3", "no-and", "converged")
            for use_tt in (True, False) for right_shift in (True, False)]
-# One slot per table, so stores collide, wherever a run has a table: the
-# transposition table under use_tt, IDAO*'s solved table under hspa.
+# One entry per table, so a full table refuses new states, wherever a run has
+# a table: the transposition table under use_tt, IDAO*'s solved table under
+# hspa.
 CONFIGS += [dict(c, tt_size=1, solved_size=1) for c in CONFIGS
             if c["use_tt"] or c["pipeline"] == "hspa"]
-# tp4 and hspa fixed:3 with their default tables, and with one slot each.
+# tp4 and hspa fixed:3 with their default tables, and with one entry each.
 UNPRUNED_TOO = [c for c in CONFIGS
                 if c["stop"] == "fixed:3" and c["use_tt"] and c["right_shift"]]
 
@@ -395,18 +396,17 @@ class TestHspaStopping:
                 run_pipeline(fixtures.satellite(), PlannerConfig(**kw, **{size: value}), rec)
             assert rec.trace == [] and rec.expansions == 0
 
-    @pytest.mark.parametrize("size, kw", [
-        ("tt_size", dict(pipeline="tp4")),
-        ("tt_size", dict(pipeline="hspa", stop="fixed:3")),
-        ("solved_size", dict(pipeline="hspa", stop="fixed:3")),
-    ], ids=["tt-tp4", "tt-hspa", "solved-hspa"])
-    def test_table_beyond_memory_rejected_before_gbf(self, size, kw, monkeypatch):
-        def no_gbf(*args):
-            raise AssertionError("the GBF ran")
-
-        monkeypatch.setattr("hmplan.pipeline.compute_base_heuristic", no_gbf)
-        with pytest.raises(MemoryError, match="does not fit in memory"):
-            run_pipeline(fixtures.satellite(), PlannerConfig(**kw, **{size: sys.maxsize}))
+    @pytest.mark.parametrize("sizes, kw", [
+        (["tt_size"], dict(pipeline="tp4")),
+        (["tt_size"], dict(pipeline="hspa", stop="fixed:3")),
+        (["solved_size"], dict(pipeline="hspa", stop="fixed:3")),
+        (["tt_size", "solved_size"], dict(pipeline="tp4")),
+        (["tt_size", "solved_size"], dict(pipeline="hspa", stop="fixed:3")),
+    ], ids=["tt-tp4", "tt-hspa", "solved-hspa", "both-tp4", "both-hspa"])
+    def test_largest_table_sizes_solve(self, sizes, kw):
+        # A size caps the entries; no table is allocated at its size.
+        config = PlannerConfig(**kw, **{size: sys.maxsize for size in sizes})
+        assert run_pipeline(fixtures.satellite(), config).cost == 7
 
     def test_unbuilt_table_may_exceed_memory(self):
         # tp4 builds no solved table, and use_tt=False no transposition table.
