@@ -21,23 +21,20 @@ of size <= 2 is then the max over p in s of the least v whose mask covers s,
 or INF if no level of some p covers it.  The GBF hands `load` the lists
 whole; `store` raises one set by clearing its bit in the levels below the new
 value.  The top level of each list gives the mutexes (`mutex.Mutex`).
-Larger sets, which only relaxed search and h^m for m >= 3 store, live in a
-trie keyed by the ascending id string, the set bits from the lowest up,
-consulted only once one exists.
+Larger sets, which only relaxed search and h^m for m >= 3 store, are held
+per lowest atom as {set mask: value}; `eval`'s walk over the atoms of s
+reads, at each atom, the larger sets it is the lowest atom of.
 
 The searches ask for the same sets again and again, so `eval` keeps a memo
 from mask to result.  A `store` that raises a value clears it, and so does
 reaching _MEMO_CAP entries.  A store of at most the set's current value
 would change no evaluation, now or later, as the table only rises: it
-returns at once and leaves the levels, the trie and the memo as they are.
+returns at once and leaves the table and the memo as they are.
 """
 
 from __future__ import annotations
 
-from .model import INF, AtomMask, Units, ids_of
-
-# Marks a trie entry that only routes to larger sets; below every stored value.
-_ABSENT = -1
+from .model import INF, AtomMask, Units
 
 # Entries the eval memo holds before it starts afresh.
 _MEMO_CAP = 1 << 16
@@ -67,9 +64,8 @@ class HeuristicTable:
         self.scale = scale  # the values count units of 1/scale
         self._empty: Units = 0  # the value of the empty set
         self._levels: dict[int, list] = {}  # atom p -> its ascending (v, mask) levels
-        # Trie of the sets of size >= 3: atom -> [value, children], where
-        # entries that only route to larger sets keep _ABSENT.
-        self._big: dict[int, list] = {}
+        # Sets of size >= 3 by their lowest atom: p -> {set: value}.
+        self._big: dict[int, dict[AtomMask, Units]] = {}
         self._memo: dict[AtomMask, Units] = {}  # set -> eval(set) since the last raise
 
     def store(self, s: AtomMask, v: Units) -> None:
@@ -78,11 +74,7 @@ class HeuristicTable:
             return
         self._memo.clear()
         if s.bit_count() > 2:
-            children = self._big
-            for atom in ids_of(s):
-                entry = children.setdefault(atom, [_ABSENT, {}])
-                children = entry[1]
-            entry[0] = v
+            self._big.setdefault((s & -s).bit_length() - 1, {})[s] = v
         elif not s:
             self._empty = v
         else:
@@ -115,26 +107,27 @@ class HeuristicTable:
         if best is not None:
             return best
         best = self._empty
-        levels = self._levels
+        levels, big = self._levels, self._big
         rest = s
         while rest:
             low = rest & -rest
             rest ^= low
-            ups = levels.get(low.bit_length() - 1)
-            if ups is None:
-                continue
-            for v, mask in ups:
-                if not s & ~mask:
+            p = low.bit_length() - 1
+            ups = levels.get(p)
+            if ups is not None:
+                for v, mask in ups:
+                    if not s & ~mask:
+                        break
+                else:
+                    best = INF
                     break
-            else:
-                best = INF
-                break
-            if v > best:
-                best = v
-        if self._big and best < INF and s.bit_count() >= 3:
-            v = self._eval_big(ids_of(s))
-            if v > best:
-                best = v
+                if v > best:
+                    best = v
+            sets = big.get(p)
+            if sets:
+                for b, v in sets.items():
+                    if v > best and not b & ~s:
+                        best = v
         if len(self._memo) >= _MEMO_CAP:
             self._memo.clear()
         self._memo[s] = best
@@ -143,18 +136,3 @@ class HeuristicTable:
     # `store` reads values by this name, so a wrapper of `eval` that counts
     # calls (bench/tracing.py) counts the searches' evaluations only.
     _value = eval
-
-    def _eval_big(self, ids: list[int]):
-        """Max over the trie's sets that are subsets of the ascending ids."""
-        best = _ABSENT
-        stack = [(self._big, 0)]
-        while stack:
-            children, i = stack.pop()
-            for j in range(i, len(ids)):
-                entry = children.get(ids[j])
-                if entry is not None:
-                    if entry[0] > best:
-                        best = entry[0]
-                    if entry[1]:
-                        stack.append((entry[1], j + 1))
-        return best

@@ -667,25 +667,18 @@ def ground(domain: DomainAst, problem: ProblemAst,
         # An instance is dropped when an add meets a delete, which only
         # literals of one predicate can do.
         clash = not {l.pred for l in schema.add}.isdisjoint(l.pred for l in schema.delete)
-        if schema.params:
-            # A row is a binding followed by the constants of the literals.
-            consts = tuple(dict.fromkeys(
-                a for l in itertools.chain(*fluent) for a in l.args if a not in var_names))
-            slot = {a: i for i, a in enumerate((*var_names, *consts))}
-            pre, add, delete = ([(l.pred, _args_of([slot[a] for a in l.args])) for l in lits]
-                                for lits in fluent)
-            instances = ((" ".join((schema.name, *binding)),
-                          [(p, args(row)) for p, args in pre],
-                          [(p, args(row)) for p, args in add],
-                          [(p, args(row)) for p, args in delete])
-                         for binding in _join(schema, pools, static_pre, static)
-                         for row in (binding + consts,))
-        elif (all(l.args in static.get(l.pred, ()) for l in static_pre)
-              and all(x == y for x, y in schema.eq)
-              and all(x != y for x, y in schema.neq)):
-            instances = [(schema.name, *([(l.pred, l.args) for l in lits] for lits in fluent))]
-        else:
-            continue
+        # A row is a binding followed by the constants of the literals.
+        consts = tuple(dict.fromkeys(
+            a for l in itertools.chain(*fluent) for a in l.args if a not in var_names))
+        slot = {a: i for i, a in enumerate((*var_names, *consts))}
+        pre, add, delete = ([(l.pred, _args_of([slot[a] for a in l.args])) for l in lits]
+                            for lits in fluent)
+        instances = ((" ".join((schema.name, *binding)),
+                      [(p, args(row)) for p, args in pre],
+                      [(p, args(row)) for p, args in add],
+                      [(p, args(row)) for p, args in delete])
+                     for binding in _join(schema, pools, static_pre, static)
+                     for row in (binding + consts,))
         for name, pre_lits, add_lits, del_lits in instances:
             if clash and not set(add_lits).isdisjoint(del_lits):
                 continue  # contradictory instance

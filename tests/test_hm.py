@@ -266,6 +266,33 @@ class TestStrategiesAgree:
         assert finite > 0
 
 
+class TestSetsBeyondM:
+    """`eval` of a set larger than m reads the loaded levels and the stored
+    sets of size 3 to m together: it equals the max of the reference sweep
+    over the set's subsets of size <= m."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_eval_matches_sweep(self, mode, m):
+        rng = random.Random(41)
+        above_pairs = 0  # sets whose value comes from a subset of size >= 3
+        for k in range(12):
+            durs = MIXED_DURS if mode is Mode.TEMPORAL and k % 2 else None
+            costs = MIXED_COSTS if mode is Mode.SEQUENTIAL and k % 2 else None
+            # Actions that add three atoms make more triples worth more
+            # than their pairs.
+            p = random_problem(rng, max_atoms=7, max_actions=10, mode=mode,
+                               costs=costs, durs=durs, max_add=3)
+            table, values = table_for(p, m), gbf_sweep(p, m)
+            for size in range(m + 1, m + 4):
+                for c in combinations(range(len(p.atoms)), size):
+                    subsets = _subsets_upto(c, m)
+                    expected = max(values[s] for s in subsets)
+                    assert table.eval(mask(c)) == expected
+                    above_pairs += expected > max(values[s] for s in subsets if len(s) <= 2)
+        assert above_pairs > 0
+
+
 class TestLabelSetting:
     def test_edge_without_subsets_keeps_its_offset(self):
         # g by a (no preconditions, 3/2) and h by b (no preconditions, 1/2).

@@ -102,7 +102,8 @@ class TestAgainstDictOracle:
 
 
     # Ids on both sides of the 64-bit word boundaries, so masks run over
-    # several machine words; sets of three and more go to the trie.
+    # several machine words; sets of three and more are held by their
+    # lowest atom.
     wide = st.frozensets(st.sampled_from([0, 1, 2, 62, 63, 64, 65, 127, 128, 200]), max_size=5)
 
     @given(st.lists(st.tuples(wide, values), max_size=25), st.lists(wide, max_size=10))
